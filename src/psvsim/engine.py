@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import geometry, hilbert
-from .errors import ConfigurationError, ImpossibleBranchError
+from .errors import ConfigurationError
 from .geometry import Event, Lcsh, LimitSide, Separation, SurfaceSide
 from .hilbert import OutcomeSet, StateVector, SubsystemKind
 
@@ -251,21 +250,22 @@ class StepRecord:
     interactions_applied: tuple[str, ...]
 
 
-def _due_interactions(pending: list[InteractionEvent], surface: Lcsh) -> tuple[list[InteractionEvent], list[InteractionEvent]]:
-    """Interactions now in the past of (or exactly on) the surface.
+@dataclass(frozen=True)
+class BranchNode:
+    """One expanded node of the outcome-branch tree: the state on S_k-
+    and the Born probability of each of the detector's outcomes there."""
 
-    Events exactly on a reduction surface are applied before the reduction
-    (they belong to the minus side).  Timelike pairs apply in time order;
-    spacelike pairs commute, so a stable time sort is sufficient.
-    """
-    due, remaining = [], []
-    for ev in pending:
-        if geometry.event_side_of_surface(ev.at, surface) is SurfaceSide.FUTURE:
-            remaining.append(ev)
-        else:
-            due.append(ev)
-    due.sort(key=lambda ev: (ev.at.t, ev.name))
-    return due, remaining
+    detector: DetectorEvent
+    surface_before: Lcsh
+    surface_after: Lcsh
+    state_before: StateVector  # on S_k-, after due interactions
+    probabilities: tuple[float, ...]  # in ``detector.outcomes.labels`` order
+    interactions_applied: tuple[str, ...]
+    remaining: tuple[InteractionEvent, ...]
+
+    @property
+    def reduction(self) -> bool:
+        return not any(p >= 1.0 - EPS_CERT for p in self.probabilities)
 
 
 def step(
@@ -273,50 +273,38 @@ def step(
     surface: Lcsh,
     state: StateVector,
     detector: str,
-    outcome: str | None = None,
-    rng: np.random.Generator | None = None,
-    pending: list[InteractionEvent] | None = None,
-) -> tuple[StepRecord, list[InteractionEvent]]:
-    """Advance the surface over one detector's backward light cone and
-    perform its measurement.
+    pending: tuple[InteractionEvent, ...] | None = None,
+) -> BranchNode:
+    """Expand one node: adjoin the detector's backward light cone to the
+    surface, apply the pending interactions now in its past, and compute
+    every outcome's Born probability.
 
-    ``outcome`` fixes the branch; with ``outcome=None`` an ``rng`` must be
-    given and the branch is sampled from the Born probabilities.
+    Interactions exactly on the new surface are applied before the
+    reduction (they belong to the minus side).  Timelike pairs apply in
+    time order; spacelike pairs commute, so a stable time sort suffices.
+    Branching is left to the caller: ``apply_detector`` on
+    ``state_before`` gives the state on S_k+ for a chosen outcome.
     """
     det = s.detector(detector)
-    pending = list(s.interactions) if pending is None else list(pending)
     new_surface = geometry.adjoin_apex(surface, det.at)
-    due, remaining = _due_interactions(pending, new_surface)
+    due, remaining = [], []
+    for ev in s.interactions if pending is None else pending:
+        future = geometry.event_side_of_surface(ev.at, new_surface) is SurfaceSide.FUTURE
+        (remaining if future else due).append(ev)
+    due.sort(key=lambda ev: (ev.at.t, ev.name))
     for ev in due:
         state = hilbert.apply_unitary(state, ev.unitary, ev.targets)
-    state_before = hilbert.phase_canonical(state)
-
-    probs = {l: hilbert.born_probability(state_before, det.outcomes, l)
-             for l in det.outcomes.labels}
-    reduction = not any(p >= 1.0 - EPS_CERT for p in probs.values())
-    if outcome is None:
-        if rng is None:
-            raise ConfigurationError("sampled step requires an rng")
-        labels = det.outcomes.labels
-        cum = np.cumsum([probs[l] for l in labels])
-        outcome = labels[int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))]
-    prob = probs.get(outcome)
-    if prob is None:
-        raise ConfigurationError(f"unknown outcome {outcome!r} for detector {detector!r}")
-    state_after = apply_detector(state_before, det, outcome)
-
-    record = StepRecord(
-        detector=detector,
-        outcome=outcome,
-        probability=prob,
-        reduction=reduction,
+    state = hilbert.phase_canonical(state)
+    return BranchNode(
+        detector=det,
         surface_before=surface,
         surface_after=replace(new_surface, side=LimitSide.PLUS),
-        state_before=state_before,
-        state_after=state_after,
+        state_before=state,
+        probabilities=tuple(hilbert.born_probability(state, det.outcomes, l)
+                            for l in det.outcomes.labels),
         interactions_applied=tuple(ev.name for ev in due),
+        remaining=tuple(remaining),
     )
-    return record, remaining
 
 
 @dataclass(frozen=True)
@@ -346,25 +334,46 @@ def run(
     order: tuple[str, ...],
     outcomes: tuple[str, ...] | None = None,
     seed: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> RunRecord:
-    """Fold ``step`` over a reduction order, then apply any remaining
-    interactions (trivial Hamiltonian after the last event) to t = +inf."""
+    """Walk one path of the branch tree, then apply any remaining
+    interactions (trivial Hamiltonian after the last event) to t = +inf.
+
+    Each node is expanded once by ``step``; the branch taken is the fixed
+    outcome, or is drawn from the node's Born probabilities with the
+    stream ``default_rng(seed)``, one uniform per step.
+    """
     _require_valid(s, order)
     if outcomes is not None and len(outcomes) != len(order):
         raise ConfigurationError("need one fixed outcome per detector in the order")
-    if outcomes is None and rng is None:
-        rng = np.random.default_rng(seed if seed is not None else 0)
+    rng = np.random.default_rng(seed if seed is not None else 0)
 
     surface = s.initial_surface()
     state = s.initial_state
-    pending = list(s.interactions)
+    pending = s.interactions
     steps: list[StepRecord] = []
     for k, label in enumerate(order):
-        fixed = outcomes[k] if outcomes is not None else None
-        record, pending = step(s, surface, state, label, outcome=fixed, rng=rng, pending=pending)
-        steps.append(record)
-        surface, state = record.surface_after, record.state_after
+        node = step(s, surface, state, label, pending)
+        labels = node.detector.outcomes.labels
+        if outcomes is None:
+            cum = np.cumsum(node.probabilities)
+            outcome = labels[int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))]
+        elif outcomes[k] in labels:
+            outcome = outcomes[k]
+        else:
+            raise ConfigurationError(f"unknown outcome {outcomes[k]!r} for detector {label!r}")
+        state = apply_detector(node.state_before, node.detector, outcome)
+        steps.append(StepRecord(
+            detector=label,
+            outcome=outcome,
+            probability=node.probabilities[labels.index(outcome)],
+            reduction=node.reduction,
+            surface_before=surface,
+            surface_after=node.surface_after,
+            state_before=node.state_before,
+            state_after=state,
+            interactions_applied=node.interactions_applied,
+        ))
+        surface, pending = node.surface_after, node.remaining
     for ev in sorted(pending, key=lambda ev: (ev.at.t, ev.name)):
         state = hilbert.apply_unitary(state, ev.unitary, ev.targets)
     total = math.prod(st.probability for st in steps) if steps else 1.0
@@ -390,7 +399,8 @@ class JointDistribution:
 
 
 def joint_distribution(s: Scenario, order: tuple[str, ...]) -> JointDistribution:
-    """Depth-first enumeration over outcome tuples, pruning zero branches."""
+    """Depth-first expansion of the whole branch tree, one ``step`` per
+    node; outcomes with probability <= EPS_PROB are pruned."""
     _require_valid(s, order)
     branch_bound = math.prod(len(s.detector(l).outcomes.outcomes) for l in order)
     if branch_bound > MAX_BRANCHES:
@@ -403,19 +413,13 @@ def joint_distribution(s: Scenario, order: tuple[str, ...]) -> JointDistribution
             by_det = dict(zip(order, chosen))
             probs[tuple(by_det[l] for l in declared)] = acc_prob
             return
-        det = s.detector(order[k])
-        for label in det.outcomes.labels:
-            try:
-                record, remaining = step(s, surface, state, order[k],
-                                         outcome=label, pending=pending)
-            except ImpossibleBranchError:
-                continue
-            if record.probability <= hilbert.EPS_PROB:
-                continue
-            descend(record.surface_after, record.state_after, remaining,
-                    k + 1, acc_prob * record.probability, chosen + (label,))
+        node = step(s, surface, state, order[k], pending)
+        for label, p in zip(node.detector.outcomes.labels, node.probabilities):
+            if p > hilbert.EPS_PROB:
+                descend(node.surface_after, apply_detector(node.state_before, node.detector, label),
+                        node.remaining, k + 1, acc_prob * p, chosen + (label,))
 
-    descend(s.initial_surface(), s.initial_state, list(s.interactions), 0, 1.0, ())
+    descend(s.initial_surface(), s.initial_state, s.interactions, 0, 1.0, ())
     return JointDistribution(declared, probs)
 
 
@@ -429,68 +433,27 @@ class EmpiricalDistribution:
         return self.counts.get(tuple(key), 0) / self.n
 
 
-class _BranchCache:
-    """Lazily memoized branch tree so that sampling many runs is cheap.
-
-    Each node caches the per-outcome probabilities and post-step states of
-    one detector given an outcome prefix, computed once through ``step``;
-    a sampled run is then a walk down the tree.  Statistically identical
-    to independent full runs.
-    """
-
-    def __init__(self, s: Scenario, order: tuple[str, ...]):
-        self.s = s
-        self.order = order
-        self.nodes: dict[tuple[str, ...], tuple] = {}
-        self.roots = (s.initial_surface(), s.initial_state, list(s.interactions))
-
-    def node(self, prefix: tuple[str, ...]):
-        cached = self.nodes.get(prefix)
-        if cached is not None:
-            return cached
-        if not prefix:
-            surface, state, pending = self.roots
-        else:
-            _, children = self.node(prefix[:-1])
-            surface, state, pending = children[prefix[-1]]
-        det = self.s.detector(self.order[len(prefix)])
-        children = {}
-        weights = []
-        for label in det.outcomes.labels:
-            try:
-                record, remaining = step(self.s, surface, state, det.label,
-                                         outcome=label, pending=pending)
-            except ImpossibleBranchError:
-                weights.append(0.0)
-                continue
-            weights.append(record.probability)
-            if len(prefix) + 1 < len(self.order):
-                children[label] = (record.surface_after, record.state_after, remaining)
-        entry = ((det.outcomes.labels, np.cumsum(weights)), children)
-        self.nodes[prefix] = entry
-        return entry
-
-
 def sample(s: Scenario, order: tuple[str, ...], n: int, seed: int = 0) -> EmpiricalDistribution:
-    """n independent sampled runs.  Run i draws from the stream seeded by
-    (seed, i), so parallel and serial execution give identical results."""
-    _require_valid(s, order)
+    """n independent sampled runs: the exact leaves, then one draw.
+
+    The branch tree is expanded once by ``joint_distribution``.  Run i
+    takes the i-th uniform of the single stream ``default_rng(seed)`` and
+    lands on the leaf whose interval of the cumulative leaf probabilities
+    (in ``joint_distribution`` order) holds it.  A worker can start at run
+    i with ``Generator(PCG64(seed).advance(i))``, so parallel and serial
+    execution give identical counts.
+    """
     if n < 1:
         raise ConfigurationError(f"sample count must be >= 1, got {n}")
-    cache = _BranchCache(s, tuple(order))
-    counts: Counter[tuple[str, ...]] = Counter()
-    declared = s.detector_labels
-    for i in range(n):
-        rng = np.random.default_rng((seed, i))
-        us = rng.random(len(order))
-        prefix: tuple[str, ...] = ()
-        for k in range(len(order)):
-            (labels, cum), _ = cache.node(prefix)
-            j = int(np.searchsorted(cum, us[k] * cum[-1], side="right"))
-            prefix = prefix + (labels[min(j, len(labels) - 1)],)
-        by_det = dict(zip(order, prefix))
-        counts[tuple(by_det[l] for l in declared)] += 1
-    return EmpiricalDistribution(declared, dict(counts), n)
+    dist = joint_distribution(s, order)
+    keys = list(dist.probabilities)
+    cum = np.cumsum(list(dist.probabilities.values()))
+    u = np.random.default_rng(seed).random(n) * cum[-1]
+    leaf = np.minimum(np.searchsorted(cum, u, side="right"), len(keys) - 1)
+    tally = np.bincount(leaf, minlength=len(keys))
+    return EmpiricalDistribution(
+        dist.detectors, {k: int(c) for k, c in zip(keys, tally) if c}, n
+    )
 
 
 # --- transport to query surfaces -------------------------------------------

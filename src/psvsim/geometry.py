@@ -90,13 +90,16 @@ def interval(e0: Event, e1: Event, c: float = 1.0) -> float:
 def classify(e0: Event, e1: Event, c: float = 1.0) -> Interval:
     """Classify a pair as spacelike / timelike / lightlike.
 
-    Lightlike means interval == 0 exactly; callers wanting the delta-limit
+    Lightlike means the time separation matches the light travel time
+    within EPS_GEOM, the same time-unit tolerance ``event_side_of_surface``
+    uses to put an event on a cone.  Callers wanting the delta-limit
     convention (lightlike counts as spacelike) consult the enum explicitly.
     """
     value = interval(e0, e1, c)
-    if value == 0.0:
+    gap = abs(e0.t - e1.t) - math.dist(e0.x, e1.x) / c
+    if abs(gap) <= EPS_GEOM:
         kind = Separation.LIGHTLIKE
-    elif value < 0.0:
+    elif gap < 0.0:
         kind = Separation.SPACELIKE
     else:
         kind = Separation.TIMELIKE

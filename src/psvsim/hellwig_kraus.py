@@ -15,18 +15,12 @@ not to this implementation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, hilbert, scenarios
-from .engine import (
-    JointDistribution,
-    Scenario,
-    apply_detector,
-    joint_distribution,
-)
+from .engine import Scenario, apply_detector, joint_distribution
 from .errors import AmbiguousRegionError, ConfigurationError, PhysicsError
 from .geometry import Event, Lcsh, SurfaceSide
 from .hilbert import Axis, StateVector
@@ -132,25 +126,6 @@ def hk_state(
         else:
             state = hilbert.apply_unitary(state, ev.unitary, ev.targets)
     return hilbert.phase_canonical(state)
-
-
-def hk_joint_distribution(s: Scenario) -> JointDistribution:
-    """Outcome distribution implied by the HK common-future (all cones
-    crossed) construction: sequential reductions of every detector."""
-    probs: dict[tuple[str, ...], float] = {}
-    outcome_lists = [s.detector(l).outcomes.labels for l in s.detector_labels]
-    for combo in itertools.product(*outcome_lists):
-        state = s.initial_state
-        p = 1.0
-        for label, outcome in zip(s.detector_labels, combo):
-            p *= hilbert.born_probability(state, s.detector(label).outcomes, outcome)
-            if p <= hilbert.EPS_PROB:
-                p = 0.0
-                break
-            state = apply_detector(state, s.detector(label), outcome)
-        if p > 0.0:
-            probs[combo] = p
-    return JointDistribution(s.detector_labels, probs)
 
 
 @dataclass(frozen=True)

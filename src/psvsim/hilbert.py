@@ -149,18 +149,6 @@ def apply_unitary(state: StateVector, matrix: np.ndarray, labels: tuple[str, ...
     return _apply_matrix(state, matrix, tuple(labels))
 
 
-def evolve_hamiltonian(state: StateVector, hamiltonian: np.ndarray, labels: tuple[str, ...], dt: float) -> StateVector:
-    """Apply exp(-i H dt) via Hermitian eigendecomposition (dims are tiny)."""
-    h = np.asarray(hamiltonian, dtype=complex)
-    if np.abs(h - h.conj().T).max() > EPS_OP:
-        raise ConfigurationError(f"matrix on {labels} is not Hermitian within {EPS_OP}")
-    if dt < 0:
-        raise ConfigurationError(f"time step must be nonnegative, got {dt}")
-    w, v = np.linalg.eigh(h)
-    u = (v * np.exp(-1j * w * dt)) @ v.conj().T
-    return _apply_matrix(state, u, tuple(labels))
-
-
 # --- spin axes -------------------------------------------------------------
 
 @dataclass(frozen=True)

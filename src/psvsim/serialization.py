@@ -182,22 +182,27 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    t0 = d.get("initial_surface", {}).get("t0", MINUS_INFINITY_TOKEN)
-    scenario = Scenario(
-        dim=d["dim"],
-        c=d.get("c", 1.0),
-        subsystems=tuple(subsystem_from_dict(s) for s in d["subsystems"]),
-        initial_state=state_from_dict(d["initial_state"]),
-        initial_t0=-math.inf if t0 == MINUS_INFINITY_TOKEN else float(t0),
-        interactions=tuple(interaction_from_dict(ev) for ev in d.get("interactions", [])),
-        detectors=tuple(detector_from_dict(det) for det in d["detectors"]),
-        charged_modes=tuple(d.get("charged_modes", [])),
-        worldlines=tuple(
-            (w["label"], tuple(event_from_dict(p) for p in w["points"]))
-            for w in d.get("worldlines", [])
-        ),
-    )
-    validate_scenario(scenario)
+    """Build and validate a scenario.  A missing or ill-typed field raises
+    ConfigurationError, as every failed validation does."""
+    try:
+        t0 = d.get("initial_surface", {}).get("t0", MINUS_INFINITY_TOKEN)
+        scenario = Scenario(
+            dim=d["dim"],
+            c=d.get("c", 1.0),
+            subsystems=tuple(subsystem_from_dict(s) for s in d["subsystems"]),
+            initial_state=state_from_dict(d["initial_state"]),
+            initial_t0=-math.inf if t0 == MINUS_INFINITY_TOKEN else float(t0),
+            interactions=tuple(interaction_from_dict(ev) for ev in d.get("interactions", [])),
+            detectors=tuple(detector_from_dict(det) for det in d["detectors"]),
+            charged_modes=tuple(d.get("charged_modes", [])),
+            worldlines=tuple(
+                (w["label"], tuple(event_from_dict(p) for p in w["points"]))
+                for w in d.get("worldlines", [])
+            ),
+        )
+        validate_scenario(scenario)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigurationError(f"malformed scenario: {type(exc).__name__}: {exc}") from exc
     return scenario
 
 

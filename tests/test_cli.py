@@ -117,3 +117,25 @@ def test_malformed_json_scenario(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert run_cli(capsys, "dist", "--scenario", str(path))[0] == 1
+
+
+def _malformed_scenarios():
+    ghz = serialization.scenario_to_dict(scenarios.ghz())
+    no_targets = json.loads(json.dumps(ghz))
+    no_targets["detectors"][0] = {"label": "A", "at": {"t": 3, "x": [-4]},
+                                  "register": "RA", "axis": {"theta": 0.0}}
+    bogus_kind = json.loads(json.dumps(ghz))
+    bogus_kind["subsystems"][0]["kind"] = "bogus"
+    return {"missing-keys": {"dim": 1}, "axis-without-targets": no_targets,
+            "top-level-list": [1, 2], "bogus-kind": bogus_kind}
+
+
+@pytest.mark.parametrize("name", sorted(_malformed_scenarios()))
+def test_malformed_scenario_file_is_a_validation_error(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_malformed_scenarios()[name]))
+    code, _, err = run_cli(capsys, "dist", "--scenario", str(path), "--json")
+    assert code == 1
+    blob = json.loads(err)
+    assert blob["error"] == "validation"
+    assert blob["message"].startswith("malformed scenario")

@@ -19,7 +19,7 @@ from psvsim.engine import (
     validate_scenario,
 )
 from psvsim.errors import ConfigurationError
-from psvsim.geometry import Event, Lcsh
+from psvsim.geometry import Event, Lcsh, LimitSide
 from psvsim.hilbert import X_AXIS, Z_AXIS, SubsystemKind, SubsystemSpec, states_close
 
 
@@ -91,6 +91,15 @@ def test_reduction_order_lightlike_unconstrained():
     assert len(enumerate_valid_orders(s)) == 2
 
 
+def test_roundoff_lightlike_detectors_admit_both_orders():
+    # (0.1 + 0.2) - 0.3 is 5.6e-17: on each other's cone under roundoff
+    s = two_detector_scenario(Event(0, (0,)), Event(0.1 + 0.2, (0.3,)))
+    assert validate_reduction_order(s, ("B", "A")) == []
+    assert len(enumerate_valid_orders(s)) == 2
+    d_ab = joint_distribution(s, ("A", "B"))
+    assert d_ab.max_deviation(joint_distribution(s, ("B", "A"))) < 1e-12
+
+
 def test_order_must_be_permutation():
     s = two_detector_scenario(Event(3, (-4,)), Event(3, (4,)))
     with pytest.raises(ConfigurationError):
@@ -101,13 +110,16 @@ def test_order_must_be_permutation():
 
 def test_step_applies_interactions_then_reduces():
     s = scenarios.split_particle()
-    record, remaining = step(s, s.initial_surface(), s.initial_state, "C",
-                             outcome="c1")
-    assert record.interactions_applied == ("AA1 copy", "AA2 copy")
-    assert remaining == []
-    assert record.reduction
-    assert record.probability == pytest.approx(0.5, abs=1e-12)
-    assert record.surface_after.apexes[-1] == s.detector("C").at
+    node = step(s, s.initial_surface(), s.initial_state, "C")
+    assert node.interactions_applied == ("AA1 copy", "AA2 copy")
+    assert node.remaining == ()
+    assert node.reduction
+    probs = dict(zip(node.detector.outcomes.labels, node.probabilities))
+    assert probs["c1"] == pytest.approx(0.5, abs=1e-12)
+    assert sum(node.probabilities) == pytest.approx(1.0, abs=1e-12)
+    assert node.surface_before == s.initial_surface()
+    assert node.surface_after.apexes[-1] == s.detector("C").at
+    assert node.surface_after.side is LimitSide.PLUS
 
 
 def test_step_reduction_flag_false_when_certain():
@@ -118,12 +130,10 @@ def test_step_reduction_flag_false_when_certain():
     assert rec.steps[2].probability == pytest.approx(1.0, abs=1e-12)
 
 
-def test_step_requires_rng_or_outcome():
+def test_run_rejects_unknown_fixed_outcome():
     s = scenarios.ghz()
     with pytest.raises(ConfigurationError):
-        step(s, s.initial_surface(), s.initial_state, "A")
-    with pytest.raises(ConfigurationError):
-        step(s, s.initial_surface(), s.initial_state, "A", outcome="sideways")
+        run(s, ("A", "B", "C"), outcomes=("+", "sideways", "+"))
 
 
 def test_run_total_probability_and_outcomes():
@@ -179,6 +189,47 @@ def test_sample_reproducible_and_consistent():
     d = joint_distribution(s, ("A", "B"))
     for key, p in d.probabilities.items():
         assert abs(e1.frequency(key) - p) < 4 * math.sqrt(p * (1 - p) / 4000)
+
+
+def test_joint_distribution_expands_each_node_once(monkeypatch):
+    calls = {"step": 0, "born": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(engine, "step", counted("step", engine.step))
+    monkeypatch.setattr(hilbert, "born_probability", counted("born", hilbert.born_probability))
+    s = scenarios.ghz()
+    d = joint_distribution(s, ("A", "B", "C"))
+    # every expanded node is a proper prefix of some leaf
+    nodes = {key[:k] for key in d.probabilities for k in range(3)}
+    assert len(nodes) == 7
+    assert calls["step"] == len(nodes)
+    assert calls["born"] == 2 * len(nodes)
+
+
+def test_sample_counts_are_prefix_monotone():
+    # run i is decided by the i-th uniform of one stream, so adding runs
+    # never takes a count away from any cell
+    s = scenarios.split_particle()
+    for seed in (0, 5):
+        small = sample(s, ("A", "B", "C"), 300, seed=seed)
+        large = sample(s, ("A", "B", "C"), 1000, seed=seed)
+        for key, count in small.counts.items():
+            assert count <= large.counts.get(key, 0)
+
+
+def test_sample_keys_are_joint_distribution_leaves():
+    for s in (scenarios.split_particle(), scenarios.ghz(),
+              scenarios.singlet(Z_AXIS, X_AXIS, with_copies=True)):
+        d = joint_distribution(s, s.detector_labels)
+        for seed in range(3):
+            e = sample(s, s.detector_labels, 2000, seed=seed)
+            assert set(e.counts) <= set(d.probabilities)
+            assert sum(e.counts.values()) == 2000
 
 
 def test_sample_rejects_bad_count():

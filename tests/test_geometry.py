@@ -39,9 +39,17 @@ def test_classification():
     assert classify(Event(0, (0,)), Event(3, (3,))).kind is Separation.LIGHTLIKE
 
 
-def test_classification_lightlike_is_exact():
-    # any nonzero interval, however small, is not lightlike
-    assert classify(Event(0, (0,)), Event(1 + 1e-15, (1,))).kind is Separation.TIMELIKE
+def test_classification_lightlike_within_eps():
+    # roundoff-bearing coordinates on the cone are lightlike, as they are ON
+    # for event_side_of_surface; c = 3 exercises the time-unit tolerance
+    for c, far in ((1.0, Event(0.1 + 0.2, (0.3,))), (3.0, Event(0.1 + 0.2, (0.9,)))):
+        near = Event(0, (0,))
+        assert classify(near, far, c).kind is Separation.LIGHTLIKE
+        cone = Lcsh(apexes=(far,), c=c)
+        assert event_side_of_surface(near, cone) is SurfaceSide.ON
+    # a genuine offset well above the tolerance is not absorbed
+    assert classify(Event(0, (0,)), Event(1 + 1e-6, (1,))).kind is Separation.TIMELIKE
+    assert classify(Event(0, (0,)), Event(1 - 1e-6, (1,))).kind is Separation.SPACELIKE
 
 
 @given(coord, coord, coord, coord, coord, coord)

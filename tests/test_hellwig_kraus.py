@@ -6,7 +6,6 @@ import pytest
 from _oracles import singlet_copies_conditional
 from psvsim import hellwig_kraus as hk
 from psvsim import hilbert, scenarios
-from psvsim.engine import joint_distribution
 from psvsim.errors import AmbiguousRegionError, ConfigurationError, PhysicsError
 from psvsim.geometry import Event, SurfaceSide
 from psvsim.hilbert import Axis, X_AXIS, Y_AXIS, Z_AXIS
@@ -73,14 +72,6 @@ def test_pure_spinor_rejects_entangled_subsystem():
     s = scenarios.singlet(Z_AXIS, X_AXIS)
     with pytest.raises(PhysicsError):
         hk._pure_spinor(s.initial_state, "a")
-
-
-def test_hk_joint_matches_engine_for_bare_singlet():
-    for axis_a, axis_b in ((Z_AXIS, X_AXIS), (Axis(0.7), Axis(2.2, 0.3))):
-        s = scenarios.singlet(axis_a, axis_b)
-        d_hk = hk.hk_joint_distribution(s)
-        d_engine = joint_distribution(s, ("A", "B"))
-        assert d_hk.max_deviation(d_engine) < 1e-12
 
 
 def test_hk_copy_states_are_regional_duplicates():

@@ -21,7 +21,6 @@ from psvsim.hilbert import (
     basis_state,
     born_probability,
     charge_expectation,
-    evolve_hamiltonian,
     phase_canonical,
     project_and_normalize,
     schmidt_rank,
@@ -120,18 +119,6 @@ def test_apply_unitary_targets_correct_subsystem():
     flip = np.array([[0, 1], [1, 0]], dtype=complex)
     out = apply_unitary(st_, flip, ("t",))
     assert out.amplitudes[1] == 1.0  # index (s=0, t=1)
-
-
-def test_evolve_hamiltonian():
-    st_ = basis_state((SPIN,))
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    out = evolve_hamiltonian(st_, sz, ("s",), dt=math.pi / 2)
-    # exp(-i sz pi/2)|0> = -i|0>; norms and phase behavior
-    assert abs(out.amplitudes[0] + 1j) < 1e-12
-    with pytest.raises(ConfigurationError):
-        evolve_hamiltonian(st_, np.array([[0, 1j], [1j, 0]]), ("s",), 1.0)
-    with pytest.raises(ConfigurationError):
-        evolve_hamiltonian(st_, sz, ("s",), -1.0)
 
 
 def test_axis_constants():
