@@ -7,6 +7,10 @@ and the detector projects the state and shifts its pointer register.
 Spacelike-separated detectors may reduce in any order; joint outcome
 distributions are order independent because all their projectors act on
 disjoint subsystems.
+
+Pointer registers only ever undergo basis permutations, so branch states
+carry them as separate basis-state factors (``BranchState``); the full
+tensor is built only where a state is observed.
 """
 
 from __future__ import annotations
@@ -14,13 +18,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import geometry, hilbert
 from .errors import ConfigurationError
 from .geometry import Event, Lcsh, LimitSide, Separation, SurfaceSide
-from .hilbert import OutcomeSet, StateVector, SubsystemKind
+from .hilbert import OutcomeSet, StateVector, SubsystemKind, SubsystemSpec
 
 #: A measurement is classified as a non-reduction when some outcome is
 #: certain to within this tolerance (scenarios are exact; this absorbs
@@ -86,6 +91,64 @@ class DetectorEvent:
 
 
 @dataclass(frozen=True)
+class BranchState:
+    """A branch state with its pointer registers kept out of the amplitude
+    tensor: ``core`` spans the non-register subsystems, and each register
+    is a single-subsystem unit basis vector in ``registers``.
+
+    Exact because registers never entangle: only a detector's pointer
+    shift (a basis permutation) acts on them, which ``validate_scenario``
+    enforces.  ``materialize`` rebuilds the full tensor in the order of
+    ``subsystems`` with the core's phase.
+    """
+
+    subsystems: tuple[SubsystemSpec, ...]
+    core: StateVector
+    registers: dict[str, StateVector]
+
+    @classmethod
+    def split(cls, state: StateVector) -> "BranchState":
+        """Factor every register out of a full state.  Each register must
+        sit in one basis state: every amplitude off the slice through the
+        largest one is at most ``EPS_OP``."""
+        psi = state.amplitudes.reshape(state.dims)
+        mags = np.abs(psi)
+        peak = np.unravel_index(int(np.argmax(mags)), psi.shape)
+        is_reg = [sub.kind is SubsystemKind.REGISTER for sub in state.subsystems]
+        index = tuple(int(k) if r else slice(None) for r, k in zip(is_reg, peak))
+        mags[index] = 0.0
+        if mags.max() > hilbert.EPS_OP:
+            off = np.unravel_index(int(np.argmax(mags)), psi.shape)
+            label = next(sub.label for sub, r, i, k in zip(state.subsystems, is_reg, off, peak)
+                         if r and i != k)
+            raise ConfigurationError(f"register {label!r} is not in a single basis state")
+        registers = {sub.label: hilbert.basis_state((sub,), {sub.label: int(k)})
+                     for sub, r, k in zip(state.subsystems, is_reg, peak) if r}
+        core = tuple(sub for sub, r in zip(state.subsystems, is_reg) if not r)
+        return cls(state.subsystems, StateVector(core, psi[index]), registers)
+
+    def interact(self, ev: InteractionEvent) -> "BranchState":
+        return replace(self, core=hilbert.apply_unitary(self.core, ev.unitary, ev.targets))
+
+    def canonical(self) -> "BranchState":
+        """Global phase fixed on the core by ``hilbert.phase_canonical``."""
+        return replace(self, core=hilbert.phase_canonical(self.core))
+
+    def materialize(self) -> StateVector:
+        """The full tensor.  Register indices are fixed, so the core's
+        amplitudes keep their order and a canonical core phase stays
+        canonical."""
+        psi = np.zeros(tuple(sub.dim for sub in self.subsystems), dtype=complex)
+        index = tuple(
+            int(np.argmax(np.abs(self.registers[sub.label].amplitudes)))
+            if sub.label in self.registers else slice(None)
+            for sub in self.subsystems
+        )
+        psi[index] = self.core.amplitudes.reshape(self.core.dims)
+        return StateVector(self.subsystems, psi.reshape(-1))
+
+
+@dataclass(frozen=True)
 class Scenario:
     dim: int
     c: float
@@ -99,6 +162,11 @@ class Scenario:
 
     def initial_surface(self) -> Lcsh:
         return Lcsh(t0=self.initial_t0, apexes=(), c=self.c)
+
+    @cached_property
+    def initial_branch(self) -> BranchState:
+        """The initial state with its registers split off, built once."""
+        return BranchState.split(self.initial_state)
 
     def detector(self, label: str) -> DetectorEvent:
         for d in self.detectors:
@@ -132,10 +200,13 @@ def validate_scenario(s: Scenario) -> None:
             raise ConfigurationError(f"event {ev} has dimension {ev.dim}, expected {s.dim}")
         if geometry.event_side_of_surface(ev, surface) is not SurfaceSide.FUTURE:
             raise ConfigurationError(f"event {ev} is not in the future of the initial surface")
+    kinds = {sub.label: sub.kind for sub in s.initial_state.subsystems}
     for ev in s.interactions:
         for t in ev.targets:
             if t not in labels:
                 raise ConfigurationError(f"interaction {ev.name!r} targets unknown subsystem {t!r}")
+            if kinds[t] is SubsystemKind.REGISTER:
+                raise ConfigurationError(f"interaction {ev.name!r} targets register {t!r}")
     seen = set()
     for d in s.detectors:
         if d.label in seen:
@@ -144,6 +215,9 @@ def validate_scenario(s: Scenario) -> None:
         for t in d.outcomes.targets + (d.register,):
             if t not in labels:
                 raise ConfigurationError(f"detector {d.label!r} references unknown subsystem {t!r}")
+        for t in d.outcomes.targets:
+            if kinds[t] is SubsystemKind.REGISTER:
+                raise ConfigurationError(f"detector {d.label!r} measures register {t!r}")
         reg = s.initial_state.spec_of(d.register)
         if reg.kind is not SubsystemKind.REGISTER:
             raise ConfigurationError(f"detector {d.label!r} register {d.register!r} is not a register")
@@ -156,6 +230,8 @@ def validate_scenario(s: Scenario) -> None:
             raise ConfigurationError(f"charged subsystem {m!r} is not an occupation mode")
     if abs(s.initial_state.norm - 1.0) > hilbert.EPS_NORM:
         raise ConfigurationError(f"initial state norm {s.initial_state.norm} != 1")
+    # splitting the registers off checks that each starts in a basis state
+    s.initial_branch
 
 
 # --- reduction orders ------------------------------------------------------
@@ -215,16 +291,18 @@ def _absorption_config(det: DetectorEvent, outcome: str, dims: tuple[int, ...]) 
     return tuple(np.unravel_index(flat, dims))
 
 
-def apply_detector(state: StateVector, det: DetectorEvent, outcome: str) -> StateVector:
+def apply_detector(state: BranchState, det: DetectorEvent, outcome: str) -> BranchState:
     """Projection + pointer shift (+ absorption).  Shared with the
     Hellwig-Kraus comparator so both prescriptions use one primitive."""
-    state = hilbert.project_and_normalize(state, det.outcomes, outcome)
-    reg_dim = state.spec_of(det.register).dim
+    core = hilbert.project_and_normalize(state.core, det.outcomes, outcome)
+    registers = state.registers
     pointer = det.pointer_for(outcome)
     if pointer != 0:
-        state = hilbert.apply_unitary(state, _register_shift(reg_dim, pointer), (det.register,))
+        factor = registers[det.register]
+        shift = _register_shift(factor.dims[0], pointer)
+        registers = {**registers, det.register: hilbert.apply_unitary(factor, shift, (det.register,))}
     if det.absorbing:
-        tdims = tuple(state.spec_of(t).dim for t in det.outcomes.targets)
+        tdims = tuple(core.spec_of(t).dim for t in det.outcomes.targets)
         config = _absorption_config(det, outcome, tdims)
         if any(config):
             # The projector fixed the measured configuration, so swapping it
@@ -233,8 +311,8 @@ def apply_detector(state: StateVector, det: DetectorEvent, outcome: str) -> Stat
             u = np.eye(block, dtype=complex)
             i = int(np.ravel_multi_index(config, tdims))
             u[[0, i]] = u[[i, 0]]
-            state = hilbert.apply_unitary(state, u, det.outcomes.targets)
-    return state
+            core = hilbert.apply_unitary(core, u, det.outcomes.targets)
+    return BranchState(state.subsystems, core, registers)
 
 
 @dataclass(frozen=True)
@@ -258,7 +336,7 @@ class BranchNode:
     detector: DetectorEvent
     surface_before: Lcsh
     surface_after: Lcsh
-    state_before: StateVector  # on S_k-, after due interactions
+    state_before: BranchState  # on S_k-, after due interactions
     probabilities: tuple[float, ...]  # in ``detector.outcomes.labels`` order
     interactions_applied: tuple[str, ...]
     remaining: tuple[InteractionEvent, ...]
@@ -271,7 +349,7 @@ class BranchNode:
 def step(
     s: Scenario,
     surface: Lcsh,
-    state: StateVector,
+    state: BranchState,
     detector: str,
     pending: tuple[InteractionEvent, ...] | None = None,
 ) -> BranchNode:
@@ -293,14 +371,14 @@ def step(
         (remaining if future else due).append(ev)
     due.sort(key=lambda ev: (ev.at.t, ev.name))
     for ev in due:
-        state = hilbert.apply_unitary(state, ev.unitary, ev.targets)
-    state = hilbert.phase_canonical(state)
+        state = state.interact(ev)
+    state = state.canonical()
     return BranchNode(
         detector=det,
         surface_before=surface,
         surface_after=replace(new_surface, side=LimitSide.PLUS),
         state_before=state,
-        probabilities=tuple(hilbert.born_probability(state, det.outcomes, l)
+        probabilities=tuple(hilbert.born_probability(state.core, det.outcomes, l)
                             for l in det.outcomes.labels),
         interactions_applied=tuple(ev.name for ev in due),
         remaining=tuple(remaining),
@@ -319,6 +397,12 @@ class RunRecord:
         """Outcome labels in scenario detector declaration order."""
         by_det = {st.detector: st.outcome for st in self.steps}
         return tuple(by_det[l] for l in self.scenario.detector_labels)
+
+
+def _checked_seed(seed: int) -> int:
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
+    return seed
 
 
 def _require_valid(s: Scenario, order: tuple[str, ...]) -> None:
@@ -340,15 +424,16 @@ def run(
 
     Each node is expanded once by ``step``; the branch taken is the fixed
     outcome, or is drawn from the node's Born probabilities with the
-    stream ``default_rng(seed)``, one uniform per step.
+    stream ``default_rng(seed)``, one uniform per step.  The recorded
+    states are full tensors.
     """
     _require_valid(s, order)
     if outcomes is not None and len(outcomes) != len(order):
         raise ConfigurationError("need one fixed outcome per detector in the order")
-    rng = np.random.default_rng(seed if seed is not None else 0)
+    rng = np.random.default_rng(_checked_seed(0 if seed is None else seed))
 
     surface = s.initial_surface()
-    state = s.initial_state
+    state = s.initial_branch
     pending = s.interactions
     steps: list[StepRecord] = []
     for k, label in enumerate(order):
@@ -369,15 +454,15 @@ def run(
             reduction=node.reduction,
             surface_before=surface,
             surface_after=node.surface_after,
-            state_before=node.state_before,
-            state_after=state,
+            state_before=node.state_before.materialize(),
+            state_after=state.materialize(),
             interactions_applied=node.interactions_applied,
         ))
         surface, pending = node.surface_after, node.remaining
     for ev in sorted(pending, key=lambda ev: (ev.at.t, ev.name)):
-        state = hilbert.apply_unitary(state, ev.unitary, ev.targets)
+        state = state.interact(ev)
     total = math.prod(st.probability for st in steps) if steps else 1.0
-    return RunRecord(s, tuple(order), tuple(steps), hilbert.phase_canonical(state), total)
+    return RunRecord(s, tuple(order), tuple(steps), state.canonical().materialize(), total)
 
 
 # --- exact enumeration and sampling ----------------------------------------
@@ -419,7 +504,7 @@ def joint_distribution(s: Scenario, order: tuple[str, ...]) -> JointDistribution
                 descend(node.surface_after, apply_detector(node.state_before, node.detector, label),
                         node.remaining, k + 1, acc_prob * p, chosen + (label,))
 
-    descend(s.initial_surface(), s.initial_state, s.interactions, 0, 1.0, ())
+    descend(s.initial_surface(), s.initial_branch, s.interactions, 0, 1.0, ())
     return JointDistribution(declared, probs)
 
 
@@ -445,10 +530,11 @@ def sample(s: Scenario, order: tuple[str, ...], n: int, seed: int = 0) -> Empiri
     """
     if n < 1:
         raise ConfigurationError(f"sample count must be >= 1, got {n}")
+    rng = np.random.default_rng(_checked_seed(seed))
     dist = joint_distribution(s, order)
     keys = list(dist.probabilities)
     cum = np.cumsum(list(dist.probabilities.values()))
-    u = np.random.default_rng(seed).random(n) * cum[-1]
+    u = rng.random(n) * cum[-1]
     leaf = np.minimum(np.searchsorted(cum, u, side="right"), len(keys) - 1)
     tally = np.bincount(leaf, minlength=len(keys))
     return EmpiricalDistribution(
@@ -502,13 +588,13 @@ def state_on_hyperplane(
     def past_of_query(ev: Event) -> bool:
         return geometry.event_side_of_surface(ev, query) is not SurfaceSide.FUTURE
 
-    state = s.initial_state
+    state = s.initial_branch
     applied = {ev.name: ev for ev in s.interactions}
     for st in record.steps:
         for name in st.interactions_applied:
             ev = applied.pop(name)
             if past_of_query(ev.at):
-                state = hilbert.apply_unitary(state, ev.unitary, ev.targets)
+                state = state.interact(ev)
         det = s.detector(st.detector)
         if st.reduction:
             if future_of[st.detector]:
@@ -517,5 +603,5 @@ def state_on_hyperplane(
             state = apply_detector(state, det, st.outcome)
     for ev in sorted(applied.values(), key=lambda ev: (ev.at.t, ev.name)):
         if past_of_query(ev.at):
-            state = hilbert.apply_unitary(state, ev.unitary, ev.targets)
-    return hilbert.phase_canonical(state)
+            state = state.interact(ev)
+    return state.canonical().materialize()

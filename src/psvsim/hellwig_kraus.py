@@ -15,7 +15,7 @@ not to this implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,7 +107,7 @@ def hk_state(
     """Regional state: the initial state reduced by every detector whose
     cone-side is Future (they commute), with the copy interactions lying in
     the region's past applied as basis-matched duplications."""
-    state = s.initial_state
+    state = s.initial_branch
     for label in s.detector_labels:
         for l, side in region.sides:
             if l == label and side is SurfaceSide.FUTURE:
@@ -122,10 +122,11 @@ def hk_state(
         if not region.contains_past_of(ev_region):
             continue
         if ev.gate and ev.gate.get("kind", "").startswith("copy"):
-            state = _duplicate_onto(state, ev.gate["source"], ev.gate["target"])
+            core = _duplicate_onto(state.core, ev.gate["source"], ev.gate["target"])
+            state = replace(state, core=core)
         else:
-            state = hilbert.apply_unitary(state, ev.unitary, ev.targets)
-    return hilbert.phase_canonical(state)
+            state = state.interact(ev)
+    return state.canonical().materialize()
 
 
 @dataclass(frozen=True)

@@ -13,22 +13,16 @@ import numpy as np
 
 def embed(op: np.ndarray, positions: list[int], dims: list[int]) -> np.ndarray:
     """Embed an operator acting on the listed subsystem positions into the
-    full product space, identity elsewhere.  Brute force by basis index."""
+    full product space, identity elsewhere.  Brute force by basis index:
+    entry (i, j) is op[sub(i), sub(j)] when i and j agree on every other
+    subsystem, else 0."""
     n = math.prod(dims)
-    out = np.zeros((n, n), dtype=complex)
-    ranges = [range(d) for d in dims]
-    sub_dims = [dims[p] for p in positions]
-    for idx_i in itertools.product(*ranges):
-        i = int(np.ravel_multi_index(idx_i, dims))
-        for idx_j in itertools.product(*ranges):
-            if any(a != b for k, (a, b) in enumerate(zip(idx_i, idx_j))
-                   if k not in positions):
-                continue
-            j = int(np.ravel_multi_index(idx_j, dims))
-            si = int(np.ravel_multi_index([idx_i[p] for p in positions], sub_dims))
-            sj = int(np.ravel_multi_index([idx_j[p] for p in positions], sub_dims))
-            out[i, j] = op[si, sj]
-    return out
+    digits = np.array(list(itertools.product(*(range(d) for d in dims)))).reshape(n, len(dims))
+    rest = [k for k in range(len(dims)) if k not in positions]
+    sub = np.ravel_multi_index(digits[:, positions].T, [dims[p] for p in positions])
+    other = np.ravel_multi_index(digits[:, rest].T, [dims[p] for p in rest]) if rest \
+        else np.zeros(n, dtype=int)
+    return np.where(other[:, None] == other[None, :], op[sub[:, None], sub[None, :]], 0)
 
 
 def spinor(theta: float, phi: float, sign: int) -> np.ndarray:
@@ -109,3 +103,27 @@ def ghz_joint(axes) -> dict[tuple[str, str, str], float]:
         if p > 1e-15:
             out[combo] = p
     return out
+
+
+def replay(psi: np.ndarray, steps, final_ops=()):
+    """Sequential replay of one branch on the full space.  Each step is
+    (ops, projector, shift), all full-space matrices: the ops apply in
+    order, then the projector, renormalization and the register shift.
+    Returns the Born probability of each step, the states before and after
+    each step, and the state after ``final_ops`` (None once a step has
+    probability 0)."""
+    probs, before, after = [], [], []
+    for ops, projector, shift in steps:
+        for u in ops:
+            psi = u @ psi
+        before.append(psi)
+        v = projector @ psi
+        p = float(np.vdot(v, v).real)
+        probs.append(p)
+        if p <= 1e-15:
+            return probs, before, after, None
+        psi = shift @ (v / math.sqrt(p))
+        after.append(psi)
+    for u in final_ops:
+        psi = u @ psi
+    return probs, before, after, psi

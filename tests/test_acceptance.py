@@ -94,7 +94,7 @@ def test_criterion_04_split_particle_branches():
     assert states_close(rec_b.final_state, expected_b, tol=1e-12)
 
     # order (C, B, A): pre-reduction state on S1- carries both copies
-    node = step(s, s.initial_surface(), s.initial_state, "C")
+    node = step(s, s.initial_surface(), s.initial_branch, "C")
     amps = np.zeros((2, 2, 2, 2), dtype=complex)
     amps[1, 0, 1, 0] = 1 / math.sqrt(2.0)  # a occupied with copy 1
     amps[0, 1, 0, 1] = 1 / math.sqrt(2.0)  # b occupied with copy 2
@@ -102,7 +102,7 @@ def test_criterion_04_split_particle_branches():
         hilbert.StateVector(subsystems[:4], amps.reshape(-1)),
         hilbert.basis_state(subsystems[4:]),
     )
-    assert states_close(node.state_before, expected_pre, tol=1e-12)
+    assert states_close(node.state_before.materialize(), expected_pre, tol=1e-12)
     _ok(4, "split-particle branch registers, probabilities 1/2, and the "
            "(C,B,A) pre-reduction two-copy state are exact")
 
@@ -177,9 +177,9 @@ def test_criterion_07_geometry_suite():
 
 def test_criterion_08_copy_entanglement_structure():
     s = scenarios.singlet(Z_AXIS, X_AXIS, with_copies=True)
-    node = step(s, s.initial_surface(), s.initial_state, "C")
+    node = step(s, s.initial_surface(), s.initial_branch, "C")
     assert node.interactions_applied == ("AA1 copy", "AA2 copy")
-    rank = hilbert.schmidt_rank(node.state_before, ("c1", "c2"))
+    rank = hilbert.schmidt_rank(node.state_before.materialize(), ("c1", "c2"))
     assert rank > 1
     _ok(8, f"post-copy (c1,c2 | rest) Schmidt rank is {rank} > 1: the copies "
            "carry new entanglement, not a detached singlet factor")

@@ -1,6 +1,8 @@
 import json
 import math
+from copy import deepcopy
 
+import numpy as np
 import pytest
 
 from psvsim import scenarios, serialization
@@ -119,23 +121,64 @@ def test_malformed_json_scenario(capsys, tmp_path):
     assert run_cli(capsys, "dist", "--scenario", str(path))[0] == 1
 
 
+def _pairs(a) -> list:
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
 def _malformed_scenarios():
+    """name -> (scenario JSON, start of the expected error message)."""
     ghz = serialization.scenario_to_dict(scenarios.ghz())
-    no_targets = json.loads(json.dumps(ghz))
+    no_targets = deepcopy(ghz)
     no_targets["detectors"][0] = {"label": "A", "at": {"t": 3, "x": [-4]},
                                   "register": "RA", "axis": {"theta": 0.0}}
-    bogus_kind = json.loads(json.dumps(ghz))
+    bogus_kind = deepcopy(ghz)
     bogus_kind["subsystems"][0]["kind"] = "bogus"
-    return {"missing-keys": {"dim": 1}, "axis-without-targets": no_targets,
-            "top-level-list": [1, 2], "bogus-kind": bogus_kind}
+    kicks_register = deepcopy(ghz)
+    kicks_register["interactions"] = [{"name": "kick", "at": {"t": 1, "x": [0]},
+                                       "subsystems": ["a", "RA"], "unitary": _pairs(np.eye(6))}]
+    reads_register = deepcopy(ghz)
+    det_b = reads_register["detectors"][1]
+    det_b["targets"] = ["b", "RA"]
+    for entry in det_b["projectors"]:
+        p = np.asarray(entry["matrix"])
+        entry["matrix"] = _pairs(np.kron(p[..., 0] + 1j * p[..., 1], np.eye(3)))
+    # spins a, b, c then registers RA, RB, RC (dim 3 each)
+    amps = np.zeros((2, 2, 2, 3, 3, 3), dtype=complex)
+    amps[0, 0, 0, 0, 0, 0] = amps[0, 0, 0, 1, 0, 0] = 1 / math.sqrt(2.0)
+    superposed = deepcopy(ghz)
+    superposed["initial_state"]["amplitudes"] = _pairs(amps.reshape(-1))
+    amps[0, 0, 0, 1, 0, 0], amps[1, 1, 1, 1, 0, 0] = 0.0, -1 / math.sqrt(2.0)
+    entangled = deepcopy(ghz)
+    entangled["initial_state"]["amplitudes"] = _pairs(amps.reshape(-1))
+    malformed = "malformed scenario"
+    return {"missing-keys": ({"dim": 1}, malformed),
+            "axis-without-targets": (no_targets, malformed),
+            "top-level-list": ([1, 2], malformed),
+            "bogus-kind": (bogus_kind, malformed),
+            "interaction-on-register": (kicks_register, "interaction 'kick' targets register"),
+            "detector-measures-other-register": (reads_register, "detector 'B' measures register"),
+            "register-in-superposition": (superposed, "register 'RA' is not in a single basis"),
+            "register-entangled-with-spin": (entangled, "register 'RA' is not in a single basis")}
 
 
 @pytest.mark.parametrize("name", sorted(_malformed_scenarios()))
 def test_malformed_scenario_file_is_a_validation_error(name, tmp_path, capsys):
+    scenario, message = _malformed_scenarios()[name]
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(_malformed_scenarios()[name]))
+    path.write_text(json.dumps(scenario))
     code, _, err = run_cli(capsys, "dist", "--scenario", str(path), "--json")
     assert code == 1
     blob = json.loads(err)
     assert blob["error"] == "validation"
-    assert blob["message"].startswith("malformed scenario")
+    assert blob["message"].startswith(message)
+
+
+@pytest.mark.parametrize("command", ["run", "sample", "diagram"])
+def test_negative_seed_is_a_validation_error(command, capsys):
+    code, _, err = run_cli(capsys, command, "--scenario", "singlet", "--seed", "-1")
+    assert code == 1
+    assert err.startswith("error (validation): seed must be >= 0")
+    code, _, err = run_cli(capsys, command, "--scenario", "singlet", "--seed", "-1", "--json")
+    assert code == 1
+    assert json.loads(err) == {"error": "validation", "message": "seed must be >= 0, got -1"}

@@ -1,8 +1,13 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _oracles
 from psvsim import engine, hilbert, scenarios
 from psvsim.engine import (
     DetectorEvent,
@@ -20,7 +25,16 @@ from psvsim.engine import (
 )
 from psvsim.errors import ConfigurationError
 from psvsim.geometry import Event, Lcsh, LimitSide
-from psvsim.hilbert import X_AXIS, Z_AXIS, SubsystemKind, SubsystemSpec, states_close
+from psvsim.hilbert import (
+    X_AXIS,
+    Z_AXIS,
+    Axis,
+    OutcomeSet,
+    StateVector,
+    SubsystemKind,
+    SubsystemSpec,
+    states_close,
+)
 
 
 def two_detector_scenario(event_a, event_b):
@@ -37,6 +51,28 @@ def two_detector_scenario(event_a, event_b):
         detectors=(
             DetectorEvent("A", event_a, hilbert.spin_outcome_set("a", Z_AXIS), "RA"),
             DetectorEvent("B", event_b, hilbert.spin_outcome_set("b", X_AXIS), "RB"),
+        ),
+    )
+    validate_scenario(s)
+    return s
+
+
+def ghz_n(axes):
+    """GHZ-N: spins s0.. in (|0..0> - |1..1>)/sqrt2, mutually spacelike
+    detectors D0.. and a dimension-3 register each."""
+    n = len(axes)
+    spins = tuple(SubsystemSpec(f"s{k}", 2, SubsystemKind.SPIN) for k in range(n))
+    regs = tuple(SubsystemSpec(f"R{k}", 3, SubsystemKind.REGISTER) for k in range(n))
+    amps = np.zeros(2 ** n, dtype=complex)
+    amps[0], amps[-1] = 1 / math.sqrt(2.0), -1 / math.sqrt(2.0)
+    s = Scenario(
+        dim=1, c=1.0, subsystems=spins + regs,
+        initial_state=hilbert.tensor(StateVector(spins, amps), hilbert.basis_state(regs)),
+        initial_t0=-math.inf, interactions=(),
+        detectors=tuple(
+            DetectorEvent(f"D{k}", Event(3.0, (6.0 * k,)),
+                          hilbert.spin_outcome_set(f"s{k}", axes[k]), f"R{k}")
+            for k in range(n)
         ),
     )
     validate_scenario(s)
@@ -68,6 +104,37 @@ def test_validate_scenario_errors():
         validate_scenario(replace(s, charged_modes=("a",)))  # spin is not a mode
     with pytest.raises(ConfigurationError):
         validate_scenario(replace(s, initial_t0=10.0))  # events below initial surface
+
+
+def _register_rule_violations():
+    s = two_detector_scenario(Event(3, (-4,)), Event(3, (4,)))
+    spins, regs = s.subsystems[:2], s.subsystems[2:]
+    kick = InteractionEvent("kick", Event(1, (-4,)), ("a", "RA"), np.eye(6))
+    outcomes_b = OutcomeSet(targets=("b", "RA"), outcomes=tuple(
+        (l, np.kron(p, np.eye(3))) for l, p in s.detector("B").outcomes.outcomes))
+    reads_ra = replace(s.detector("B"), outcomes=outcomes_b)
+    ready = hilbert.basis_state(regs[1:])
+    superposed = StateVector(regs[:1], np.array([1, 1, 0]) / math.sqrt(2.0))
+    entangled = np.zeros((2, 2, 3), dtype=complex)  # spins a, b and register RA
+    entangled[0, 1, 1], entangled[1, 0, 2] = 1 / math.sqrt(2.0), -1 / math.sqrt(2.0)
+    basis = "register 'RA' is not in a single basis state"
+    return {
+        "interaction-on-register": (
+            replace(s, interactions=(kick,)), "interaction 'kick' targets register 'RA'"),
+        "detector-measures-other-register": (
+            replace(s, detectors=(s.detector("A"), reads_ra)), "detector 'B' measures register 'RA'"),
+        "register-in-superposition": (replace(s, initial_state=hilbert.tensor(
+            scenarios.singlet_state(spins), superposed, ready)), basis),
+        "register-entangled-with-spin": (replace(s, initial_state=hilbert.tensor(
+            StateVector(spins + regs[:1], entangled.reshape(-1)), ready)), basis),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_register_rule_violations()))
+def test_validate_scenario_keeps_registers_unentangled(name):
+    s, message = _register_rule_violations()[name]
+    with pytest.raises(ConfigurationError, match=message):
+        validate_scenario(s)
 
 
 def test_reduction_order_spacelike_unconstrained():
@@ -110,7 +177,7 @@ def test_order_must_be_permutation():
 
 def test_step_applies_interactions_then_reduces():
     s = scenarios.split_particle()
-    node = step(s, s.initial_surface(), s.initial_state, "C")
+    node = step(s, s.initial_surface(), s.initial_branch, "C")
     assert node.interactions_applied == ("AA1 copy", "AA2 copy")
     assert node.remaining == ()
     assert node.reduction
@@ -211,6 +278,112 @@ def test_joint_distribution_expands_each_node_once(monkeypatch):
     assert calls["born"] == 2 * len(nodes)
 
 
+@pytest.mark.parametrize("n", [3, 5])
+def test_joint_distribution_works_on_the_core_only(monkeypatch, n):
+    sizes = {"born": [], "project": []}
+
+    def recorded(name, fn):
+        def wrapper(state, *args):
+            sizes[name].append(state.amplitudes.size)
+            return fn(state, *args)
+        return wrapper
+
+    monkeypatch.setattr(hilbert, "born_probability",
+                        recorded("born", hilbert.born_probability))
+    monkeypatch.setattr(hilbert, "project_and_normalize",
+                        recorded("project", hilbert.project_and_normalize))
+    s = ghz_n([Axis(0.3 + 0.4 * k, 0.7 * k) for k in range(n)])
+    joint_distribution(s, s.detector_labels)
+    assert len(sizes["born"]) == 2 * (2 ** n - 1)
+    assert len(sizes["project"]) == 2 ** (n + 1) - 2
+    assert set(sizes["born"]) == set(sizes["project"]) == {2 ** n}
+
+
+def _dense_branch(s, order, outcomes, cache):
+    """Oracle input for one branch: full-space matrices per step.  An
+    interaction is due at the first detector in ``order`` whose backward
+    light cone holds it; the rest apply after the last step."""
+    labels = [sub.label for sub in s.subsystems]
+    dims = [sub.dim for sub in s.subsystems]
+
+    def full(key, op, names):
+        if key not in cache:
+            cache[key] = _oracles.embed(op, [labels.index(l) for l in names], dims)
+        return cache[key]
+
+    def in_cone(ev, apex):
+        return s.c * (apex.t - ev.t) >= math.dist(apex.x, ev.x) - 1e-12
+
+    pending = sorted(s.interactions, key=lambda ev: (ev.at.t, ev.name))
+    steps = []
+    for label, outcome in zip(order, outcomes):
+        det = s.detector(label)
+        due = [ev for ev in pending if in_cone(ev.at, det.at)]
+        pending = [ev for ev in pending if ev not in due]
+        swap = np.eye(s.initial_state.spec_of(det.register).dim)
+        swap[[0, det.pointer_for(outcome)]] = swap[[det.pointer_for(outcome), 0]]
+        steps.append((
+            [full(ev.name, ev.unitary, ev.targets) for ev in due],
+            full((label, outcome), det.outcomes.projector(outcome), det.outcomes.targets),
+            full((label, "shift", outcome), swap, (det.register,)),
+        ))
+    final = [full(ev.name, ev.unitary, ev.targets) for ev in pending]
+    return _oracles.replay(np.array(s.initial_state.amplitudes), steps, final)
+
+
+def _assert_matches_dense(state, s, dense, tol=1e-12):
+    """Scenario labels and dims, and the oracle's vector in the package's
+    phase convention: the largest amplitude real and positive, where any
+    amplitude within ``tol`` of the largest may be the one chosen."""
+    assert state.labels == s.initial_state.labels and state.dims == s.initial_state.dims
+    mags = np.abs(dense)
+    assert min(np.abs(state.amplitudes - dense * (mags[k] / dense[k])).max()
+               for k in np.flatnonzero(mags >= mags.max() - tol)) <= tol
+    for sub in s.subsystems:
+        if sub.kind is SubsystemKind.REGISTER:
+            assert hilbert.schmidt_rank(state, (sub.label,)) == 1
+
+
+def _check_against_dense_oracle(s, order, seed):
+    cache = {}
+    declared = s.detector_labels
+    dist = joint_distribution(s, order)
+    for combo in itertools.product(*(s.detector(l).outcomes.labels for l in order)):
+        probs, *_ = _dense_branch(s, order, combo, cache)
+        by_det = dict(zip(order, combo))
+        key = tuple(by_det[l] for l in declared)
+        assert abs(dist.probability(key) - math.prod(probs)) <= 1e-12
+    rec = run(s, order, seed=seed)
+    probs, before, after, final = _dense_branch(
+        s, order, tuple(st.outcome for st in rec.steps), cache)
+    for st, p, b, a in zip(rec.steps, probs, before, after):
+        assert abs(st.probability - p) <= 1e-12
+        _assert_matches_dense(st.state_before, s, b)
+        _assert_matches_dense(st.state_after, s, a)
+    _assert_matches_dense(rec.final_state, s, final)
+
+
+axis_strategy = st.builds(Axis, st.floats(0.0, math.pi), st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(3, 4).flatmap(lambda n: st.tuples(
+    st.lists(axis_strategy, min_size=n, max_size=n), st.permutations(range(n)))),
+    st.integers(0, 2**32 - 1))
+def test_ghz_matches_dense_oracle(case, seed):
+    axes, perm = case
+    s = ghz_n(axes)
+    _check_against_dense_oracle(s, tuple(s.detector_labels[k] for k in perm), seed)
+
+
+@settings(max_examples=12, deadline=None)
+@given(axis_strategy, axis_strategy, axis_strategy,
+       st.permutations(("A", "B", "C")), st.integers(0, 2**32 - 1))
+def test_singlet_with_copies_matches_dense_oracle(axis_a, axis_b, basis, order, seed):
+    s = scenarios.singlet(axis_a, axis_b, with_copies=True, copy_basis=basis)
+    _check_against_dense_oracle(s, tuple(order), seed)
+
+
 def test_sample_counts_are_prefix_monotone():
     # run i is decided by the i-th uniform of one stream, so adding runs
     # never takes a count away from any cell
@@ -236,6 +409,14 @@ def test_sample_rejects_bad_count():
     s = scenarios.ghz()
     with pytest.raises(ConfigurationError):
         sample(s, ("A", "B", "C"), 0)
+
+
+def test_negative_seed_is_rejected():
+    s = scenarios.ghz()
+    with pytest.raises(ConfigurationError, match="seed"):
+        sample(s, ("A", "B", "C"), 10, seed=-1)
+    with pytest.raises(ConfigurationError, match="seed"):
+        run(s, ("A", "B", "C"), seed=-1)
 
 
 def test_state_on_hyperplane_undefined_on_crossing():
