@@ -555,30 +555,42 @@ class UndefinedState:
 def state_on_hyperplane(
     record: RunRecord,
     query: Lcsh | float,
-    points_per_axis: int = 64,
 ) -> StateVector | UndefinedState:
-    """Transport the recorded history onto a query surface.
+    """Transport the recorded history onto a query surface (a float is the
+    flat surface t = query).
 
-    Defined iff the query crosses no reduction surface of the record over
-    the scenario's support region.  Local pieces (interaction unitaries,
+    Defined iff the query crosses no reduction surface of the record:
+    for each reduction surface r, the query lies on or above r
+    (``geometry.covers(query, r)``) or on or below it
+    (``geometry.covers(r, query)``) over the scenario's
+    ``support_region()``.  The test is region-local: far outside the
+    region the envelopes may still cross.  Reductions whose surface lies
+    below the query apply; on a query equal to a reduction surface, that
+    reduction does not.  Local pieces (interaction unitaries,
     non-reduction measurements) apply whenever their anchoring event is in
-    the query's past.
+    the query's past.  Raises ``ConfigurationError`` for a query whose
+    apexes have another spatial dimension or speed of light than the
+    scenario.
     """
     s = record.scenario
     if not isinstance(query, Lcsh):
         query = Lcsh(t0=float(query), apexes=(), c=s.c)
+    if query.apexes and query.dim != s.dim:
+        raise ConfigurationError(
+            f"query surface has dimension {query.dim}, scenario has {s.dim}"
+        )
+    if query.apexes and query.c != s.c:
+        raise ConfigurationError(
+            f"query surface has speed of light {query.c}, scenario has {s.c}"
+        )
     region = s.support_region()
-    xs = geometry.probe_points((query,) + tuple(st.surface_after for st in record.steps),
-                               region, points_per_axis)
-    tq = geometry.surface_times(query, xs)
 
     future_of: dict[str, bool] = {}
     for st in record.steps:
         if not st.reduction:
             continue
-        tr = geometry.surface_times(st.surface_after, xs)
-        above = bool(np.all(tq >= tr - geometry.EPS_GEOM))
-        below = bool(np.all(tq <= tr + geometry.EPS_GEOM))
+        above = geometry.covers(query, st.surface_after, region)
+        below = geometry.covers(st.surface_after, query, region)
         if not (above or below):
             return UndefinedState(
                 f"query surface crosses reduction surface of detector {st.detector!r}"

@@ -23,6 +23,9 @@ EPS_GEOM = 1e-9
 
 MINUS_INFINITY = -math.inf
 
+#: An axis-aligned spatial box, one (lo, hi) pair per dimension.
+Region = tuple[tuple[float, float], ...]
+
 
 class Separation(Enum):
     SPACELIKE = "spacelike"
@@ -185,53 +188,99 @@ def event_side_of_surface(e: Event, s: Lcsh, eps: float = EPS_GEOM) -> SurfaceSi
     return SurfaceSide.PAST if e.t < t else SurfaceSide.FUTURE
 
 
+def _apexes(surfaces: tuple[Lcsh, ...]) -> list[Event]:
+    return [a for s in surfaces for a in s.apexes]
+
+
+def _bounding_region(surfaces: tuple[Lcsh, ...]) -> Region:
+    """Default comparison region: the bounding box of all apex positions,
+    padded by 1 + c * (apex time span); ((-1, 1),) * d without apexes."""
+    apexes = _apexes(surfaces)
+    if not apexes:
+        return ((-1.0, 1.0),)
+    pts = np.array([a.x for a in apexes])
+    tspan = max(a.t for a in apexes) - min(a.t for a in apexes)
+    pad = 1.0 + tspan * max(s.c for s in surfaces)
+    return tuple((pts[:, k].min() - pad, pts[:, k].max() + pad) for k in range(apexes[0].dim))
+
+
 def probe_points(
     surfaces: tuple[Lcsh, ...],
-    region: tuple[tuple[float, float], ...] | None = None,
+    region: Region | None = None,
     points_per_axis: int = 64,
 ) -> np.ndarray:
     """Probe grid for surface comparisons: a regular grid over ``region``
-    (default: bounding box of all apex positions, padded) plus all apex
-    spatial projections."""
-    apexes = [a for s in surfaces for a in s.apexes]
-    dim = apexes[0].dim if apexes else 1
+    (default: ``_bounding_region``) plus all apex spatial projections.
+    Two points per axis give the region's corners."""
+    apexes = _apexes(surfaces)
     if region is None:
-        if apexes:
-            pts = np.array([a.x for a in apexes])
-            tspan = max(a.t for a in apexes) - min(a.t for a in apexes)
-            pad = 1.0 + tspan * max(s.c for s in surfaces)
-            region = tuple(
-                (pts[:, k].min() - pad, pts[:, k].max() + pad) for k in range(dim)
-            )
-        else:
-            region = ((-1.0, 1.0),) * dim
+        region = _bounding_region(surfaces)
     axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in region]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(region))
     if apexes:
         grid = np.concatenate([grid, np.array([a.x for a in apexes])])
     return grid
 
 
-def is_future_of(
-    s1: Lcsh,
-    s0: Lcsh,
-    region: tuple[tuple[float, float], ...] | None = None,
-    points_per_axis: int = 64,
-) -> bool:
-    """True iff s1 >= s0 at every probed point, strictly somewhere."""
-    xs = probe_points((s0, s1), region, points_per_axis)
-    t1 = surface_times(s1, xs)
-    t0 = surface_times(s0, xs)
-    if not np.all(t1 >= t0 - EPS_GEOM):
+def _check_comparable(surfaces: tuple[Lcsh, ...], region: Region | None) -> None:
+    """Surfaces with apexes must share the spatial dimension (with
+    ``region``, if given) and the speed of light."""
+    shaped = [s for s in surfaces if s.apexes]
+    dims = {s.dim for s in shaped} | ({len(region)} if region is not None else set())
+    if len(dims) > 1:
+        raise ConfigurationError(f"surfaces have mixed spatial dimensions {sorted(dims)}")
+    speeds = {s.c for s in shaped}
+    if len(speeds) > 1:
+        raise ConfigurationError(f"surfaces have different speeds of light {sorted(speeds)}")
+
+
+def covers(s1: Lcsh, s0: Lcsh, region: Region | None = None) -> bool:
+    """True iff s1 >= s0 - EPS_GEOM at every point of the 64^d probe grid
+    of ``probe_points((s1, s0), region)``, decided without the grid
+    wherever possible.
+
+    1. Screen: compare at the region's corners and every apex projection.
+       These are probe points, so a shortfall there answers False.
+    2. Certify: both envelopes are 1/c-Lipschitz, so s1 >= a.t - EPS at
+       each apex a of s0 keeps s1 above a's whole backward cone (less
+       EPS).  Only s0's floor t0 is left, and it is covered over the
+       whole region if it is -inf, if s1's floor is as high, or if one
+       cone of s1 stays above it at the region corner farthest from its
+       apex.
+    3. Otherwise fall back to the grid.
+    """
+    _check_comparable((s1, s0), region)
+    if region is None:
+        region = _bounding_region((s1, s0))
+    xs = probe_points((s1, s0), region, 2)
+    if np.any(surface_times(s1, xs) < surface_times(s0, xs) - EPS_GEOM):
         return False
-    return bool(np.any(t1 > t0 + EPS_GEOM))
+    floor = s0.t0 - EPS_GEOM
+    if s1.t0 >= floor:  # always so for a -inf floor of s0
+        return True
+    lo, hi = np.array(region).T
+    for apex in s1.apexes:
+        a = np.asarray(apex.x)
+        far = np.where(np.abs(lo - a) > np.abs(hi - a), lo, hi)
+        if apex.t - np.linalg.norm(far - a) / s1.c >= floor:
+            return True
+    xs = probe_points((s1, s0), region)
+    return bool(np.all(surface_times(s1, xs) >= surface_times(s0, xs) - EPS_GEOM))
+
+
+def is_future_of(s1: Lcsh, s0: Lcsh, region: Region | None = None) -> bool:
+    """True iff s1 >= s0 at every probe point and s1 > s0 at one, both
+    within EPS_GEOM: ``covers`` one way and not the other.  Raises
+    ``ConfigurationError`` for surfaces of different spatial dimension or
+    speed of light."""
+    return covers(s1, s0, region) and not covers(s0, s1, region)
 
 
 def achronality_violation(
     s: Lcsh,
     rng: np.random.Generator,
     n_pairs: int = 10_000,
-    region: tuple[tuple[float, float], ...] | None = None,
+    region: Region | None = None,
 ) -> float:
     """Max interval over random point pairs sampled on the surface.
 
@@ -240,10 +289,7 @@ def achronality_violation(
     """
     dim = s.dim or 1
     if region is None:
-        xs_all = probe_points((s,), None, 8)
-        region = tuple(
-            (xs_all[:, k].min(), xs_all[:, k].max()) for k in range(dim)
-        )
+        region = _bounding_region((s,))
     lo = np.array([r[0] for r in region])
     hi = np.array([r[1] for r in region])
     xs = lo + rng.random((2 * n_pairs, dim)) * (hi - lo)

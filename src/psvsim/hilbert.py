@@ -19,6 +19,7 @@ from .errors import ConfigurationError, ImpossibleBranchError
 EPS_NORM = 1e-9
 EPS_OP = 1e-12     # unitarity / hermiticity / projector checks
 EPS_PROB = 1e-12   # impossible-branch threshold
+EPS_TIE = 1e-9     # relative: moduli this close to the largest tie in phase_canonical
 
 
 class SubsystemKind(Enum):
@@ -113,13 +114,17 @@ def tensor(*states: StateVector) -> StateVector:
 
 
 def phase_canonical(state: StateVector) -> StateVector:
-    """Fix global phase: largest-magnitude amplitude real and positive
-    (ties broken by lowest index).  Makes state equality testable."""
+    """Fix global phase: largest-magnitude amplitude real and positive.
+    Moduli within a relative EPS_TIE of the largest count as tied and the
+    lowest index wins, so rounding cannot move the choice and the map is
+    idempotent.  Makes state equality testable."""
     amps = state.amplitudes
-    k = int(np.argmax(np.abs(amps)))
-    mag = abs(amps[k])
-    if mag == 0.0:
+    mags = np.abs(amps)
+    top = mags.max(initial=0.0)
+    if top == 0.0:
         return state
+    k = int(np.argmax(mags >= top * (1.0 - EPS_TIE)))
+    mag = abs(amps[k])
     return state.with_amplitudes(amps * (mag / amps[k]))
 
 

@@ -2,13 +2,19 @@
 
 Everything here works on explicit Kronecker-product matrices with
 hand-rolled subsystem embedding (double loop over basis indices), so it
-shares no tensor-manipulation code with the package under test.
+shares no tensor-manipulation code with the package under test.  Surface
+comparisons are the brute-force 64^d probe-grid evaluation that
+``geometry.covers`` must reproduce.
 """
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
+
+from psvsim import geometry
+from psvsim.geometry import EPS_GEOM, probe_points, surface_times
 
 
 def embed(op: np.ndarray, positions: list[int], dims: list[int]) -> np.ndarray:
@@ -127,3 +133,34 @@ def replay(psi: np.ndarray, steps, final_ops=()):
     for u in final_ops:
         psi = u @ psi
     return probs, before, after, psi
+
+
+def grid_covers(s1, s0, region=None):
+    """s1 >= s0 - EPS_GEOM at every point of the 64^d probe grid (plus apex
+    projections) of the pair."""
+    xs = probe_points((s0, s1), region, 64)
+    return bool(np.all(surface_times(s1, xs) >= surface_times(s0, xs) - EPS_GEOM))
+
+
+def grid_is_future_of(s1, s0, region=None):
+    """s1 >= s0 at every probe-grid point and s1 > s0 at one, within
+    EPS_GEOM."""
+    xs = probe_points((s0, s1), region, 64)
+    t1 = surface_times(s1, xs)
+    t0 = surface_times(s0, xs)
+    if not np.all(t1 >= t0 - EPS_GEOM):
+        return False
+    return bool(np.any(t1 > t0 + EPS_GEOM))
+
+
+def probe_grid_sizes(fn, *args):
+    """fn(*args) and the points_per_axis of every ``geometry.probe_points``
+    call it made."""
+    sizes = []
+
+    def spy(surfaces, region=None, points_per_axis=64):
+        sizes.append(points_per_axis)
+        return probe_points(surfaces, region, points_per_axis)
+
+    with mock.patch.object(geometry, "probe_points", spy):
+        return fn(*args), sizes

@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from psvsim import engine, hilbert, scenarios
+from psvsim import engine, geometry, hilbert, scenarios
 from psvsim.engine import (
     DetectorEvent,
     InteractionEvent,
@@ -454,3 +455,140 @@ def test_initial_surface_is_flat():
     surface = scenarios.ghz().initial_surface()
     assert surface.apexes == ()
     assert math.isinf(surface.t0)
+
+
+def test_state_on_hyperplane_is_region_local():
+    """Crossing is decided over support_region(): t = -100 lies below every
+    reduction surface inside the box, though not far outside it."""
+    s = scenarios.split_particle()
+    rec = run(s, ("C", "B", "A"), outcomes=("c1", "none", "hit"))
+    (lo, hi), = s.support_region()
+    last = rec.steps[-1].surface_after
+    assert geometry.surface_time(last, (hi + 200.0,)) < -100.0
+    out = state_on_hyperplane(rec, -100.0)
+    assert not isinstance(out, UndefinedState)
+    assert states_close(out, s.initial_state, tol=1e-12)
+
+
+def test_state_on_hyperplane_rejects_foreign_queries():
+    s = scenarios.split_particle()
+    rec = run(s, ("C", "B", "A"), outcomes=("c1", "none", "hit"))
+    with pytest.raises(ConfigurationError, match="dimension"):
+        state_on_hyperplane(rec, Lcsh(apexes=(Event(9.0, (0.0, 0.0)),)))
+    with pytest.raises(ConfigurationError, match="speed of light"):
+        state_on_hyperplane(rec, Lcsh(apexes=(Event(9.0, (0.0,)),), c=2.0))
+    # a flat query has no cones, so its c is irrelevant
+    assert not isinstance(state_on_hyperplane(rec, Lcsh(t0=20.0, c=2.0)), UndefinedState)
+
+
+def _lift(ev: Event, d: int) -> Event:
+    return Event(ev.t, ev.x + (0.0,) * (d - 1))
+
+
+@st.composite
+def surface_queries(draw):
+    """A record of GHZ-3 (random events) or of split (interactions and
+    non-reductions), lifted to d = 1, 2 or 3 with c = 0.5, 1 or 3 and a
+    finite or -inf initial floor, and a query: a flat time, a step
+    surface, random cones over a finite or -inf floor, or the cones of the
+    detectors raised by the same time over a -inf floor.  The last two
+    kinds reach the grid fallback when, over a finite initial floor, the
+    query's cones cover the floor only together."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    c = draw(st.sampled_from((0.5, 1.0, 3.0)))
+    half = st.integers(-6, 6).map(lambda k: k / 2)
+    point = st.tuples(*[half] * d)
+    if draw(st.booleans()):
+        s = ghz_n((X_AXIS, Z_AXIS, Axis(1.0, 0.5)))
+        events = draw(st.lists(st.builds(Event, st.integers(0, 6).map(lambda k: k / 2), point),
+                               min_size=3, max_size=3))
+        detectors = tuple(replace(det, at=ev) for det, ev in zip(s.detectors, events))
+        order = tuple(det.label for det in sorted(detectors, key=lambda det: det.at.t))
+        s = replace(s, detectors=detectors)
+    else:
+        s = scenarios.split_particle()
+        s = replace(s, worldlines=(),
+                    detectors=tuple(replace(det, at=_lift(det.at, d)) for det in s.detectors),
+                    interactions=tuple(replace(ev, at=_lift(ev.at, d)) for ev in s.interactions))
+        order = draw(st.sampled_from(("ABC", "ACB", "BAC", "BCA", "CAB", "CBA")))
+    s = replace(s, dim=d, c=c, initial_t0=draw(st.sampled_from((-math.inf, -2.0))))
+    validate_scenario(s)
+    dist = joint_distribution(s, tuple(order))
+    key = draw(st.sampled_from(sorted(dist.probabilities)))
+    rec = run(s, tuple(order), outcomes=tuple(key[dist.detectors.index(l)] for l in order))
+    kind = draw(st.sampled_from(("flat", "step", "cones", "raised")))
+    if kind == "flat":
+        return rec, draw(st.integers(-8, 12).map(lambda k: k / 2))
+    if kind == "step":
+        return rec, draw(st.sampled_from(rec.steps)).surface_after
+    if kind == "raised":
+        lift = draw(st.integers(0, 8).map(lambda k: k / 2))
+        return rec, Lcsh(apexes=tuple(Event(det.at.t + lift, det.at.x) for det in s.detectors),
+                         c=c)
+    apexes = draw(st.lists(st.builds(Event, st.integers(-2, 10).map(lambda k: k / 2), point),
+                           min_size=1, max_size=3))
+    return rec, Lcsh(t0=draw(st.sampled_from((-math.inf, -1.0, 1.5))), apexes=tuple(apexes), c=c)
+
+
+def _with_grid_covers(fn, *args):
+    with mock.patch.object(geometry, "covers", _oracles.grid_covers):
+        return fn(*args)
+
+
+@settings(max_examples=30, deadline=None)
+@given(surface_queries())
+def test_state_on_hyperplane_matches_the_probe_grid(case):
+    rec, query = case
+    out = state_on_hyperplane(rec, query)
+    expect = _with_grid_covers(state_on_hyperplane, rec, query)
+    assert isinstance(out, UndefinedState) is isinstance(expect, UndefinedState)
+    if not isinstance(out, UndefinedState):
+        assert out.labels == expect.labels
+        assert np.array_equal(out.amplitudes, expect.amplitudes)
+
+
+def test_state_on_hyperplane_grid_fallback_matches_the_probe_grid():
+    """Cones of several detectors keep a query above a finite initial floor
+    only together, so covers needs the grid; with a gap between them the
+    query crosses the first reduction surface."""
+    s = ghz_n((X_AXIS, Z_AXIS, X_AXIS))
+    events = (Event(1.0, (-3.0,)), Event(1.0, (0.0,)), Event(1.0, (3.0,)))
+    s = replace(s, c=0.5, initial_t0=-2.0,
+                detectors=tuple(replace(det, at=ev) for det, ev in zip(s.detectors, events)))
+    validate_scenario(s)
+    rec = run(s, ("D0", "D1", "D2"), seed=3)
+    raised = lambda xs: Lcsh(apexes=tuple(Event(2.0, (x,)) for x in xs), c=0.5)
+    for query, undefined in ((raised((-3.0, 0.0, 3.0)), False), (raised((-3.0, 3.0)), True)):
+        out, sizes = _oracles.probe_grid_sizes(state_on_hyperplane, rec, query)
+        assert 64 in sizes
+        assert isinstance(out, UndefinedState) is undefined
+        expect = _with_grid_covers(state_on_hyperplane, rec, query)
+        assert isinstance(expect, UndefinedState) is undefined
+        if not undefined:
+            assert np.array_equal(out.amplitudes, expect.amplitudes)
+
+
+def test_ghz4_d3_queries_never_build_the_full_grid():
+    """GHZ-4 in 3 + 1 dimensions: flat queries below, across and above the
+    reduction surfaces, every step surface and both directions of
+    is_future_of are decided from corners and apexes alone."""
+    s = ghz_n((X_AXIS, Z_AXIS, X_AXIS, Z_AXIS))
+    events = (Event(3.0, (0.0, 0.0, 0.0)), Event(3.5, (6.0, 0.0, 1.0)),
+              Event(2.5, (0.0, 6.0, -1.0)), Event(3.0, (6.0, 6.0, 6.0)))
+    s = replace(s, dim=3, detectors=tuple(replace(det, at=ev)
+                                          for det, ev in zip(s.detectors, events)))
+    validate_scenario(s)
+    rec = run(s, ("D2", "D0", "D3", "D1"), seed=1)
+    first, last = rec.steps[0].surface_after, rec.steps[-1].surface_after
+
+    def queries():
+        assert states_close(state_on_hyperplane(rec, -30.0), s.initial_state)
+        assert isinstance(state_on_hyperplane(rec, 2.75), UndefinedState)
+        assert states_close(state_on_hyperplane(rec, 20.0), rec.final_state)
+        for st_ in rec.steps:
+            assert not isinstance(state_on_hyperplane(rec, st_.surface_after), UndefinedState)
+        assert geometry.is_future_of(last, first)
+        assert not geometry.is_future_of(first, last)
+
+    _, sizes = _oracles.probe_grid_sizes(queries)
+    assert sizes and set(sizes) == {2}

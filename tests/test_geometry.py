@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from psvsim import geometry
 from psvsim.errors import ConfigurationError, OrderingViolationError
 from psvsim.geometry import (
@@ -15,6 +17,7 @@ from psvsim.geometry import (
     adjoin_apex,
     blc_time,
     classify,
+    covers,
     event_side_of_surface,
     interval,
     is_future_of,
@@ -136,6 +139,77 @@ def test_is_future_of():
     assert is_future_of(s1, s0, region=((-5.0, 5.0),))
     assert not is_future_of(s0, s1, region=((-5.0, 5.0),))
     assert not is_future_of(s0, s0, region=((-5.0, 5.0),))
+
+
+half_units = st.integers(-6, 6).map(lambda k: k / 2)
+
+
+@st.composite
+def surface_pairs(draw):
+    """(s1, s0, region) in d = 1, 2 or 3 with c = 0.5, 1 or 3, floors
+    finite or -inf, and the default or an explicit region.  Half the pairs
+    put cones of s1 at the corners of the box over a finite floor of s0,
+    each too low to cover the whole box alone, so only the probe grid can
+    tell whether s1 dips below the floor in between."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    c = draw(st.sampled_from((0.5, 1.0, 3.0)))
+    box = ((-3.0, 3.0),) * d
+    apexes = st.lists(st.builds(Event, st.integers(0, 6).map(lambda k: k / 2),
+                                st.tuples(*[half_units] * d)), max_size=3)
+    if draw(st.booleans()):
+        floor = st.just(-math.inf) | half_units
+        s1, s0 = (Lcsh(t0=draw(floor), apexes=tuple(draw(apexes)), c=c) for _ in range(2))
+        return s1, s0, draw(st.sampled_from((None, box)))
+    t0 = draw(half_units)
+    diagonal = 6.0 * math.sqrt(d) / c
+    lifts = draw(st.lists(st.integers(0, 19), min_size=2 ** d, max_size=2 ** d))
+    corners = itertools.product((-3.0, 3.0), repeat=d)
+    s1 = Lcsh(apexes=tuple(Event(t0 + k / 20 * diagonal, x) for k, x in zip(lifts, corners)),
+              c=c)
+    return s1, Lcsh(t0=t0, apexes=tuple(draw(apexes))[:1], c=c), box
+
+
+@settings(max_examples=40, deadline=None)
+@given(surface_pairs())
+def test_covers_and_is_future_of_match_the_probe_grid(pair):
+    s1, s0, region = pair
+    assert covers(s1, s0, region) is _oracles.grid_covers(s1, s0, region)
+    assert covers(s0, s1, region) is _oracles.grid_covers(s0, s1, region)
+    assert is_future_of(s1, s0, region) is _oracles.grid_is_future_of(s1, s0, region)
+
+
+def test_surface_pairs_reach_the_grid_fallback():
+    """The strategy above exercises the grid fallback, with both answers."""
+    for answer in (True, False):
+        find(surface_pairs(),
+             lambda p: _oracles.probe_grid_sizes(covers, *p) == (answer, [2, 64]),
+             settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
+
+
+def test_covers_decides_without_the_grid():
+    """Shortfall at an apex, a -inf floor, an equal floor and one cone over
+    the floor are each decided from corners and apexes alone."""
+    box = ((-5.0, 5.0),)
+    low, cone = Lcsh(t0=0.0), Lcsh(t0=0.0, apexes=(Event(2.0, (0.0,)),))
+    tall = Lcsh(apexes=(Event(20.0, (0.0,)),))
+    cases = [(low, cone, False), (cone, Lcsh(apexes=cone.apexes), True),
+             (cone, low, True), (tall, low, True)]
+    for s1, s0, expect in cases:
+        assert _oracles.probe_grid_sizes(covers, s1, s0, box) == (expect, [2])
+
+
+def test_surface_comparisons_reject_mixed_dimensions_and_speeds():
+    flat = Lcsh(t0=0.0)
+    d1 = Lcsh(apexes=(Event(1.0, (0.0,)),))
+    d2 = Lcsh(apexes=(Event(1.0, (0.0, 0.0)),))
+    fast = Lcsh(apexes=(Event(1.0, (0.0,)),), c=3.0)
+    for s1, s0, region in [(d1, d2, None), (d2, d1, None), (d1, flat, ((0.0, 1.0),) * 2)]:
+        with pytest.raises(ConfigurationError, match="dimension"):
+            is_future_of(s1, s0, region)
+    with pytest.raises(ConfigurationError, match="speeds of light"):
+        is_future_of(d1, fast)
+    # a flat surface has no cones, so its c is irrelevant
+    assert is_future_of(fast, Lcsh(t0=-1.0, c=0.5))
 
 
 @settings(max_examples=25, deadline=None)

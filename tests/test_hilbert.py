@@ -97,6 +97,20 @@ def test_phase_canonical():
     assert phase_canonical(z) is z
 
 
+@settings(max_examples=200, deadline=None)
+@given(phase, phase, st.floats(0.0, 0.5), st.integers(0, 2))
+def test_phase_canonical_is_idempotent_on_ties(a, b, rest, at):
+    """Two amplitudes of equal modulus tie up to rounding; the canonical
+    index must not move when the state is canonicalized again."""
+    amps = np.full(3, rest, dtype=complex)
+    amps[[at, (at + 1) % 3]] = 0.6 * np.exp(1j * np.array([a, b]))
+    st_ = StateVector((REG,), amps)
+    canon = phase_canonical(st_)
+    assert np.abs(phase_canonical(canon).amplitudes - canon.amplitudes).max() <= 1e-15
+    assert states_close(st_, canon)
+    assert states_close(canon, st_.with_amplitudes(amps * np.exp(1j * b)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_unitary_preserves_norm(seed):
