@@ -182,15 +182,45 @@ class Scenario:
     def events(self) -> tuple[Event, ...]:
         return tuple(ev.at for ev in self.interactions) + tuple(d.at for d in self.detectors)
 
-    def support_region(self, pad: float = 1.0) -> tuple[tuple[float, float], ...]:
-        """Spatial bounding box of all anchored events, padded."""
+    @cached_property
+    def _support_box(self) -> tuple[tuple[float, float], ...]:
+        """Unpadded spatial bounding box of all anchored events, built once."""
         pts = [e.x for e in self.events]
         pts += [p.x for _, line in self.worldlines for p in line]
         arr = np.array(pts) if pts else np.zeros((1, self.dim))
-        return tuple((arr[:, k].min() - pad, arr[:, k].max() + pad) for k in range(self.dim))
+        return tuple((arr[:, k].min(), arr[:, k].max()) for k in range(self.dim))
+
+    def support_region(self, pad: float = 1.0) -> tuple[tuple[float, float], ...]:
+        """Spatial bounding box of all anchored events, padded."""
+        return tuple((lo - pad, hi + pad) for lo, hi in self._support_box)
+
+
+def _check_finite(s: Scenario) -> None:
+    """Reject NaN and infinities in numeric input, which slip through
+    tolerance checks such as ``abs(x - 1) > EPS`` (False for NaN).  Only
+    the initial floor may be -inf."""
+    geometry.check_speed_of_light(s.c)
+    if not (math.isfinite(s.initial_t0) or s.initial_t0 == geometry.MINUS_INFINITY):
+        raise ConfigurationError(f"initial surface t0 must be finite or -inf, got {s.initial_t0}")
+    points = s.events + tuple(p for _, line in s.worldlines for p in line)
+    for ev in points:
+        if not all(map(math.isfinite, (ev.t,) + ev.x)):
+            raise ConfigurationError(f"event {ev} has a non-finite coordinate")
+    if not np.isfinite(s.initial_state.amplitudes).all():
+        raise ConfigurationError("initial state has a non-finite amplitude")
+    for ev in s.interactions:
+        if not np.isfinite(ev.unitary).all():
+            raise ConfigurationError(f"interaction {ev.name!r} has a non-finite unitary entry")
+    for d in s.detectors:
+        for label, p in d.outcomes.outcomes:
+            if not np.isfinite(p).all():
+                raise ConfigurationError(
+                    f"detector {d.label!r} projector {label!r} has a non-finite entry"
+                )
 
 
 def validate_scenario(s: Scenario) -> None:
+    _check_finite(s)
     labels = {sub.label for sub in s.subsystems}
     if s.initial_state.labels != tuple(sub.label for sub in s.subsystems):
         raise ConfigurationError("initial state subsystems do not match scenario subsystems")
@@ -560,10 +590,9 @@ def state_on_hyperplane(
     flat surface t = query).
 
     Defined iff the query crosses no reduction surface of the record:
-    for each reduction surface r, the query lies on or above r
-    (``geometry.covers(query, r)``) or on or below it
-    (``geometry.covers(r, query)``) over the scenario's
-    ``support_region()``.  The test is region-local: far outside the
+    for each reduction surface r, the query lies on or above r or on or
+    below it over the scenario's ``support_region()``, both decided by one
+    ``geometry.compare(query, r)``.  The test is region-local: far outside the
     region the envelopes may still cross.  Reductions whose surface lies
     below the query apply; on a query equal to a reduction surface, that
     reduction does not.  Local pieces (interaction unitaries,
@@ -589,8 +618,7 @@ def state_on_hyperplane(
     for st in record.steps:
         if not st.reduction:
             continue
-        above = geometry.covers(query, st.surface_after, region)
-        below = geometry.covers(st.surface_after, query, region)
+        above, below = geometry.compare(query, st.surface_after, region)
         if not (above or below):
             return UndefinedState(
                 f"query surface crosses reduction surface of detector {st.detector!r}"

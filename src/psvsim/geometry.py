@@ -9,9 +9,11 @@ to float roundoff.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -109,6 +111,12 @@ def classify(e0: Event, e1: Event, c: float = 1.0) -> Interval:
     return Interval(kind, value)
 
 
+def check_speed_of_light(c: float) -> None:
+    """Raise ``ConfigurationError`` unless c is positive and finite."""
+    if not (math.isfinite(c) and c > 0):
+        raise ConfigurationError(f"speed of light must be positive and finite, got {c}")
+
+
 def blc_time(apex: Event, x: tuple[float, ...], c: float = 1.0) -> float:
     """Time at which the backward light cone of ``apex`` passes over x."""
     if len(x) != apex.dim:
@@ -135,8 +143,7 @@ class Lcsh:
     side: LimitSide = LimitSide.EXACT
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ConfigurationError(f"speed of light must be positive, got {self.c}")
+        check_speed_of_light(self.c)
         dims = {a.dim for a in self.apexes}
         if len(dims) > 1:
             raise ConfigurationError(f"apexes have mixed dimensions {sorted(dims)}")
@@ -144,6 +151,22 @@ class Lcsh:
     @property
     def dim(self) -> int | None:
         return self.apexes[0].dim if self.apexes else None
+
+    @cached_property
+    def apex_times(self) -> np.ndarray:
+        """Read-only apex times, shape (m,)."""
+        return _frozen(np.array([a.t for a in self.apexes], dtype=float))
+
+    @cached_property
+    def apex_points(self) -> np.ndarray:
+        """Read-only apex positions, shape (m, d); (0, 0) without apexes."""
+        points = np.array([a.x for a in self.apexes], dtype=float)
+        return _frozen(points.reshape(len(self.apexes), self.dim or 0))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def surface_time(s: Lcsh, x: tuple[float, ...]) -> float:
@@ -158,9 +181,10 @@ def surface_times(s: Lcsh, xs: np.ndarray) -> np.ndarray:
     """Vectorized ``surface_time`` over an (n, d) array of spatial points."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     t = np.full(xs.shape[0], s.t0)
-    for apex in s.apexes:
-        r = np.linalg.norm(xs - np.asarray(apex.x), axis=1)
-        t = np.maximum(t, apex.t - r / s.c)
+    if s.apexes:
+        d = xs[:, None, :] - s.apex_points
+        r = np.sqrt(np.multiply(d, d, out=d).sum(axis=2))  # np.linalg.norm, without its copies
+        t = np.maximum(t, (s.apex_times - r / s.c).max(axis=1))
     return t
 
 
@@ -188,20 +212,16 @@ def event_side_of_surface(e: Event, s: Lcsh, eps: float = EPS_GEOM) -> SurfaceSi
     return SurfaceSide.PAST if e.t < t else SurfaceSide.FUTURE
 
 
-def _apexes(surfaces: tuple[Lcsh, ...]) -> list[Event]:
-    return [a for s in surfaces for a in s.apexes]
-
-
 def _bounding_region(surfaces: tuple[Lcsh, ...]) -> Region:
     """Default comparison region: the bounding box of all apex positions,
     padded by 1 + c * (apex time span); ((-1, 1),) * d without apexes."""
-    apexes = _apexes(surfaces)
-    if not apexes:
+    shaped = [s for s in surfaces if s.apexes]
+    if not shaped:
         return ((-1.0, 1.0),)
-    pts = np.array([a.x for a in apexes])
-    tspan = max(a.t for a in apexes) - min(a.t for a in apexes)
-    pad = 1.0 + tspan * max(s.c for s in surfaces)
-    return tuple((pts[:, k].min() - pad, pts[:, k].max() + pad) for k in range(apexes[0].dim))
+    pts = np.concatenate([s.apex_points for s in shaped])
+    ts = np.concatenate([s.apex_times for s in shaped])
+    pad = 1.0 + (ts.max() - ts.min()) * max(s.c for s in surfaces)
+    return tuple((pts[:, k].min() - pad, pts[:, k].max() + pad) for k in range(pts.shape[1]))
 
 
 def probe_points(
@@ -212,14 +232,14 @@ def probe_points(
     """Probe grid for surface comparisons: a regular grid over ``region``
     (default: ``_bounding_region``) plus all apex spatial projections.
     Two points per axis give the region's corners."""
-    apexes = _apexes(surfaces)
     if region is None:
         region = _bounding_region(surfaces)
-    axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in region]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(region))
-    if apexes:
-        grid = np.concatenate([grid, np.array([a.x for a in apexes])])
-    return grid
+    if points_per_axis == 2:
+        grid = np.array(list(itertools.product(*region)), dtype=float)
+    else:
+        axes = [np.linspace(lo, hi, points_per_axis) for lo, hi in region]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(region))
+    return np.concatenate([grid] + [s.apex_points for s in surfaces if s.apexes])
 
 
 def _check_comparable(surfaces: tuple[Lcsh, ...], region: Region | None) -> None:
@@ -234,38 +254,53 @@ def _check_comparable(surfaces: tuple[Lcsh, ...], region: Region | None) -> None
         raise ConfigurationError(f"surfaces have different speeds of light {sorted(speeds)}")
 
 
-def covers(s1: Lcsh, s0: Lcsh, region: Region | None = None) -> bool:
-    """True iff s1 >= s0 - EPS_GEOM at every point of the 64^d probe grid
-    of ``probe_points((s1, s0), region)``, decided without the grid
-    wherever possible.
+def _covers_screened(s1: Lcsh, s0: Lcsh, region: Region) -> bool:
+    """``covers(s1, s0, region)`` for a pair whose screen s1 passed.
 
-    1. Screen: compare at the region's corners and every apex projection.
-       These are probe points, so a shortfall there answers False.
-    2. Certify: both envelopes are 1/c-Lipschitz, so s1 >= a.t - EPS at
-       each apex a of s0 keeps s1 above a's whole backward cone (less
-       EPS).  Only s0's floor t0 is left, and it is covered over the
-       whole region if it is -inf, if s1's floor is as high, or if one
-       cone of s1 stays above it at the region corner farthest from its
-       apex.
-    3. Otherwise fall back to the grid.
+    Both envelopes are 1/c-Lipschitz, so s1 >= a.t - EPS at each apex a of
+    s0 keeps s1 above a's whole backward cone (less EPS).  Only s0's floor
+    t0 is left, and it is covered over the whole region if it is -inf, if
+    s1's floor is as high, or if one cone of s1 stays above it at the
+    region corner farthest from its apex.  Otherwise evaluate the grid.
+    """
+    floor = s0.t0 - EPS_GEOM
+    if s1.t0 >= floor:  # always so for a -inf floor of s0
+        return True
+    if s1.apexes:
+        lo, hi = np.array(region).T
+        a = s1.apex_points
+        far = np.where(np.abs(lo - a) > np.abs(hi - a), lo, hi)
+        if np.any(s1.apex_times - np.linalg.norm(far - a, axis=1) / s1.c >= floor):
+            return True
+    xs = probe_points((s1, s0), region)
+    return bool(np.all(surface_times(s1, xs) >= surface_times(s0, xs) - EPS_GEOM))
+
+
+def compare(s1: Lcsh, s0: Lcsh, region: Region | None = None) -> tuple[bool, bool]:
+    """``(covers(s1, s0, region), covers(s0, s1, region))`` from one screen.
+
+    Screen: both surfaces are evaluated once at the region's corners and
+    every apex projection.  These are probe points, so a shortfall there
+    answers False for that direction.  Each direction that passes is then
+    certified, or decided on the grid, by ``_covers_screened``.  Raises
+    ``ConfigurationError`` for surfaces of different spatial dimension or
+    speed of light.
     """
     _check_comparable((s1, s0), region)
     if region is None:
         region = _bounding_region((s1, s0))
     xs = probe_points((s1, s0), region, 2)
-    if np.any(surface_times(s1, xs) < surface_times(s0, xs) - EPS_GEOM):
-        return False
-    floor = s0.t0 - EPS_GEOM
-    if s1.t0 >= floor:  # always so for a -inf floor of s0
-        return True
-    lo, hi = np.array(region).T
-    for apex in s1.apexes:
-        a = np.asarray(apex.x)
-        far = np.where(np.abs(lo - a) > np.abs(hi - a), lo, hi)
-        if apex.t - np.linalg.norm(far - a) / s1.c >= floor:
-            return True
-    xs = probe_points((s1, s0), region)
-    return bool(np.all(surface_times(s1, xs) >= surface_times(s0, xs) - EPS_GEOM))
+    t1, t0 = surface_times(s1, xs), surface_times(s0, xs)
+    up = not np.any(t1 < t0 - EPS_GEOM) and _covers_screened(s1, s0, region)
+    down = not np.any(t0 < t1 - EPS_GEOM) and _covers_screened(s0, s1, region)
+    return up, down
+
+
+def covers(s1: Lcsh, s0: Lcsh, region: Region | None = None) -> bool:
+    """True iff s1 >= s0 - EPS_GEOM at every point of the 64^d probe grid
+    of ``probe_points((s1, s0), region)``, decided without the grid
+    wherever possible (see ``compare``)."""
+    return compare(s1, s0, region)[0]
 
 
 def is_future_of(s1: Lcsh, s0: Lcsh, region: Region | None = None) -> bool:
@@ -273,7 +308,8 @@ def is_future_of(s1: Lcsh, s0: Lcsh, region: Region | None = None) -> bool:
     within EPS_GEOM: ``covers`` one way and not the other.  Raises
     ``ConfigurationError`` for surfaces of different spatial dimension or
     speed of light."""
-    return covers(s1, s0, region) and not covers(s0, s1, region)
+    up, down = compare(s1, s0, region)
+    return up and not down
 
 
 def achronality_violation(

@@ -164,6 +164,12 @@ class Axis:
     theta: float
     phi: float = 0.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+            raise ConfigurationError(
+                f"axis angles must be finite, got theta={self.theta}, phi={self.phi}"
+            )
+
     @classmethod
     def from_xyz(cls, v) -> "Axis":
         v = np.asarray(v, dtype=float)

@@ -121,6 +121,7 @@ def split_particle(
 ) -> Scenario:
     """A charged particle split into two branches, one branch detector
     each, copy devices on both branches feeding a final detector."""
+    geometry.check_speed_of_light(c)
     g = dict(DEFAULT_SPLIT_GEOMETRY, **(geometry_events or {}))
     ca, cb = amplitudes
     if abs(abs(ca) ** 2 + abs(cb) ** 2 - 1.0) > hilbert.EPS_NORM:
@@ -207,6 +208,7 @@ def singlet(
     """Two entangled spins measured at spacelike positions; optionally with
     copy devices on both branches feeding a final two-spin detector whose
     axes default to (axis_b, axis_a)."""
+    geometry.check_speed_of_light(c)
     g = dict(DEFAULT_SINGLET_GEOMETRY, **(geometry_events or {}))
     _require(_spacelike(g["A"], g["B"], c), "detectors A and B must be spacelike")
 
@@ -284,6 +286,7 @@ def ghz(
 ) -> Scenario:
     """Three spins in (|+++〉 - |---〉)/sqrt(2) (z basis), three mutually
     spacelike detectors."""
+    geometry.check_speed_of_light(c)
     g = dict(DEFAULT_GHZ_GEOMETRY, **(geometry_events or {}))
     for pair in (("A", "B"), ("A", "C"), ("B", "C")):
         _require(_spacelike(g[pair[0]], g[pair[1]], c), f"detectors {pair} must be spacelike")

@@ -4,7 +4,7 @@ Everything here works on explicit Kronecker-product matrices with
 hand-rolled subsystem embedding (double loop over basis indices), so it
 shares no tensor-manipulation code with the package under test.  Surface
 comparisons are the brute-force 64^d probe-grid evaluation that
-``geometry.covers`` must reproduce.
+``geometry.compare`` and ``geometry.covers`` must reproduce.
 """
 
 import itertools
@@ -135,11 +135,27 @@ def replay(psi: np.ndarray, steps, final_ops=()):
     return probs, before, after, psi
 
 
+def surface_times_by_apex(s, xs):
+    """``surface_times`` one backward cone at a time, as a pointwise max."""
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    t = np.full(xs.shape[0], s.t0)
+    for apex in s.apexes:
+        r = np.linalg.norm(xs - np.asarray(apex.x), axis=1)
+        t = np.maximum(t, apex.t - r / s.c)
+    return t
+
+
 def grid_covers(s1, s0, region=None):
     """s1 >= s0 - EPS_GEOM at every point of the 64^d probe grid (plus apex
     projections) of the pair."""
     xs = probe_points((s0, s1), region, 64)
     return bool(np.all(surface_times(s1, xs) >= surface_times(s0, xs) - EPS_GEOM))
+
+
+def grid_compare(s1, s0, region=None):
+    """The two-way comparison on the probe grid: (grid_covers(s1, s0),
+    grid_covers(s0, s1))."""
+    return grid_covers(s1, s0, region), grid_covers(s0, s1, region)
 
 
 def grid_is_future_of(s1, s0, region=None):

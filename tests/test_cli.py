@@ -151,6 +151,14 @@ def _malformed_scenarios():
     amps[0, 0, 0, 1, 0, 0], amps[1, 1, 1, 1, 0, 0] = 0.0, -1 / math.sqrt(2.0)
     entangled = deepcopy(ghz)
     entangled["initial_state"]["amplitudes"] = _pairs(amps.reshape(-1))
+    nan = float("nan")
+    nan_amplitude = deepcopy(ghz)
+    nan_amplitude["initial_state"]["amplitudes"][0][0] = nan
+    nan_projector = deepcopy(ghz)
+    nan_projector["detectors"][0]["projectors"][0]["matrix"][0][0][0] = nan
+    nan_time = deepcopy(ghz)
+    nan_time["detectors"][1]["at"]["t"] = nan
+    nan_speed = dict(ghz, c=nan)
     malformed = "malformed scenario"
     return {"missing-keys": ({"dim": 1}, malformed),
             "axis-without-targets": (no_targets, malformed),
@@ -159,7 +167,11 @@ def _malformed_scenarios():
             "interaction-on-register": (kicks_register, "interaction 'kick' targets register"),
             "detector-measures-other-register": (reads_register, "detector 'B' measures register"),
             "register-in-superposition": (superposed, "register 'RA' is not in a single basis"),
-            "register-entangled-with-spin": (entangled, "register 'RA' is not in a single basis")}
+            "register-entangled-with-spin": (entangled, "register 'RA' is not in a single basis"),
+            "nan-amplitude": (nan_amplitude, "initial state has a non-finite amplitude"),
+            "nan-projector": (nan_projector, "detector 'A' projector '+' has a non-finite entry"),
+            "nan-detector-time": (nan_time, "event Event(t=nan, x=(0.0,)) has a non-finite"),
+            "nan-speed-of-light": (nan_speed, "speed of light must be positive and finite, got nan")}
 
 
 @pytest.mark.parametrize("name", sorted(_malformed_scenarios()))
@@ -182,3 +194,15 @@ def test_negative_seed_is_a_validation_error(command, capsys):
     code, _, err = run_cli(capsys, command, "--scenario", "singlet", "--seed", "-1", "--json")
     assert code == 1
     assert json.loads(err) == {"error": "validation", "message": "seed must be >= 0, got -1"}
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--axes", "i=nan"), "axis angles must be finite, got theta=nan, phi=0.0"),
+    (("--axes", "i=inf:0"), "axis angles must be finite, got theta=inf, phi=0.0"),
+    (("--c", "nan"), "speed of light must be positive and finite, got nan"),
+    (("--c", "0"), "speed of light must be positive and finite, got 0.0"),
+], ids=["axis-nan", "axis-inf", "c-nan", "c-zero"])
+def test_non_finite_arguments_are_validation_errors(args, message, capsys):
+    code, out, err = run_cli(capsys, "dist", "--scenario", "singlet", *args)
+    assert (code, out) == (1, "")
+    assert err == f"error (validation): {message}\n"

@@ -531,7 +531,7 @@ def surface_queries(draw):
 
 
 def _with_grid_covers(fn, *args):
-    with mock.patch.object(geometry, "covers", _oracles.grid_covers):
+    with mock.patch.object(geometry, "compare", _oracles.grid_compare):
         return fn(*args)
 
 
@@ -592,3 +592,22 @@ def test_ghz4_d3_queries_never_build_the_full_grid():
 
     _, sizes = _oracles.probe_grid_sizes(queries)
     assert sizes and set(sizes) == {2}
+
+
+def test_each_reduction_surface_is_screened_once():
+    """One two-way comparison per pair: on GHZ-4 in 3 + 1 dimensions, a
+    query makes one screen per reduction surface, and is_future_of one."""
+    s = ghz_n((X_AXIS, Z_AXIS, X_AXIS, Z_AXIS))
+    events = (Event(3.0, (0.0, 0.0, 0.0)), Event(3.5, (6.0, 0.0, 1.0)),
+              Event(2.5, (0.0, 6.0, -1.0)), Event(3.0, (6.0, 6.0, 6.0)))
+    s = replace(s, dim=3, detectors=tuple(replace(det, at=ev)
+                                          for det, ev in zip(s.detectors, events)))
+    rec = run(s, ("D2", "D0", "D3", "D1"), seed=1)
+    reductions = sum(st_.reduction for st_ in rec.steps)
+    assert reductions > 1
+    for query in (-30.0, 20.0, rec.steps[-1].surface_after):
+        out, sizes = _oracles.probe_grid_sizes(state_on_hyperplane, rec, query)
+        assert not isinstance(out, UndefinedState)
+        assert sizes == [2] * reductions
+    first, last = rec.steps[0].surface_after, rec.steps[-1].surface_after
+    assert _oracles.probe_grid_sizes(geometry.is_future_of, last, first) == (True, [2])

@@ -17,6 +17,7 @@ from psvsim.geometry import (
     adjoin_apex,
     blc_time,
     classify,
+    compare,
     covers,
     event_side_of_surface,
     interval,
@@ -94,6 +95,17 @@ def test_surface_times_matches_scalar():
     vec = surface_times(s, xs)
     for x, t in zip(xs, vec):
         assert t == pytest.approx(surface_time(s, tuple(x)), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 2, 3)), st.sampled_from((0.5, 1.0, 3.0)),
+       st.sampled_from((-math.inf, -1.5, 0.0)),
+       st.lists(st.tuples(coord, st.lists(coord, min_size=3, max_size=3)), max_size=4),
+       st.lists(st.lists(coord, min_size=3, max_size=3), min_size=1, max_size=20))
+def test_surface_times_equals_the_per_apex_envelope_exactly(d, c, t0, apexes, points):
+    s = Lcsh(t0=t0, apexes=tuple(Event(t, x[:d]) for t, x in apexes), c=c)
+    xs = np.array(points)[:, :d]
+    assert np.array_equal(surface_times(s, xs), _oracles.surface_times_by_apex(s, xs))
 
 
 def test_event_side_of_surface():
@@ -176,6 +188,13 @@ def test_covers_and_is_future_of_match_the_probe_grid(pair):
     assert covers(s1, s0, region) is _oracles.grid_covers(s1, s0, region)
     assert covers(s0, s1, region) is _oracles.grid_covers(s0, s1, region)
     assert is_future_of(s1, s0, region) is _oracles.grid_is_future_of(s1, s0, region)
+
+
+@settings(max_examples=40, deadline=None)
+@given(surface_pairs())
+def test_compare_matches_the_probe_grid_both_ways(pair):
+    s1, s0, region = pair
+    assert compare(s1, s0, region) == _oracles.grid_compare(s1, s0, region)
 
 
 def test_surface_pairs_reach_the_grid_fallback():
