@@ -9,6 +9,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -79,11 +80,30 @@ def build_scenario(args) -> engine.Scenario:
         )
     try:
         with open(name, encoding="utf-8") as fh:
-            return serialization.scenario_from_dict(json.load(fh))
+            return _read_scenario(fh)
     except FileNotFoundError as exc:
         raise ConfigurationError(f"scenario file {name!r} not found") from exc
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"scenario file {name!r} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"scenario file {name!r} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigurationError(f"scenario file {name!r} is nested too deeply: {exc}") from exc
+
+
+def _read_scenario(fh) -> engine.Scenario:
+    """Parse and build a scenario file with the cyclic garbage collector
+    paused.  A dense file holds hundreds of thousands of [re, im] lists,
+    none of them garbage, which the collector would otherwise rescan
+    while they are built and again once it is back on.  They are freed
+    before it resumes."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return serialization.scenario_from_dict(json.load(fh))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _order(args, scenario) -> tuple[str, ...]:

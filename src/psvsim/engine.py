@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -34,6 +34,10 @@ EPS_CERT = 1e-9
 
 MAX_DETECTORS_FOR_ENUMERATION = 8
 MAX_BRANCHES = 10**6
+
+#: ``sample`` draws its uniforms in chunks of this many, so its memory does
+#: not grow with the number of samples.
+SAMPLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -258,8 +262,9 @@ def validate_scenario(s: Scenario) -> None:
     for m in s.charged_modes:
         if s.initial_state.spec_of(m).kind is not SubsystemKind.MODE:
             raise ConfigurationError(f"charged subsystem {m!r} is not an occupation mode")
-    if abs(s.initial_state.norm - 1.0) > hilbert.EPS_NORM:
-        raise ConfigurationError(f"initial state norm {s.initial_state.norm} != 1")
+    norm = s.initial_state.norm
+    if abs(norm - 1.0) > hilbert.EPS_NORM:
+        raise ConfigurationError(f"initial state norm {norm} != 1")
     # splitting the registers off checks that each starts in a basis state
     s.initial_branch
 
@@ -300,11 +305,14 @@ def enumerate_valid_orders(s: Scenario) -> list[tuple[str, ...]]:
 
 # --- stepping --------------------------------------------------------------
 
+@cache
 def _register_shift(dim: int, pointer: int) -> np.ndarray:
-    """Permutation swapping register basis states 0 and ``pointer``."""
+    """Permutation swapping register basis states 0 and ``pointer``, built
+    once per (dim, pointer) and read-only."""
     u = np.eye(dim, dtype=complex)
     if pointer != 0:
         u[[0, pointer]] = u[[pointer, 0]]
+    u.flags.writeable = False
     return u
 
 
@@ -556,7 +564,9 @@ def sample(s: Scenario, order: tuple[str, ...], n: int, seed: int = 0) -> Empiri
     lands on the leaf whose interval of the cumulative leaf probabilities
     (in ``joint_distribution`` order) holds it.  A worker can start at run
     i with ``Generator(PCG64(seed).advance(i))``, so parallel and serial
-    execution give identical counts.
+    execution give identical counts.  The uniforms are drawn in chunks of
+    ``SAMPLE_CHUNK`` from that one stream, which splitting leaves
+    unchanged.
     """
     if n < 1:
         raise ConfigurationError(f"sample count must be >= 1, got {n}")
@@ -564,9 +574,11 @@ def sample(s: Scenario, order: tuple[str, ...], n: int, seed: int = 0) -> Empiri
     dist = joint_distribution(s, order)
     keys = list(dist.probabilities)
     cum = np.cumsum(list(dist.probabilities.values()))
-    u = rng.random(n) * cum[-1]
-    leaf = np.minimum(np.searchsorted(cum, u, side="right"), len(keys) - 1)
-    tally = np.bincount(leaf, minlength=len(keys))
+    tally = np.zeros(len(keys), dtype=np.int64)
+    for start in range(0, n, SAMPLE_CHUNK):
+        u = rng.random(min(SAMPLE_CHUNK, n - start)) * cum[-1]
+        leaf = np.minimum(np.searchsorted(cum, u, side="right"), len(keys) - 1)
+        tally += np.bincount(leaf, minlength=len(keys))
     return EmpiricalDistribution(
         dist.detectors, {k: int(c) for k, c in zip(keys, tally) if c}, n
     )

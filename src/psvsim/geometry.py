@@ -25,6 +25,10 @@ EPS_GEOM = 1e-9
 
 MINUS_INFINITY = -math.inf
 
+#: Probe-grid points per slab in ``_covers_screened``'s grid fallback, which
+#: bounds its (points, apexes, d) working array.
+GRID_SLAB = 4096
+
 #: An axis-aligned spatial box, one (lo, hi) pair per dimension.
 Region = tuple[tuple[float, float], ...]
 
@@ -261,7 +265,8 @@ def _covers_screened(s1: Lcsh, s0: Lcsh, region: Region) -> bool:
     s0 keeps s1 above a's whole backward cone (less EPS).  Only s0's floor
     t0 is left, and it is covered over the whole region if it is -inf, if
     s1's floor is as high, or if one cone of s1 stays above it at the
-    region corner farthest from its apex.  Otherwise evaluate the grid.
+    region corner farthest from its apex.  Otherwise evaluate the grid,
+    ``GRID_SLAB`` points at a time, up to the first shortfall.
     """
     floor = s0.t0 - EPS_GEOM
     if s1.t0 >= floor:  # always so for a -inf floor of s0
@@ -273,7 +278,11 @@ def _covers_screened(s1: Lcsh, s0: Lcsh, region: Region) -> bool:
         if np.any(s1.apex_times - np.linalg.norm(far - a, axis=1) / s1.c >= floor):
             return True
     xs = probe_points((s1, s0), region)
-    return bool(np.all(surface_times(s1, xs) >= surface_times(s0, xs) - EPS_GEOM))
+    for start in range(0, len(xs), GRID_SLAB):
+        slab = xs[start:start + GRID_SLAB]
+        if not np.all(surface_times(s1, slab) >= surface_times(s0, slab) - EPS_GEOM):
+            return False
+    return True
 
 
 def compare(s1: Lcsh, s0: Lcsh, region: Region | None = None) -> tuple[bool, bool]:

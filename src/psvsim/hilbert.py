@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -57,16 +57,21 @@ class StateVector:
         labels = [s.label for s in self.subsystems]
         if len(set(labels)) != len(labels):
             raise ConfigurationError(f"duplicate subsystem labels in {labels}")
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        object.__setattr__(self, "amplitudes", self._checked(self.amplitudes))
+
+    def _checked(self, amplitudes) -> np.ndarray:
+        """``amplitudes`` as a read-only flat complex vector of this
+        state's length."""
+        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         expected = math.prod(self.dims)
         if amps.size != expected:
             raise ConfigurationError(
                 f"amplitude length {amps.size} != product of dims {expected}"
             )
         amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
+        return amps
 
-    @property
+    @cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(s.dim for s in self.subsystems)
 
@@ -85,10 +90,16 @@ class StateVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def with_amplitudes(self, amps: np.ndarray) -> "StateVector":
-        return StateVector(self.subsystems, amps)
+        """The same subsystems with new amplitudes.  The labels were
+        checked when this state was built, so only the amplitudes are."""
+        new = object.__new__(StateVector)
+        object.__setattr__(new, "subsystems", self.subsystems)
+        new.__dict__["dims"] = self.dims
+        object.__setattr__(new, "amplitudes", self._checked(amps))
+        return new
 
 
 def basis_state(subsystems: tuple[SubsystemSpec, ...], indices: dict[str, int] | None = None) -> StateVector:
@@ -129,7 +140,11 @@ def phase_canonical(state: StateVector) -> StateVector:
 
 
 def _apply_matrix(state: StateVector, matrix: np.ndarray, labels: tuple[str, ...]) -> StateVector:
-    """Apply a matrix acting on the listed subsystems, identity elsewhere."""
+    """Apply a matrix acting on the listed subsystems, identity elsewhere.
+
+    Targets that are adjacent and in order form the middle axis of a
+    (pre, block, post) view, which one broadcast matmul maps; other target
+    sets are first moved together at the front."""
     axes = [state.axis_of(l) for l in labels]
     dims = state.dims
     tdims = tuple(dims[a] for a in axes)
@@ -138,12 +153,16 @@ def _apply_matrix(state: StateVector, matrix: np.ndarray, labels: tuple[str, ...
         raise ConfigurationError(
             f"operator shape {matrix.shape} does not match target dims {tdims}"
         )
+    first, last = axes[0], axes[-1] + 1
+    if axes == list(range(first, last)):
+        psi = state.amplitudes.reshape(math.prod(dims[:first]), block, math.prod(dims[last:]))
+        return state.with_amplitudes(matrix @ psi)
     psi = state.amplitudes.reshape(dims)
     psi = np.moveaxis(psi, axes, range(len(axes)))
     rest = psi.shape[len(axes):]
     psi = matrix @ psi.reshape(block, -1)
     psi = np.moveaxis(psi.reshape(tdims + rest), range(len(axes)), axes)
-    return state.with_amplitudes(psi.reshape(-1))
+    return state.with_amplitudes(psi)
 
 
 def apply_unitary(state: StateVector, matrix: np.ndarray, labels: tuple[str, ...]) -> StateVector:

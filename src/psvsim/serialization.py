@@ -7,6 +7,7 @@ matrices and amplitude vectors as nested [re, im] pairs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Any
 
@@ -92,10 +93,28 @@ def state_to_dict(state: StateVector) -> dict:
     }
 
 
+def _amplitudes_to_complex(pairs: Any) -> np.ndarray:
+    """``_pairs_to_complex`` of a flat amplitude list in one pass: a
+    non-empty list of [re, im] lists is read by one ``np.fromiter`` over
+    the chained pairs, without the nested shape discovery of
+    ``np.asarray``.  Anything else, or a pair ``fromiter`` cannot read,
+    goes through ``_pairs_to_complex`` and raises its errors."""
+    if type(pairs) is list and pairs and {*map(type, pairs)} == {list} \
+            and {*map(len, pairs)} == {2}:
+        try:
+            flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=float,
+                               count=2 * len(pairs))
+        except (TypeError, ValueError):
+            pass
+        else:
+            return _pairs_to_complex(flat.reshape(-1, 2))
+    return _pairs_to_complex(pairs)
+
+
 def state_from_dict(d: dict) -> StateVector:
     return StateVector(
         tuple(subsystem_from_dict(s) for s in d["subsystems"]),
-        _pairs_to_complex(d["amplitudes"]),
+        _amplitudes_to_complex(d["amplitudes"]),
     )
 
 

@@ -1,14 +1,16 @@
 """Independent dense-matrix oracles used by the test suite.
 
 Everything here works on explicit Kronecker-product matrices with
-hand-rolled subsystem embedding (double loop over basis indices), so it
-shares no tensor-manipulation code with the package under test.  Surface
+hand-rolled subsystem embedding (by basis index, or as a sum of
+``np.kron`` products), so it shares no tensor-manipulation code with the
+package under test.  Surface
 comparisons are the brute-force 64^d probe-grid evaluation that
 ``geometry.compare`` and ``geometry.covers`` must reproduce.
 """
 
 import itertools
 import math
+from functools import reduce
 from unittest import mock
 
 import numpy as np
@@ -29,6 +31,23 @@ def embed(op: np.ndarray, positions: list[int], dims: list[int]) -> np.ndarray:
     other = np.ravel_multi_index(digits[:, rest].T, [dims[p] for p in rest]) if rest \
         else np.zeros(n, dtype=int)
     return np.where(other[:, None] == other[None, :], op[sub[:, None], sub[None, :]], 0)
+
+
+def kron_embed(op: np.ndarray, positions: list[int], dims: list[int]) -> np.ndarray:
+    """``embed`` from Kronecker products alone.  op is the sum of
+    op[a, b] |i><j| over basis configurations i (row a) and j (column b)
+    of the listed positions, in their listed order; each term is the
+    ``np.kron`` product of the matrix unit |i_k><j_k| at each listed
+    position and the identity at every other one."""
+    configs = list(itertools.product(*(range(dims[p]) for p in positions)))
+    full = np.zeros((math.prod(dims),) * 2, dtype=complex)
+    for (a, i), (b, j) in itertools.product(enumerate(configs), repeat=2):
+        factors = [np.eye(d) for d in dims]
+        for p, ik, jk in zip(positions, i, j):
+            factors[p] = np.zeros((dims[p], dims[p]))
+            factors[p][ik, jk] = 1.0
+        full += op[a, b] * reduce(np.kron, factors)
+    return full
 
 
 def spinor(theta: float, phi: float, sign: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from copy import deepcopy
@@ -159,6 +160,16 @@ def _malformed_scenarios():
     nan_time = deepcopy(ghz)
     nan_time["detectors"][1]["at"]["t"] = nan
     nan_speed = dict(ghz, c=nan)
+    amplitude_cases = {}
+    for case, edit in [("ragged-pair", lambda a: a[3].pop()),
+                       ("3-element-pair", lambda a: a[3].append(0.0)),
+                       ("pair-holding-a-list", lambda a: a[3].__setitem__(0, [0.0]))]:
+        amplitude_cases[case] = deepcopy(ghz)
+        edit(amplitude_cases[case]["initial_state"]["amplitudes"])
+    amplitude_cases["not-a-list"] = deepcopy(ghz)
+    amplitude_cases["not-a-list"]["initial_state"]["amplitudes"] = {"re": 1.0, "im": 0.0}
+    amplitude_cases["empty-list"] = deepcopy(ghz)
+    amplitude_cases["empty-list"]["initial_state"]["amplitudes"] = []
     malformed = "malformed scenario"
     return {"missing-keys": ({"dim": 1}, malformed),
             "axis-without-targets": (no_targets, malformed),
@@ -171,7 +182,8 @@ def _malformed_scenarios():
             "nan-amplitude": (nan_amplitude, "initial state has a non-finite amplitude"),
             "nan-projector": (nan_projector, "detector 'A' projector '+' has a non-finite entry"),
             "nan-detector-time": (nan_time, "event Event(t=nan, x=(0.0,)) has a non-finite"),
-            "nan-speed-of-light": (nan_speed, "speed of light must be positive and finite, got nan")}
+            "nan-speed-of-light": (nan_speed, "speed of light must be positive and finite, got nan"),
+            **{f"amplitudes-{case}": (blob, malformed) for case, blob in amplitude_cases.items()}}
 
 
 @pytest.mark.parametrize("name", sorted(_malformed_scenarios()))
@@ -206,3 +218,33 @@ def test_non_finite_arguments_are_validation_errors(args, message, capsys):
     code, out, err = run_cli(capsys, "dist", "--scenario", "singlet", *args)
     assert (code, out) == (1, "")
     assert err == f"error (validation): {message}\n"
+
+
+@pytest.mark.parametrize("raw", [b'{"dim": 1, "c": "\xff"}', b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf-8", "nested-100000-deep"])
+def test_unreadable_scenario_bytes_are_a_validation_error(raw, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    code, out, err = run_cli(capsys, "dist", "--scenario", str(path), "--json")
+    assert (code, out) == (1, "")
+    blob = json.loads(err)
+    assert blob["error"] == "validation"
+    assert blob["message"].startswith(f"scenario file {str(path)!r} is ")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_failed_load_leaves_the_collector_as_it_was(enabled, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    ragged = _malformed_scenarios()["amplitudes-ragged-pair"][0]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for text in ("{not json", json.dumps({"dim": 1}), json.dumps(ragged)):
+            path.write_text(text)
+            assert run_cli(capsys, "dist", "--scenario", str(path))[0] == 1
+            assert gc.isenabled() is enabled
+        path.write_text(json.dumps(serialization.scenario_to_dict(scenarios.ghz())))
+        assert run_cli(capsys, "dist", "--scenario", str(path))[0] == 0
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

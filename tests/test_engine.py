@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -404,6 +405,30 @@ def test_sample_keys_are_joint_distribution_leaves():
             e = sample(s, s.detector_labels, 2000, seed=seed)
             assert set(e.counts) <= set(d.probabilities)
             assert sum(e.counts.values()) == 2000
+
+
+def test_sample_in_chunks_matches_one_draw(monkeypatch):
+    # splitting the draws of one stream leaves every uniform in place
+    s = scenarios.singlet(Z_AXIS, X_AXIS, with_copies=True)
+    for seed in (0, 7):
+        monkeypatch.setattr(engine, "SAMPLE_CHUNK", 10**6)
+        whole = sample(s, s.detector_labels, 25_000, seed=seed)
+        monkeypatch.setattr(engine, "SAMPLE_CHUNK", 999)
+        assert sample(s, s.detector_labels, 25_000, seed=seed) == whole
+
+
+def test_sample_memory_does_not_grow_with_n():
+    s = scenarios.split_particle()
+    n = 64 * engine.SAMPLE_CHUNK
+    sample(s, ("A", "B", "C"), 10, seed=0)
+    tracemalloc.start()
+    try:
+        e = sample(s, ("A", "B", "C"), n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(e.counts.values()) == n
+    assert peak < n  # bytes: an array of n doubles would take 8 n
 
 
 def test_sample_rejects_bad_count():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -203,6 +204,24 @@ def test_surface_pairs_reach_the_grid_fallback():
         find(surface_pairs(),
              lambda p: _oracles.probe_grid_sizes(covers, *p) == (answer, [2, 64]),
              settings=settings(max_examples=2000, database=None, phases=[Phase.generate]))
+
+
+def test_grid_fallback_memory_is_bounded():
+    """Eight corner cones over a finite floor in d = 3: no single cone
+    covers the box, so the whole 64^3 grid is evaluated, in slabs."""
+    d, box = 3, ((-3.0, 3.0),) * 3
+    lift = 0.6 * 6.0 * math.sqrt(d)
+    s1 = Lcsh(apexes=tuple(Event(lift, x) for x in itertools.product((-3.0, 3.0), repeat=d)))
+    s0 = Lcsh(t0=0.0)
+    tracemalloc.start()
+    try:
+        result, sizes = _oracles.probe_grid_sizes(covers, s1, s0, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result, sizes) == (True, [2, 64]) and result is _oracles.grid_covers(s1, s0, box)
+    # the grid itself is 6 MB; one (64^3, 8, 3) array of the cone distances would be 50 MB
+    assert peak < 24 * 2**20
 
 
 def test_covers_decides_without_the_grid():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from psvsim import hilbert
 from psvsim.errors import ConfigurationError, ImpossibleBranchError
 from psvsim.hilbert import (
@@ -126,6 +127,46 @@ def test_apply_unitary_rejects_nonunitary():
         apply_unitary(st_, np.array([[1.0, 0.0], [0.0, 2.0]]), ("s",))
     with pytest.raises(ConfigurationError):
         apply_unitary(st_, np.eye(4), ("s",))
+
+
+@st.composite
+def matrix_targets(draw):
+    """(dims, target positions, seed): up to four spins and registers, and
+    one to three targets, half of them adjacent and in order."""
+    dims = draw(st.lists(st.sampled_from((2, 3)), min_size=1, max_size=4))
+    k = draw(st.integers(1, min(3, len(dims))))
+    if draw(st.booleans()):
+        first = draw(st.integers(0, len(dims) - k))
+        targets = list(range(first, first + k))
+    else:
+        targets = draw(st.permutations(range(len(dims))))[:k]
+    return dims, targets, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix_targets())
+def test_apply_matrix_matches_the_kron_oracle(case):
+    dims, targets, seed = case
+    subsystems = tuple(
+        SubsystemSpec(f"q{k}", d, SubsystemKind.SPIN if d == 2 else SubsystemKind.REGISTER)
+        for k, d in enumerate(dims))
+    state = random_state(subsystems, seed)
+    block = math.prod(dims[t] for t in targets)
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(block, block)) + 1j * rng.normal(size=(block, block))
+    out = hilbert._apply_matrix(state, matrix, tuple(f"q{t}" for t in targets))
+    expect = _oracles.kron_embed(matrix, targets, dims) @ state.amplitudes
+    assert out.labels == state.labels
+    assert np.abs(out.amplitudes - expect).max() <= 1e-12 * max(1.0, np.abs(expect).max())
+
+
+def test_with_amplitudes_keeps_the_amplitude_checks():
+    st_ = random_state((SPIN, REG), 4)
+    out = st_.with_amplitudes(np.ones(6))
+    assert out.dims == (2, 3) and out.amplitudes.dtype == complex
+    assert not out.amplitudes.flags.writeable
+    with pytest.raises(ConfigurationError, match="amplitude length 5"):
+        st_.with_amplitudes(np.ones(5))
 
 
 def test_apply_unitary_targets_correct_subsystem():

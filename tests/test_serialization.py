@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from psvsim import scenarios, serialization as ser
-from psvsim.engine import joint_distribution, run
+from psvsim import hilbert, scenarios, serialization as ser
+from psvsim.engine import DetectorEvent, Scenario, joint_distribution, run
 from psvsim.errors import ConfigurationError
 from psvsim.geometry import Event, Lcsh, LimitSide
-from psvsim.hilbert import Axis, X_AXIS, Z_AXIS, states_close
+from psvsim.hilbert import Axis, StateVector, SubsystemKind, SubsystemSpec, X_AXIS, Z_AXIS, \
+    states_close
 
 
 def roundtrip(obj, to_dict, from_dict):
@@ -93,6 +94,34 @@ def test_scenario_from_dict_validates():
     d["detectors"][0]["register"] = "nope"
     with pytest.raises(ConfigurationError):
         ser.scenario_from_dict(d)
+
+
+def test_dense_ghz5_file_amplitudes_match_the_nested_conversion(tmp_path):
+    """A dense GHZ-5 file (spins in a random state, one register each, 6^5
+    amplitudes) loads to the same bits through the flat conversion as
+    through ``_pairs_to_complex``."""
+    rng = np.random.default_rng(5)
+    spins = tuple(SubsystemSpec(f"s{k}", 2, SubsystemKind.SPIN) for k in range(5))
+    regs = tuple(SubsystemSpec(f"R{k}", 3, SubsystemKind.REGISTER) for k in range(5))
+    core = rng.normal(size=32) + 1j * rng.normal(size=32)
+    core[::3] = -0.0
+    s = Scenario(
+        dim=1, c=1.0, subsystems=spins + regs,
+        initial_state=hilbert.tensor(StateVector(spins, core / np.linalg.norm(core)),
+                                     hilbert.basis_state(regs)),
+        initial_t0=-math.inf, interactions=(),
+        detectors=tuple(DetectorEvent(f"D{k}", Event(3.0, (6.0 * k,)),
+                                      hilbert.spin_outcome_set(f"s{k}", X_AXIS), f"R{k}")
+                        for k in range(5)),
+    )
+    path = tmp_path / "ghz5.json"
+    path.write_text(json.dumps(ser.scenario_to_dict(s)))
+    blob = json.loads(path.read_text())
+    pairs = blob["initial_state"]["amplitudes"]
+    nested = ser._pairs_to_complex(pairs)
+    assert len(pairs) == 6**5
+    assert ser._amplitudes_to_complex(pairs).tobytes() == nested.tobytes()
+    assert ser.scenario_from_dict(blob).initial_state.amplitudes.tobytes() == nested.tobytes()
 
 
 def test_run_record_and_distribution_roundtrip():
