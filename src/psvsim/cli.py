@@ -69,7 +69,7 @@ def build_scenario(args) -> engine.Scenario:
         return scenarios.singlet(
             axes.get("i", Z_AXIS),
             axes.get("j", X_AXIS),
-            with_copies=getattr(args, "with_copies", False),
+            with_copies=args.with_copies,
             copy_basis=axes.get("k", Z_AXIS),
             c=args.c,
         )
@@ -233,7 +233,7 @@ def build_parser() -> _Parser:
                      description="Light-cone state-vector reduction simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples=False, copies=True):
+    def common(p, samples=False):
         p.add_argument("--scenario", default="singlet",
                        help="split | singlet | ghz | path to a scenario JSON file")
         p.add_argument("--order", help="comma-separated detector labels, e.g. A,B,C")
@@ -243,12 +243,9 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--d", type=int, default=1, choices=(1, 2, 3),
-                       help="spatial dimension (built-in scenarios are 1d)")
         p.add_argument("--c", type=float, default=1.0, help="speed of light")
-        if copies:
-            p.add_argument("--with-copies", action="store_true",
-                           help="singlet only: include the copy devices and detector C")
+        p.add_argument("--with-copies", action="store_true",
+                       help="singlet only: include the copy devices and detector C")
         if samples:
             p.add_argument("--samples", type=int, default=10_000)
 
@@ -289,8 +286,6 @@ def main(argv=None) -> int:
     args = None
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "d", 1) != 1 and args.scenario in ("split", "singlet", "ghz"):
-            raise ConfigurationError("built-in scenarios are defined in 1 spatial dimension")
         return _COMMANDS[args.command](args)
     except ConfigurationError as exc:
         _report(args, "validation", exc)

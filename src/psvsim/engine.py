@@ -24,7 +24,7 @@ import numpy as np
 
 from . import geometry, hilbert
 from .errors import ConfigurationError
-from .geometry import Event, Lcsh, LimitSide, Separation, SurfaceSide
+from .geometry import Event, Lcsh, Separation, SurfaceSide
 from .hilbert import OutcomeSet, StateVector, SubsystemKind, SubsystemSpec
 
 #: A measurement is classified as a non-reduction when some outcome is
@@ -66,7 +66,8 @@ class DetectorEvent:
     pointer register.  ``pointers`` maps each outcome position to the
     register basis index recording it; index 0 is the ready state, reused
     by null ("nothing happened") outcomes.  Absorbing detectors digest the
-    measured subsystems, resetting them to their 0 basis state."""
+    measured subsystems, resetting them to their 0 basis state, so each of
+    their projectors must fix one basis configuration (rank 1, diagonal)."""
 
     label: str
     at: Event
@@ -89,6 +90,14 @@ class DetectorEvent:
                 f"detector {self.label!r} has {len(self.pointers)} pointers for "
                 f"{len(self.outcomes.outcomes)} outcomes"
             )
+        for outcome, p in self.outcomes.outcomes if self.absorbing else ():
+            diag = np.diag(p).real
+            if (np.abs(p - np.diag(diag)).max() > hilbert.EPS_OP
+                    or abs(diag.sum() - 1.0) > hilbert.EPS_OP):
+                raise ConfigurationError(
+                    f"absorbing detector {self.label!r} requires rank-1 basis projectors "
+                    f"(outcome {outcome!r} is not one)"
+                )
 
     def pointer_for(self, outcome: str) -> int:
         return self.pointers[self.outcomes.labels.index(outcome)]
@@ -306,27 +315,19 @@ def enumerate_valid_orders(s: Scenario) -> list[tuple[str, ...]]:
 # --- stepping --------------------------------------------------------------
 
 @cache
-def _register_shift(dim: int, pointer: int) -> np.ndarray:
-    """Permutation swapping register basis states 0 and ``pointer``, built
-    once per (dim, pointer) and read-only."""
+def _swap(dim: int, index: int) -> np.ndarray:
+    """Permutation swapping basis states 0 and ``index`` of a ``dim``-state
+    space, built once per (dim, index) and read-only."""
     u = np.eye(dim, dtype=complex)
-    if pointer != 0:
-        u[[0, pointer]] = u[[pointer, 0]]
+    u[[0, index]] = u[[index, 0]]
     u.flags.writeable = False
     return u
 
 
-def _absorption_config(det: DetectorEvent, outcome: str, dims: tuple[int, ...]) -> tuple[int, ...]:
-    """Basis configuration fixed by a rank-1 diagonal outcome projector."""
-    p = det.outcomes.projector(outcome)
-    diag = np.diag(p).real
-    if np.abs(p - np.diag(diag)).max() > hilbert.EPS_OP or abs(diag.sum() - 1.0) > hilbert.EPS_OP:
-        raise ConfigurationError(
-            f"absorbing detector {det.label!r} requires rank-1 basis projectors "
-            f"(outcome {outcome!r} is not one)"
-        )
-    flat = int(np.argmax(diag))
-    return tuple(np.unravel_index(flat, dims))
+def _in_time_order(events):
+    """Interactions sorted by (time, name).  Timelike pairs apply in time
+    order; spacelike pairs commute, so this order is as good as any."""
+    return sorted(events, key=lambda ev: (ev.at.t, ev.name))
 
 
 def apply_detector(state: BranchState, det: DetectorEvent, outcome: str) -> BranchState:
@@ -337,19 +338,15 @@ def apply_detector(state: BranchState, det: DetectorEvent, outcome: str) -> Bran
     pointer = det.pointer_for(outcome)
     if pointer != 0:
         factor = registers[det.register]
-        shift = _register_shift(factor.dims[0], pointer)
+        shift = _swap(factor.dims[0], pointer)
         registers = {**registers, det.register: hilbert.apply_unitary(factor, shift, (det.register,))}
     if det.absorbing:
-        tdims = tuple(core.spec_of(t).dim for t in det.outcomes.targets)
-        config = _absorption_config(det, outcome, tdims)
-        if any(config):
+        p = det.outcomes.projector(outcome)
+        config = int(np.argmax(np.diag(p).real))
+        if config:
             # The projector fixed the measured configuration, so swapping it
             # with the empty configuration is an isometry on this branch.
-            block = math.prod(tdims)
-            u = np.eye(block, dtype=complex)
-            i = int(np.ravel_multi_index(config, tdims))
-            u[[0, i]] = u[[i, 0]]
-            core = hilbert.apply_unitary(core, u, det.outcomes.targets)
+            core = hilbert.apply_unitary(core, _swap(p.shape[0], config), det.outcomes.targets)
     return BranchState(state.subsystems, core, registers)
 
 
@@ -377,49 +374,42 @@ class BranchNode:
     state_before: BranchState  # on S_k-, after due interactions
     probabilities: tuple[float, ...]  # in ``detector.outcomes.labels`` order
     interactions_applied: tuple[str, ...]
-    remaining: tuple[InteractionEvent, ...]
 
     @property
     def reduction(self) -> bool:
         return not any(p >= 1.0 - EPS_CERT for p in self.probabilities)
 
 
-def step(
-    s: Scenario,
-    surface: Lcsh,
-    state: BranchState,
-    detector: str,
-    pending: tuple[InteractionEvent, ...] | None = None,
-) -> BranchNode:
-    """Expand one node: adjoin the detector's backward light cone to the
-    surface, apply the pending interactions now in its past, and compute
-    every outcome's Born probability.
+def _future_of(e: Event, surface: Lcsh) -> bool:
+    return geometry.event_side_of_surface(e, surface) is SurfaceSide.FUTURE
+
+
+def step(s: Scenario, surface: Lcsh, state: BranchState, detector: str) -> BranchNode:
+    """Expand one node: adjoin the detector's backward light cone to
+    ``surface`` (the state's surface S_{k-1}), apply the interactions that
+    lie in the future of S_{k-1} but not of the new surface S_k, and
+    compute every outcome's Born probability.
 
     Interactions exactly on the new surface are applied before the
-    reduction (they belong to the minus side).  Timelike pairs apply in
-    time order; spacelike pairs commute, so a stable time sort suffices.
-    Branching is left to the caller: ``apply_detector`` on
-    ``state_before`` gives the state on S_k+ for a chosen outcome.
+    reduction (they belong to the minus side).  Branching is left to the
+    caller: ``apply_detector`` on ``state_before`` gives the state on S_k+
+    for a chosen outcome.
     """
     det = s.detector(detector)
     new_surface = geometry.adjoin_apex(surface, det.at)
-    due, remaining = [], []
-    for ev in s.interactions if pending is None else pending:
-        future = geometry.event_side_of_surface(ev.at, new_surface) is SurfaceSide.FUTURE
-        (remaining if future else due).append(ev)
-    due.sort(key=lambda ev: (ev.at.t, ev.name))
+    due = _in_time_order(ev for ev in s.interactions
+                         if _future_of(ev.at, surface) and not _future_of(ev.at, new_surface))
     for ev in due:
         state = state.interact(ev)
     state = state.canonical()
     return BranchNode(
         detector=det,
         surface_before=surface,
-        surface_after=replace(new_surface, side=LimitSide.PLUS),
+        surface_after=new_surface,
         state_before=state,
         probabilities=tuple(hilbert.born_probability(state.core, det.outcomes, l)
                             for l in det.outcomes.labels),
         interactions_applied=tuple(ev.name for ev in due),
-        remaining=tuple(remaining),
     )
 
 
@@ -472,10 +462,9 @@ def run(
 
     surface = s.initial_surface()
     state = s.initial_branch
-    pending = s.interactions
     steps: list[StepRecord] = []
     for k, label in enumerate(order):
-        node = step(s, surface, state, label, pending)
+        node = step(s, surface, state, label)
         labels = node.detector.outcomes.labels
         if outcomes is None:
             cum = np.cumsum(node.probabilities)
@@ -496,8 +485,8 @@ def run(
             state_after=state.materialize(),
             interactions_applied=node.interactions_applied,
         ))
-        surface, pending = node.surface_after, node.remaining
-    for ev in sorted(pending, key=lambda ev: (ev.at.t, ev.name)):
+        surface = node.surface_after
+    for ev in _in_time_order(ev for ev in s.interactions if _future_of(ev.at, surface)):
         state = state.interact(ev)
     total = math.prod(st.probability for st in steps) if steps else 1.0
     return RunRecord(s, tuple(order), tuple(steps), state.canonical().materialize(), total)
@@ -531,18 +520,18 @@ def joint_distribution(s: Scenario, order: tuple[str, ...]) -> JointDistribution
     probs: dict[tuple[str, ...], float] = {}
     declared = s.detector_labels
 
-    def descend(surface, state, pending, k, acc_prob, chosen):
+    def descend(surface, state, k, acc_prob, chosen):
         if k == len(order):
             by_det = dict(zip(order, chosen))
             probs[tuple(by_det[l] for l in declared)] = acc_prob
             return
-        node = step(s, surface, state, order[k], pending)
+        node = step(s, surface, state, order[k])
         for label, p in zip(node.detector.outcomes.labels, node.probabilities):
             if p > hilbert.EPS_PROB:
                 descend(node.surface_after, apply_detector(node.state_before, node.detector, label),
-                        node.remaining, k + 1, acc_prob * p, chosen + (label,))
+                        k + 1, acc_prob * p, chosen + (label,))
 
-    descend(s.initial_surface(), s.initial_branch, s.interactions, 0, 1.0, ())
+    descend(s.initial_surface(), s.initial_branch, 0, 1.0, ())
     return JointDistribution(declared, probs)
 
 
@@ -626,7 +615,7 @@ def state_on_hyperplane(
         )
     region = s.support_region()
 
-    future_of: dict[str, bool] = {}
+    reduced: dict[str, bool] = {}
     for st in record.steps:
         if not st.reduction:
             continue
@@ -635,25 +624,22 @@ def state_on_hyperplane(
             return UndefinedState(
                 f"query surface crosses reduction surface of detector {st.detector!r}"
             )
-        future_of[st.detector] = above and not below
-
-    def past_of_query(ev: Event) -> bool:
-        return geometry.event_side_of_surface(ev, query) is not SurfaceSide.FUTURE
+        reduced[st.detector] = above and not below
 
     state = s.initial_branch
     applied = {ev.name: ev for ev in s.interactions}
     for st in record.steps:
         for name in st.interactions_applied:
             ev = applied.pop(name)
-            if past_of_query(ev.at):
+            if not _future_of(ev.at, query):
                 state = state.interact(ev)
         det = s.detector(st.detector)
         if st.reduction:
-            if future_of[st.detector]:
+            if reduced[st.detector]:
                 state = apply_detector(state, det, st.outcome)
-        elif past_of_query(det.at):
+        elif not _future_of(det.at, query):
             state = apply_detector(state, det, st.outcome)
-    for ev in sorted(applied.values(), key=lambda ev: (ev.at.t, ev.name)):
-        if past_of_query(ev.at):
+    for ev in _in_time_order(applied.values()):
+        if not _future_of(ev.at, query):
             state = state.interact(ev)
     return state.canonical().materialize()

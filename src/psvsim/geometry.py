@@ -45,14 +45,6 @@ class SurfaceSide(Enum):
     FUTURE = "future"
 
 
-class LimitSide(Enum):
-    """The t+/t- limit convention: bookkeeping metadata, not geometry."""
-
-    MINUS = "minus"
-    PLUS = "plus"
-    EXACT = "exact"
-
-
 @dataclass(frozen=True)
 class Event:
     """A spacetime point (t, x) in d spatial dimensions, d in {1, 2, 3}."""
@@ -136,15 +128,12 @@ class Lcsh:
     """A light-cone spacelike hypersurface: the upper envelope of the
     backward light cones of ``apexes`` over the flat surface t = t0.
 
-    t0 = -inf gives the pure cone envelope.  ``side`` records the t+/t-
-    limit tag threaded through the engine (pre- vs post-reduction state on
-    the same geometric surface).
+    t0 = -inf gives the pure cone envelope.
     """
 
     t0: float = MINUS_INFINITY
     apexes: tuple[Event, ...] = ()
     c: float = 1.0
-    side: LimitSide = LimitSide.EXACT
 
     def __post_init__(self):
         check_speed_of_light(self.c)
@@ -208,10 +197,10 @@ def adjoin_apex(s: Lcsh, apex: Event) -> Lcsh:
     return replace(s, apexes=s.apexes + (apex,))
 
 
-def event_side_of_surface(e: Event, s: Lcsh, eps: float = EPS_GEOM) -> SurfaceSide:
-    """Which side of the surface an event lies on, with On within ``eps``."""
+def event_side_of_surface(e: Event, s: Lcsh) -> SurfaceSide:
+    """Which side of the surface an event lies on, with On within EPS_GEOM."""
     t = surface_time(s, e.x)
-    if abs(e.t - t) <= eps:
+    if abs(e.t - t) <= EPS_GEOM:
         return SurfaceSide.ON
     return SurfaceSide.PAST if e.t < t else SurfaceSide.FUTURE
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import geometry, hilbert, scenarios
-from .engine import Scenario, apply_detector, joint_distribution
+from .engine import Scenario, _in_time_order, apply_detector, joint_distribution
 from .errors import AmbiguousRegionError, ConfigurationError, PhysicsError
 from .geometry import Event, Lcsh, SurfaceSide
 from .hilbert import Axis, StateVector
@@ -117,7 +117,7 @@ def hk_state(
                     )
                 state = apply_detector(state, s.detector(label), outcomes[label])
     considered = tuple(l for l, _ in region.sides)
-    for ev in sorted(s.interactions, key=lambda ev: (ev.at.t, ev.name)):
+    for ev in _in_time_order(s.interactions):
         ev_region = hk_region_of(ev.at, s, considered)
         if not region.contains_past_of(ev_region):
             continue

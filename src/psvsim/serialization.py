@@ -25,7 +25,7 @@ from .engine import (
     validate_scenario,
 )
 from .errors import ConfigurationError
-from .geometry import Event, Lcsh, LimitSide
+from .geometry import Event, Lcsh
 from .hilbert import Axis, OutcomeSet, StateVector, SubsystemKind, SubsystemSpec
 
 MINUS_INFINITY_TOKEN = "minus_infinity"
@@ -56,6 +56,8 @@ def _complex_to_pairs(a: np.ndarray) -> list:
 
 def _pairs_to_complex(pairs: Any) -> np.ndarray:
     arr = np.asarray(pairs, dtype=float)
+    if arr.shape[-1:] != (2,):
+        raise ValueError(f"complex entries must be [re, im] pairs, got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -64,7 +66,6 @@ def surface_to_dict(s: Lcsh) -> dict:
         "t0": MINUS_INFINITY_TOKEN if math.isinf(s.t0) else s.t0,
         "apexes": [event_to_dict(a) for a in s.apexes],
         "c": s.c,
-        "side": s.side.value,
     }
 
 
@@ -74,7 +75,6 @@ def surface_from_dict(d: dict) -> Lcsh:
         t0=-math.inf if t0 == MINUS_INFINITY_TOKEN else float(t0),
         apexes=tuple(event_from_dict(a) for a in d.get("apexes", [])),
         c=d.get("c", 1.0),
-        side=LimitSide(d.get("side", "exact")),
     )
 
 

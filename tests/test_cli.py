@@ -160,6 +160,16 @@ def _malformed_scenarios():
     nan_time = deepcopy(ghz)
     nan_time["detectors"][1]["at"]["t"] = nan
     nan_speed = dict(ghz, c=nan)
+    absorbing = deepcopy(ghz)
+    absorbing["detectors"][0]["absorbing"] = True
+    triples = {case: deepcopy(ghz) for case in ("amplitudes", "projector", "unitary")}
+    for pair in triples["amplitudes"]["initial_state"]["amplitudes"]:
+        pair.append(123.0)
+    for entry in triples["projector"]["detectors"][0]["projectors"]:
+        entry["matrix"] = [[pair + [123.0] for pair in row] for row in entry["matrix"]]
+    triples["unitary"]["interactions"] = [
+        {"name": "kick", "at": {"t": 1, "x": [0]}, "subsystems": ["a"],
+         "unitary": [[pair + [123.0] for pair in row] for row in _pairs(np.eye(2))]}]
     amplitude_cases = {}
     for case, edit in [("ragged-pair", lambda a: a[3].pop()),
                        ("3-element-pair", lambda a: a[3].append(0.0)),
@@ -183,6 +193,11 @@ def _malformed_scenarios():
             "nan-projector": (nan_projector, "detector 'A' projector '+' has a non-finite entry"),
             "nan-detector-time": (nan_time, "event Event(t=nan, x=(0.0,)) has a non-finite"),
             "nan-speed-of-light": (nan_speed, "speed of light must be positive and finite, got nan"),
+            "absorbing-detector-not-rank-1": (
+                absorbing, "absorbing detector 'A' requires rank-1 basis projectors"),
+            **{f"{case}-3-element-entries": (
+                blob, "malformed scenario: ValueError: complex entries must be [re, im] pairs")
+               for case, blob in triples.items()},
             **{f"amplitudes-{case}": (blob, malformed) for case, blob in amplitude_cases.items()}}
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import _oracles
 from psvsim import engine, geometry, hilbert, scenarios
 from psvsim.engine import (
+    BranchState,
     DetectorEvent,
     InteractionEvent,
     Scenario,
@@ -26,7 +27,7 @@ from psvsim.engine import (
     validate_scenario,
 )
 from psvsim.errors import ConfigurationError
-from psvsim.geometry import Event, Lcsh, LimitSide
+from psvsim.geometry import Event, Lcsh
 from psvsim.hilbert import (
     X_AXIS,
     Z_AXIS,
@@ -181,14 +182,42 @@ def test_step_applies_interactions_then_reduces():
     s = scenarios.split_particle()
     node = step(s, s.initial_surface(), s.initial_branch, "C")
     assert node.interactions_applied == ("AA1 copy", "AA2 copy")
-    assert node.remaining == ()
     assert node.reduction
     probs = dict(zip(node.detector.outcomes.labels, node.probabilities))
     assert probs["c1"] == pytest.approx(0.5, abs=1e-12)
     assert sum(node.probabilities) == pytest.approx(1.0, abs=1e-12)
     assert node.surface_before == s.initial_surface()
     assert node.surface_after.apexes[-1] == s.detector("C").at
-    assert node.surface_after.side is LimitSide.PLUS
+
+
+@pytest.mark.parametrize("build", [
+    scenarios.split_particle,
+    lambda: scenarios.singlet(Z_AXIS, X_AXIS, with_copies=True),
+], ids=["split", "singlet-with-copies"])
+def test_step_takes_due_interactions_from_its_two_surfaces(build):
+    # On a recorded surface S_k-1 with the state there, ``step`` applies the
+    # run's interactions of step k and none of the earlier ones.
+    s = build()
+    for order in enumerate_valid_orders(s):
+        for seed in (0, 1):
+            state = s.initial_branch
+            for st in run(s, order, seed=seed).steps:
+                node = step(s, st.surface_before, state, st.detector)
+                assert node.interactions_applied == st.interactions_applied
+                assert states_close(node.state_before.materialize(), st.state_before)
+                state = BranchState.split(st.state_after)
+
+
+@pytest.mark.parametrize("outcomes", [
+    hilbert.spin_outcome_set("a", X_AXIS),
+    OutcomeSet(("a", "b"), (("same", np.diag([1.0, 0, 0, 1])),
+                            ("differ", np.diag([0, 1.0, 1, 0])))),
+], ids=["off-diagonal", "rank-2"])
+def test_absorbing_detector_requires_rank_1_basis_projectors(outcomes):
+    with pytest.raises(ConfigurationError,
+                       match="absorbing detector 'D' requires rank-1 basis projectors"):
+        DetectorEvent("D", Event(1, (0,)), outcomes, "R", absorbing=True)
+    DetectorEvent("D", Event(1, (0,)), outcomes, "R")
 
 
 def test_step_reduction_flag_false_when_certain():

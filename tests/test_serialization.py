@@ -7,7 +7,7 @@ import pytest
 from psvsim import hilbert, scenarios, serialization as ser
 from psvsim.engine import DetectorEvent, Scenario, joint_distribution, run
 from psvsim.errors import ConfigurationError
-from psvsim.geometry import Event, Lcsh, LimitSide
+from psvsim.geometry import Event, Lcsh
 from psvsim.hilbert import Axis, StateVector, SubsystemKind, SubsystemSpec, X_AXIS, Z_AXIS, \
     states_close
 
@@ -30,8 +30,7 @@ def test_axis_roundtrip_and_xyz_form():
 
 
 def test_surface_roundtrip_with_minus_infinity():
-    s = Lcsh(t0=-math.inf, apexes=(Event(3.0, (0.0,)),), c=2.0,
-             side=LimitSide.PLUS)
+    s = Lcsh(t0=-math.inf, apexes=(Event(3.0, (0.0,)),), c=2.0)
     s2 = roundtrip(s, ser.surface_to_dict, ser.surface_from_dict)
     assert s2 == s
     flat = Lcsh(t0=1.5)
