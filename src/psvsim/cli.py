@@ -55,28 +55,54 @@ def _parse_kv(text: str | None, what: str) -> dict[str, str]:
     for item in text.split(","):
         if "=" not in item:
             raise ConfigurationError(f"malformed {what} entry {item!r}, expected key=value")
-        k, v = item.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (part.strip() for part in item.split("=", 1))
+        if k in out:
+            raise ConfigurationError(f"{what} sets {k!r} twice")
+        out[k] = v
     return out
 
 
+def _axes(args, keys: tuple[str, ...], reader: str) -> dict[str, Axis]:
+    """``--axes`` parsed, with a ``ConfigurationError`` for a key not in ``keys``."""
+    given = _parse_kv(args.axes, "--axes")
+    unread = [k for k in given if k not in keys]
+    if unread:
+        raise ConfigurationError(f"--axes keys {unread} do not apply to {reader}")
+    return {k: parse_axis(v) for k, v in given.items()}
+
+
+#: The ``--axes`` keys each built-in scenario reads; a scenario file reads
+#: none.  ``k``, the copy basis, is read by ``singlet`` only with copies:
+#: without them it just rewrites the singlet in another basis.
+_AXIS_KEYS = {"split": (), "singlet": ("i", "j"), "ghz": ("i", "j", "k")}
+
+
 def build_scenario(args) -> engine.Scenario:
-    axes = {k: parse_axis(v) for k, v in _parse_kv(args.axes, "--axes").items()}
+    """The scenario named by ``--scenario``.  An option the scenario would
+    not read (``--with-copies`` off ``singlet``, an ``--axes`` key it has
+    no axis for, ``--c`` on a file) is a ``ConfigurationError``."""
     name = args.scenario
+    if args.with_copies and name != "singlet":
+        raise ConfigurationError(f"--with-copies applies only to singlet, not {name!r}")
+    keys = ("i", "j", "k") if args.with_copies else _AXIS_KEYS.get(name, ())
+    axes = _axes(args, keys, f"scenario {name!r}")
+    if args.c is not None and name not in _AXIS_KEYS:
+        raise ConfigurationError("--c does not apply to a scenario file; set \"c\" in the file")
+    c = 1.0 if args.c is None else args.c
     if name == "split":
-        return scenarios.split_particle(c=args.c)
+        return scenarios.split_particle(c=c)
     if name == "singlet":
         return scenarios.singlet(
             axes.get("i", Z_AXIS),
             axes.get("j", X_AXIS),
             with_copies=args.with_copies,
             copy_basis=axes.get("k", Z_AXIS),
-            c=args.c,
+            c=c,
         )
     if name == "ghz":
         return scenarios.ghz(
             axes=(axes.get("i", X_AXIS), axes.get("j", Y_AXIS), axes.get("k", Y_AXIS)),
-            c=args.c,
+            c=c,
         )
     try:
         with open(name, encoding="utf-8") as fh:
@@ -112,15 +138,19 @@ def _order(args, scenario) -> tuple[str, ...]:
     return scenario.detector_labels
 
 
-def _outcomes(args, scenario, order) -> tuple[str, ...] | None:
+def _outcomes(args, order) -> tuple[str, ...] | None:
+    """Outcomes fixed by ``--outcomes``, in ``order``.  Keys match detector
+    labels exactly, and there is one key per detector in the order."""
     mapping = _parse_kv(args.outcomes, "--outcomes")
     if not mapping:
         return None
-    by_label = {k.upper(): v for k, v in mapping.items()}
-    missing = [l for l in order if l.upper() not in by_label]
+    unknown = [k for k in mapping if k not in order]
+    if unknown:
+        raise ConfigurationError(f"--outcomes names no detector of the order: {unknown}")
+    missing = [l for l in order if l not in mapping]
     if missing:
         raise ConfigurationError(f"--outcomes missing entries for detectors {missing}")
-    return tuple(by_label[l.upper()] for l in order)
+    return tuple(mapping[l] for l in order)
 
 
 def _emit(args, text: str) -> None:
@@ -134,7 +164,7 @@ def _emit(args, text: str) -> None:
 def cmd_run(args) -> int:
     scenario = build_scenario(args)
     order = _order(args, scenario)
-    record = engine.run(scenario, order, outcomes=_outcomes(args, scenario, order),
+    record = engine.run(scenario, order, outcomes=_outcomes(args, order),
                         seed=args.seed)
     if args.json:
         _emit(args, json.dumps(serialization.run_record_to_dict(record), indent=2) + "\n")
@@ -201,7 +231,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_compare_hk(args) -> int:
-    axes = {k: parse_axis(v) for k, v in _parse_kv(args.axes, "--axes").items()}
+    axes = _axes(args, ("i", "j", "k"), "compare-hk")
     result = hellwig_kraus.hk_copy_inconsistency(
         axes.get("i", X_AXIS), axes.get("j", Z_AXIS), axes.get("k", Z_AXIS)
     )
@@ -221,8 +251,7 @@ def cmd_compare_hk(args) -> int:
 def cmd_diagram(args) -> int:
     scenario = build_scenario(args)
     order = _order(args, scenario)
-    outcomes = _outcomes(args, scenario, order)
-    record = engine.run(scenario, order, outcomes=outcomes, seed=args.seed)
+    record = engine.run(scenario, order, outcomes=_outcomes(args, order), seed=args.seed)
     text = diagram.render_ascii(record) if args.ascii else diagram.render_svg(record)
     _emit(args, text)
     return 0
@@ -233,34 +262,41 @@ def build_parser() -> _Parser:
                      description="Light-cone state-vector reduction simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples=False):
+    def scenario_command(name, help, *extra):
+        """A subcommand on a scenario, with the options in ``extra`` too."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--scenario", default="singlet",
                        help="split | singlet | ghz | path to a scenario JSON file")
-        p.add_argument("--order", help="comma-separated detector labels, e.g. A,B,C")
-        p.add_argument("--axes",
-                       help="axis assignments, e.g. i=z,j=x or i=1.05:0.3 (theta:phi)")
-        p.add_argument("--outcomes", help="fixed outcomes, e.g. A=+,B=-")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--c", type=float, default=1.0, help="speed of light")
+        p.add_argument("--axes", help="built-in scenarios: axis assignments, "
+                                      "e.g. i=z,j=x or i=1.05:0.3 (theta:phi)")
+        p.add_argument("--c", type=float,
+                       help="built-in scenarios: speed of light (default 1)")
         p.add_argument("--with-copies", action="store_true",
                        help="singlet only: include the copy devices and detector C")
-        if samples:
-            p.add_argument("--samples", type=int, default=10_000)
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--out", help="write output to this path instead of stdout")
+        if "order" in extra:
+            p.add_argument("--order", help="comma-separated detector labels, e.g. A,B,C")
+        if "outcomes" in extra:
+            p.add_argument("--outcomes", help="fixed outcomes, e.g. A=+,B=-")
+        if "seed" in extra:
+            p.add_argument("--seed", type=int, default=0)
+        return p
 
-    common(sub.add_parser("run", help="one run, sampled or with fixed outcomes"))
-    common(sub.add_parser("dist", help="exact joint outcome distribution"))
-    common(sub.add_parser("orders", help="enumerate valid reduction orders and "
-                                         "verify distribution equality"))
-    common(sub.add_parser("sample", help="Monte Carlo sampling"), samples=True)
+    scenario_command("run", "one run, sampled or with fixed outcomes",
+                     "order", "outcomes", "seed")
+    scenario_command("dist", "exact joint outcome distribution", "order")
+    scenario_command("orders", "enumerate valid reduction orders and "
+                               "verify distribution equality")
+    sample = scenario_command("sample", "Monte Carlo sampling", "order", "seed")
+    sample.add_argument("--samples", type=int, default=10_000)
     hk = sub.add_parser("compare-hk", help="Hellwig-Kraus vs engine conditional "
                                            "probability on the singlet with copies")
     hk.add_argument("--axes", help="i=<A axis>,j=<B axis>,k=<copy basis>")
-    hk.add_argument("--json", action="store_true", default=True)
     hk.add_argument("--out")
-    dg = sub.add_parser("diagram", help="spacetime diagram of a run (SVG)")
-    common(dg)
+    hk.set_defaults(json=True)
+    dg = scenario_command("diagram", "spacetime diagram of a run (SVG)",
+                          "order", "outcomes", "seed")
     dg.add_argument("--ascii", action="store_true", help="character grid instead of SVG")
     return parser
 

@@ -295,7 +295,7 @@ def validate_reduction_order(s: Scenario, order: tuple[str, ...]) -> list[tuple[
     violations = []
     for a, b in itertools.combinations(s.detector_labels, 2):
         da, db = s.detector(a), s.detector(b)
-        if geometry.classify(da.at, db.at, s.c).kind is Separation.TIMELIKE:
+        if geometry.classify(da.at, db.at, s.c) is Separation.TIMELIKE:
             if (position[a] < position[b]) != (da.at.t < db.at.t):
                 violations.append((a, b))
     return violations

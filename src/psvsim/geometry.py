@@ -65,46 +65,23 @@ class Event:
         return len(self.x)
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Causal classification of an event pair plus the signed interval
-    (x0-x1)^2 in units of c^2 * time^2."""
-
-    kind: Separation
-    value: float
-
-
-def _check_pair(e0: Event, e1: Event) -> None:
-    if e0.dim != e1.dim:
-        raise ConfigurationError(
-            f"events have mismatched spatial dimensions {e0.dim} != {e1.dim}"
-        )
-
-
-def interval(e0: Event, e1: Event, c: float = 1.0) -> float:
-    """Signed interval c^2 (t0-t1)^2 - |x0-x1|^2."""
-    _check_pair(e0, e1)
-    dx2 = sum((a - b) ** 2 for a, b in zip(e0.x, e1.x))
-    return c * c * (e0.t - e1.t) ** 2 - dx2
-
-
-def classify(e0: Event, e1: Event, c: float = 1.0) -> Interval:
+def classify(e0: Event, e1: Event, c: float = 1.0) -> Separation:
     """Classify a pair as spacelike / timelike / lightlike.
 
     Lightlike means the time separation matches the light travel time
     within EPS_GEOM, the same time-unit tolerance ``event_side_of_surface``
     uses to put an event on a cone.  Callers wanting the delta-limit
     convention (lightlike counts as spacelike) consult the enum explicitly.
+    Raises ``ConfigurationError`` for events of different spatial dimension.
     """
-    value = interval(e0, e1, c)
+    if e0.dim != e1.dim:
+        raise ConfigurationError(
+            f"events have mismatched spatial dimensions {e0.dim} != {e1.dim}"
+        )
     gap = abs(e0.t - e1.t) - math.dist(e0.x, e1.x) / c
     if abs(gap) <= EPS_GEOM:
-        kind = Separation.LIGHTLIKE
-    elif gap < 0.0:
-        kind = Separation.SPACELIKE
-    else:
-        kind = Separation.TIMELIKE
-    return Interval(kind, value)
+        return Separation.LIGHTLIKE
+    return Separation.SPACELIKE if gap < 0.0 else Separation.TIMELIKE
 
 
 def check_speed_of_light(c: float) -> None:
@@ -248,7 +225,8 @@ def _check_comparable(surfaces: tuple[Lcsh, ...], region: Region | None) -> None
 
 
 def _covers_screened(s1: Lcsh, s0: Lcsh, region: Region) -> bool:
-    """``covers(s1, s0, region)`` for a pair whose screen s1 passed.
+    """Whether s1 covers s0 over ``region`` (see ``compare``), for a pair
+    whose screen s1 passed.
 
     Both envelopes are 1/c-Lipschitz, so s1 >= a.t - EPS at each apex a of
     s0 keeps s1 above a's whole backward cone (less EPS).  Only s0's floor
@@ -275,7 +253,10 @@ def _covers_screened(s1: Lcsh, s0: Lcsh, region: Region) -> bool:
 
 
 def compare(s1: Lcsh, s0: Lcsh, region: Region | None = None) -> tuple[bool, bool]:
-    """``(covers(s1, s0, region), covers(s0, s1, region))`` from one screen.
+    """``(s1 covers s0, s0 covers s1)`` over ``region``, from one screen.
+    s1 covers s0 iff s1 >= s0 - EPS_GEOM at every point of the 64^d probe
+    grid of ``probe_points((s1, s0), region)``, decided without the grid
+    wherever possible.
 
     Screen: both surfaces are evaluated once at the region's corners and
     every apex projection.  These are probe points, so a shortfall there
@@ -294,16 +275,9 @@ def compare(s1: Lcsh, s0: Lcsh, region: Region | None = None) -> tuple[bool, boo
     return up, down
 
 
-def covers(s1: Lcsh, s0: Lcsh, region: Region | None = None) -> bool:
-    """True iff s1 >= s0 - EPS_GEOM at every point of the 64^d probe grid
-    of ``probe_points((s1, s0), region)``, decided without the grid
-    wherever possible (see ``compare``)."""
-    return compare(s1, s0, region)[0]
-
-
 def is_future_of(s1: Lcsh, s0: Lcsh, region: Region | None = None) -> bool:
     """True iff s1 >= s0 at every probe point and s1 > s0 at one, both
-    within EPS_GEOM: ``covers`` one way and not the other.  Raises
+    within EPS_GEOM: s1 covers s0 and not the other way (see ``compare``).  Raises
     ``ConfigurationError`` for surfaces of different spatial dimension or
     speed of light."""
     up, down = compare(s1, s0, region)

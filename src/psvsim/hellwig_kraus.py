@@ -32,12 +32,6 @@ class HkRegion:
 
     sides: tuple[tuple[str, SurfaceSide], ...]
 
-    def side(self, label: str) -> SurfaceSide:
-        for l, s in self.sides:
-            if l == label:
-                return s
-        raise ConfigurationError(f"region has no entry for detector {label!r}")
-
     @property
     def reduced(self) -> tuple[str, ...]:
         return tuple(l for l, s in self.sides if s is SurfaceSide.FUTURE)

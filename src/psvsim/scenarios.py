@@ -68,7 +68,7 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _spacelike(e0: Event, e1: Event, c: float) -> bool:
-    return geometry.classify(e0, e1, c).kind is Separation.SPACELIKE
+    return geometry.classify(e0, e1, c) is Separation.SPACELIKE
 
 
 def _in_blc_past(ev: Event, apex: Event, c: float, strict: bool = False) -> bool:

@@ -69,15 +69,6 @@ def surface_to_dict(s: Lcsh) -> dict:
     }
 
 
-def surface_from_dict(d: dict) -> Lcsh:
-    t0 = d.get("t0", MINUS_INFINITY_TOKEN)
-    return Lcsh(
-        t0=-math.inf if t0 == MINUS_INFINITY_TOKEN else float(t0),
-        apexes=tuple(event_from_dict(a) for a in d.get("apexes", [])),
-        c=d.get("c", 1.0),
-    )
-
-
 def subsystem_to_dict(s: SubsystemSpec) -> dict:
     return {"label": s.label, "dim": s.dim, "kind": s.kind.value}
 
@@ -257,13 +248,6 @@ def distribution_to_dict(d: JointDistribution) -> dict:
             for key, p in sorted(d.probabilities.items())
         ],
     }
-
-
-def distribution_from_dict(d: dict) -> JointDistribution:
-    return JointDistribution(
-        tuple(d["detectors"]),
-        {tuple(e["outcomes"]): e["probability"] for e in d["entries"]},
-    )
 
 
 def empirical_to_dict(d: EmpiricalDistribution) -> dict:

@@ -5,7 +5,7 @@ hand-rolled subsystem embedding (by basis index, or as a sum of
 ``np.kron`` products), so it shares no tensor-manipulation code with the
 package under test.  Surface
 comparisons are the brute-force 64^d probe-grid evaluation that
-``geometry.compare`` and ``geometry.covers`` must reproduce.
+``geometry.compare`` must reproduce.
 """
 
 import itertools

@@ -263,3 +263,55 @@ def test_failed_load_leaves_the_collector_as_it_was(enabled, tmp_path, capsys):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+@pytest.fixture
+def ghz_file(tmp_path):
+    path = tmp_path / "ghz.json"
+    path.write_text(json.dumps(serialization.scenario_to_dict(scenarios.ghz())))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("dist", "--seed", "1"),
+    ("dist", "--seed", "-1"),
+    ("dist", "--outcomes", "A=+"),
+    ("orders", "--order", "A,B"),
+    ("orders", "--seed", "1"),
+    ("sample", "--outcomes", "A=+"),
+    ("compare-hk", "--json"),
+    ("compare-hk", "--axes", "i=x,q=z"),
+    ("dist", "--scenario", "ghz", "--with-copies"),
+    ("dist", "--scenario", "split", "--with-copies"),
+    ("dist", "--scenario", "FILE", "--with-copies"),
+    ("dist", "--scenario", "split", "--axes", "i=x"),
+    ("dist", "--scenario", "FILE", "--axes", "i=x"),
+    ("dist", "--scenario", "singlet", "--axes", "q=z"),
+    ("dist", "--scenario", "singlet", "--axes", "i=x,k=x"),
+    ("dist", "--scenario", "ghz", "--axes", "q=z"),
+    ("dist", "--scenario", "FILE", "--c", "2"),
+    ("dist", "--scenario", "ghz", "--axes", "i=x,i=z"),
+    ("run", "--scenario", "split", "--outcomes", "A=hit,B=none,C=c1,C=c2"),
+], ids=" ".join)
+def test_an_option_nothing_reads_is_a_validation_error(argv, ghz_file, capsys):
+    argv = [ghz_file if a == "FILE" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    # compare-hk reports its own errors as JSON; argument errors are text
+    assert err.startswith("error (validation): ") or json.loads(err)["error"] == "validation"
+
+
+def test_outcomes_match_detector_labels_exactly(tmp_path, capsys):
+    blob = serialization.scenario_to_dict(scenarios.ghz())
+    for det, label in zip(blob["detectors"], ("a", "A", "C")):
+        det["label"] = label
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(blob))
+    code, out, _ = run_cli(capsys, "run", "--scenario", str(path),
+                           "--outcomes", "a=+,A=-,C=-", "--json")
+    assert code == 0
+    assert json.loads(out)["outcomes"] == ["+", "-", "-"]
+    for outcomes in ("a=+,A=-,c=-", "a=+,A=-,C=-,D=+"):
+        code, out, err = run_cli(capsys, "run", "--scenario", str(path), "--outcomes", outcomes)
+        assert (code, out) == (1, "")
+        assert err.startswith("error (validation): --outcomes names no detector")

@@ -20,8 +20,8 @@ def test_region_of_point_between_the_cones():
     s = copies_scenario()
     # deep past, below both detector cones
     r = hk.hk_region_of(Event(-2.0, (0.0,)), s, ("A", "B"))
-    assert r.side("A") is SurfaceSide.PAST
-    assert r.side("B") is SurfaceSide.PAST
+    assert dict(r.sides)["A"] is SurfaceSide.PAST
+    assert dict(r.sides)["B"] is SurfaceSide.PAST
     assert r.reduced == ()
 
 
@@ -30,8 +30,8 @@ def test_region_above_one_cone_only():
     # just below B's apex: already above A's backward light cone (which
     # extends outward to spacelike-separated points) but below B's
     r = hk.hk_region_of(Event(2.9, (4.0,)), s, ("A", "B"))
-    assert r.side("A") is SurfaceSide.FUTURE
-    assert r.side("B") is SurfaceSide.PAST
+    assert dict(r.sides)["A"] is SurfaceSide.FUTURE
+    assert dict(r.sides)["B"] is SurfaceSide.PAST
     assert r.reduced == ("A",)
 
 
@@ -44,9 +44,8 @@ def test_region_of_on_cone_point_is_ambiguous():
 def test_region_helpers():
     r = hk.region_from_sides(A="past", B="future")
     assert r.reduced == ("B",)
-    assert r.side("B") is SurfaceSide.FUTURE
-    with pytest.raises(ConfigurationError):
-        r.side("C")
+    assert dict(r.sides)["B"] is SurfaceSide.FUTURE
+    assert "C" not in dict(r.sides)
     full = hk.region_from_sides(A="future", B="future")
     assert full.contains_past_of(r)
     assert not r.contains_past_of(full)
