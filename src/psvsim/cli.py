@@ -231,18 +231,13 @@ def cmd_sample(args) -> int:
 
 
 def cmd_compare_hk(args) -> int:
-    axes = _axes(args, ("i", "j", "k"), "compare-hk")
-    result = hellwig_kraus.hk_copy_inconsistency(
-        axes.get("i", X_AXIS), axes.get("j", Z_AXIS), axes.get("k", Z_AXIS)
-    )
+    given = _axes(args, ("i", "j", "k"), "compare-hk")
+    axes = {k: given.get(k, a) for k, a in zip("ijk", (X_AXIS, Z_AXIS, Z_AXIS))}
+    result = hellwig_kraus.hk_copy_inconsistency(*axes.values())
     payload = {
         "hk": result.hk_conditional,
         "psv": result.psv_conditional,
-        "axes": {
-            "i": serialization.axis_to_dict(result.axis_a),
-            "j": serialization.axis_to_dict(result.axis_b),
-            "k": serialization.axis_to_dict(result.copy_basis),
-        },
+        "axes": {key: serialization.axis_to_dict(a) for key, a in axes.items()},
     }
     _emit(args, json.dumps(payload, indent=2) + "\n")
     return 0
@@ -311,26 +306,31 @@ _COMMANDS = {
 }
 
 
-def _report(args, kind: str, exc: Exception) -> None:
-    if args is not None and getattr(args, "json", False):
+def _report(args, argv: list[str], kind: str, exc: Exception) -> None:
+    """Write the error to stderr, as JSON under ``--json``.  An argument
+    error leaves no ``args``, so then ``argv`` decides; ``compare-hk``
+    errors are always JSON."""
+    as_json = args.json if args is not None else "--json" in argv or argv[:1] == ["compare-hk"]
+    if as_json:
         sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
     else:
         sys.stderr.write(f"error ({kind}): {exc}\n")
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = None
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except ConfigurationError as exc:
-        _report(args, "validation", exc)
+        _report(args, argv, "validation", exc)
         return 1
     except PhysicsError as exc:
-        _report(args, "physics", exc)
+        _report(args, argv, "physics", exc)
         return 2
     except OSError as exc:
-        _report(args, "io", exc)
+        _report(args, argv, "io", exc)
         return 3
 
 

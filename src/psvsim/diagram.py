@@ -16,6 +16,7 @@ from .errors import ConfigurationError
 from .geometry import Lcsh, surface_times
 
 WIDTH, HEIGHT, MARGIN = 640, 480, 48
+COLUMNS, ROWS = 71, 25  # the ASCII grid
 SURFACE_SAMPLES = 201
 
 _SURFACE_COLORS = ("#c0392b", "#2471a3", "#1e8449", "#9a7d0a", "#6c3483", "#566573")
@@ -159,7 +160,7 @@ def render_svg(source: RunRecord | Scenario) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_ascii(source: RunRecord | Scenario, columns: int = 71, rows: int = 25) -> str:
+def render_ascii(source: RunRecord | Scenario) -> str:
     """Coarse character-grid rendering of the same content."""
     scenario = source.scenario if isinstance(source, RunRecord) else source
     if scenario.dim != 1:
@@ -167,17 +168,17 @@ def render_ascii(source: RunRecord | Scenario, columns: int = 71, rows: int = 25
             f"diagrams are only drawn for 1 spatial dimension, scenario has {scenario.dim}"
         )
     (x0, x1), (t0, t1) = _bounds(scenario)
-    grid = [[" "] * columns for _ in range(rows)]
+    grid = [[" "] * COLUMNS for _ in range(ROWS)]
 
     def put(x: float, t: float, ch: str):
-        col = int(round((x - x0) / (x1 - x0) * (columns - 1)))
-        row = int(round((t1 - t) / (t1 - t0) * (rows - 1)))
-        if 0 <= row < rows and 0 <= col < columns:
+        col = int(round((x - x0) / (x1 - x0) * (COLUMNS - 1)))
+        row = int(round((t1 - t) / (t1 - t0) * (ROWS - 1)))
+        if 0 <= row < ROWS and 0 <= col < COLUMNS:
             grid[row][col] = ch
 
     steps = source.steps if isinstance(source, RunRecord) else ()
     for step in steps:
-        xs = np.linspace(x0, x1, columns)
+        xs = np.linspace(x0, x1, COLUMNS)
         ts = surface_times(step.surface_after, xs.reshape(-1, 1))
         for x, t in zip(xs, ts):
             if t0 <= t <= t1:

@@ -34,6 +34,7 @@ EPS_CERT = 1e-9
 
 MAX_DETECTORS_FOR_ENUMERATION = 8
 MAX_BRANCHES = 10**6
+MAX_SAMPLES = 10**9
 
 #: ``sample`` draws its uniforms in chunks of this many, so its memory does
 #: not grow with the number of samples.
@@ -51,11 +52,11 @@ class InteractionEvent:
     gate: dict | None = None  # structured description for serialization
 
     def __post_init__(self):
-        u = np.asarray(self.unitary, dtype=complex)
-        n = u.shape[0]
-        if u.shape != (n, n) or np.abs(u @ u.conj().T - np.eye(n)).max() > hilbert.EPS_OP:
+        u = np.array(self.unitary, dtype=complex)
+        if not np.isfinite(u).all():
+            raise ConfigurationError(f"interaction {self.name!r} has a non-finite unitary entry")
+        if not hilbert.is_unitary(u):
             raise ConfigurationError(f"interaction {self.name!r} is not unitary")
-        u = np.array(u)
         u.flags.writeable = False
         object.__setattr__(self, "unitary", u)
 
@@ -65,9 +66,11 @@ class DetectorEvent:
     """A local detector: an outcome set on the measured subsystems plus a
     pointer register.  ``pointers`` maps each outcome position to the
     register basis index recording it; index 0 is the ready state, reused
-    by null ("nothing happened") outcomes.  Absorbing detectors digest the
-    measured subsystems, resetting them to their 0 basis state, so each of
-    their projectors must fix one basis configuration (rank 1, diagonal)."""
+    by null ("nothing happened") outcomes.  Labels are strings, the
+    detector's non-empty; pointers are integers >= 0 and projector entries
+    finite.  Absorbing detectors digest the measured subsystems, resetting
+    them to their 0 basis state, so each of their projectors must fix one
+    basis configuration (rank 1, diagonal)."""
 
     label: str
     at: Event
@@ -77,6 +80,13 @@ class DetectorEvent:
     pointers: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if not (isinstance(self.label, str) and self.label):
+            raise ConfigurationError(f"detector label must be a non-empty string, got {self.label!r}")
+        for outcome, p in self.outcomes.outcomes:
+            if not np.isfinite(p).all():
+                raise ConfigurationError(
+                    f"detector {self.label!r} projector {outcome!r} has a non-finite entry"
+                )
         if self.register in self.outcomes.targets:
             raise ConfigurationError(
                 f"detector {self.label!r} register must be distinct from its targets"
@@ -89,6 +99,11 @@ class DetectorEvent:
             raise ConfigurationError(
                 f"detector {self.label!r} has {len(self.pointers)} pointers for "
                 f"{len(self.outcomes.outcomes)} outcomes"
+            )
+        if not all(isinstance(p, int) and not isinstance(p, bool) and p >= 0
+                   for p in self.pointers):
+            raise ConfigurationError(
+                f"detector {self.label!r} pointers must be integers >= 0, got {self.pointers}"
             )
         for outcome, p in self.outcomes.outcomes if self.absorbing else ():
             diag = np.diag(p).real
@@ -165,13 +180,16 @@ class BranchState:
 class Scenario:
     dim: int
     c: float
-    subsystems: tuple[hilbert.SubsystemSpec, ...]
     initial_state: StateVector
     initial_t0: float  # -inf allowed
     interactions: tuple[InteractionEvent, ...]
     detectors: tuple[DetectorEvent, ...]
     charged_modes: tuple[str, ...] = ()
     worldlines: tuple[tuple[str, tuple[Event, ...]], ...] = ()  # diagram rendering only
+
+    @property
+    def subsystems(self) -> tuple[SubsystemSpec, ...]:
+        return self.initial_state.subsystems
 
     def initial_surface(self) -> Lcsh:
         return Lcsh(t0=self.initial_t0, apexes=(), c=self.c)
@@ -209,44 +227,29 @@ class Scenario:
 
 
 def _check_finite(s: Scenario) -> None:
-    """Reject NaN and infinities in numeric input, which slip through
-    tolerance checks such as ``abs(x - 1) > EPS`` (False for NaN).  Only
-    the initial floor may be -inf."""
+    """Reject NaN and infinities in the scenario's own numbers, which slip
+    through tolerance checks such as ``abs(x - 1) > EPS`` (False for NaN).
+    Only the initial floor may be -inf.  Events, unitaries and projectors
+    are checked when they are built."""
     geometry.check_speed_of_light(s.c)
     if not (math.isfinite(s.initial_t0) or s.initial_t0 == geometry.MINUS_INFINITY):
         raise ConfigurationError(f"initial surface t0 must be finite or -inf, got {s.initial_t0}")
-    points = s.events + tuple(p for _, line in s.worldlines for p in line)
-    for ev in points:
-        if not all(map(math.isfinite, (ev.t,) + ev.x)):
-            raise ConfigurationError(f"event {ev} has a non-finite coordinate")
     if not np.isfinite(s.initial_state.amplitudes).all():
         raise ConfigurationError("initial state has a non-finite amplitude")
-    for ev in s.interactions:
-        if not np.isfinite(ev.unitary).all():
-            raise ConfigurationError(f"interaction {ev.name!r} has a non-finite unitary entry")
-    for d in s.detectors:
-        for label, p in d.outcomes.outcomes:
-            if not np.isfinite(p).all():
-                raise ConfigurationError(
-                    f"detector {d.label!r} projector {label!r} has a non-finite entry"
-                )
 
 
 def validate_scenario(s: Scenario) -> None:
     _check_finite(s)
-    labels = {sub.label for sub in s.subsystems}
-    if s.initial_state.labels != tuple(sub.label for sub in s.subsystems):
-        raise ConfigurationError("initial state subsystems do not match scenario subsystems")
     surface = s.initial_surface()
     for ev in s.events:
         if ev.dim != s.dim:
             raise ConfigurationError(f"event {ev} has dimension {ev.dim}, expected {s.dim}")
         if geometry.event_side_of_surface(ev, surface) is not SurfaceSide.FUTURE:
             raise ConfigurationError(f"event {ev} is not in the future of the initial surface")
-    kinds = {sub.label: sub.kind for sub in s.initial_state.subsystems}
+    kinds = {sub.label: sub.kind for sub in s.subsystems}
     for ev in s.interactions:
         for t in ev.targets:
-            if t not in labels:
+            if t not in kinds:
                 raise ConfigurationError(f"interaction {ev.name!r} targets unknown subsystem {t!r}")
             if kinds[t] is SubsystemKind.REGISTER:
                 raise ConfigurationError(f"interaction {ev.name!r} targets register {t!r}")
@@ -256,7 +259,7 @@ def validate_scenario(s: Scenario) -> None:
             raise ConfigurationError(f"duplicate detector label {d.label!r}")
         seen.add(d.label)
         for t in d.outcomes.targets + (d.register,):
-            if t not in labels:
+            if t not in kinds:
                 raise ConfigurationError(f"detector {d.label!r} references unknown subsystem {t!r}")
         for t in d.outcomes.targets:
             if kinds[t] is SubsystemKind.REGISTER:
@@ -546,7 +549,8 @@ class EmpiricalDistribution:
 
 
 def sample(s: Scenario, order: tuple[str, ...], n: int, seed: int = 0) -> EmpiricalDistribution:
-    """n independent sampled runs: the exact leaves, then one draw.
+    """n independent sampled runs, 1 <= n <= ``MAX_SAMPLES``: the exact
+    leaves, then one draw.
 
     The branch tree is expanded once by ``joint_distribution``.  Run i
     takes the i-th uniform of the single stream ``default_rng(seed)`` and
@@ -559,6 +563,8 @@ def sample(s: Scenario, order: tuple[str, ...], n: int, seed: int = 0) -> Empiri
     """
     if n < 1:
         raise ConfigurationError(f"sample count must be >= 1, got {n}")
+    if n > MAX_SAMPLES:
+        raise ConfigurationError(f"{n} samples exceed limit {MAX_SAMPLES}")
     rng = np.random.default_rng(_checked_seed(seed))
     dist = joint_distribution(s, order)
     keys = list(dist.probabilities)

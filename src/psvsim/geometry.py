@@ -47,7 +47,8 @@ class SurfaceSide(Enum):
 
 @dataclass(frozen=True)
 class Event:
-    """A spacetime point (t, x) in d spatial dimensions, d in {1, 2, 3}."""
+    """A spacetime point (t, x) in d spatial dimensions, d in {1, 2, 3},
+    with finite coordinates."""
 
     t: float
     x: tuple[float, ...]
@@ -59,6 +60,8 @@ class Event:
             raise ConfigurationError(
                 f"spatial dimension must be 1, 2 or 3, got {len(self.x)}"
             )
+        if not all(map(math.isfinite, (self.t,) + self.x)):
+            raise ConfigurationError(f"event {self} has a non-finite coordinate")
 
     @property
     def dim(self) -> int:

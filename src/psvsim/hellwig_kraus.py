@@ -127,16 +127,12 @@ def hk_state(
 class HkComparison:
     hk_conditional: float
     psv_conditional: float
-    axis_a: Axis
-    axis_b: Axis
-    copy_basis: Axis
 
 
 def hk_copy_inconsistency(
     axis_a: Axis,
     axis_b: Axis,
     copy_basis: Axis = hilbert.Z_AXIS,
-    scenario: Scenario | None = None,
 ) -> HkComparison:
     """Reproduce the inconsistency demonstration on the singlet with
     copies: given A measured + along its axis and B measured + along its
@@ -147,11 +143,7 @@ def hk_copy_inconsistency(
     HK forwards basis-matched duplicates of the regional states, forcing
     this probability to 1.  The engine's value is in general below 1.
     """
-    if scenario is None:
-        scenario = scenarios.singlet(
-            axis_a, axis_b, with_copies=True, copy_basis=copy_basis,
-            final_axes=(axis_b, axis_a),
-        )
+    scenario = scenarios.singlet(axis_a, axis_b, with_copies=True, copy_basis=copy_basis)
     outcomes = {"A": "+", "B": "+"}
 
     region2 = region_from_sides(A="past", B="future")
@@ -160,8 +152,8 @@ def hk_copy_inconsistency(
     st3 = hk_state(scenario, outcomes, region3)
     c1 = _pure_spinor(st2, "c1")
     c2 = _pure_spinor(st3, "c2")
-    p1 = abs(hilbert.overlap(hilbert.axis_eigenstate(axis_b, -1), c1)) ** 2
-    p2 = abs(hilbert.overlap(hilbert.axis_eigenstate(axis_a, -1), c2)) ** 2
+    p1 = abs(np.vdot(hilbert.axis_eigenstate(axis_b, -1), c1)) ** 2
+    p2 = abs(np.vdot(hilbert.axis_eigenstate(axis_a, -1), c2)) ** 2
     hk = p1 * p2
 
     dist = joint_distribution(scenario, ("A", "B", "C"))
@@ -173,4 +165,4 @@ def hk_copy_inconsistency(
             "outcomes A=+ and B=+ have zero joint probability for these axes"
         )
     psv = dist.probability(("+", "+", "--")) / denominator
-    return HkComparison(hk, psv, axis_a, axis_b, copy_basis)
+    return HkComparison(hk, psv)

@@ -114,12 +114,7 @@ def basis_state(subsystems: tuple[SubsystemSpec, ...], indices: dict[str, int] |
 
 def tensor(*states: StateVector) -> StateVector:
     """Kronecker product in subsystem order; labels must be disjoint."""
-    subsystems: tuple[SubsystemSpec, ...] = ()
-    for st in states:
-        overlap_labels = set(s.label for s in subsystems) & set(st.labels)
-        if overlap_labels:
-            raise ConfigurationError(f"duplicate labels in tensor: {sorted(overlap_labels)}")
-        subsystems += st.subsystems
+    subsystems = tuple(sub for st in states for sub in st.subsystems)
     amps = reduce(np.kron, (st.amplitudes for st in states))
     return StateVector(subsystems, amps)
 
@@ -165,10 +160,16 @@ def _apply_matrix(state: StateVector, matrix: np.ndarray, labels: tuple[str, ...
     return state.with_amplitudes(psi)
 
 
+def is_unitary(u: np.ndarray) -> bool:
+    """Whether ``u`` is square with u u^dagger = 1 within EPS_OP.  Written
+    so that a NaN entry gives False: every comparison with NaN is False."""
+    n = u.shape[0]
+    return u.shape == (n, n) and bool(np.abs(u @ u.conj().T - np.eye(n)).max() <= EPS_OP)
+
+
 def apply_unitary(state: StateVector, matrix: np.ndarray, labels: tuple[str, ...]) -> StateVector:
     matrix = np.asarray(matrix, dtype=complex)
-    n = matrix.shape[0]
-    if matrix.shape != (n, n) or np.abs(matrix @ matrix.conj().T - np.eye(n)).max() > EPS_OP:
+    if not is_unitary(matrix):
         raise ConfigurationError(f"matrix on {labels} is not unitary within {EPS_OP}")
     return _apply_matrix(state, matrix, tuple(labels))
 
@@ -224,10 +225,6 @@ def spin_projector(axis: Axis, sign: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
-    return complex(np.vdot(bra, ket))
-
-
 # --- measurement -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -240,6 +237,8 @@ class OutcomeSet:
 
     def __post_init__(self):
         labels = [l for l, _ in self.outcomes]
+        if not all(isinstance(l, str) for l in labels):
+            raise ConfigurationError(f"outcome labels must be strings, got {labels}")
         if len(set(labels)) != len(labels):
             raise ConfigurationError(f"duplicate outcome labels {labels}")
         projs = [np.asarray(p, dtype=complex) for _, p in self.outcomes]

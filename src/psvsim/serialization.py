@@ -192,15 +192,19 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    """Build and validate a scenario.  A missing or ill-typed field raises
-    ConfigurationError, as every failed validation does."""
+    """Build and validate a scenario.  The top-level ``"subsystems"`` must
+    equal the initial state's in label, dim and kind.  A missing or
+    ill-typed field raises ConfigurationError, as every failed validation
+    does."""
     try:
         t0 = d.get("initial_surface", {}).get("t0", MINUS_INFINITY_TOKEN)
+        initial = state_from_dict(d["initial_state"])
+        if tuple(subsystem_from_dict(s) for s in d["subsystems"]) != initial.subsystems:
+            raise ConfigurationError("initial state subsystems do not match scenario subsystems")
         scenario = Scenario(
             dim=d["dim"],
             c=d.get("c", 1.0),
-            subsystems=tuple(subsystem_from_dict(s) for s in d["subsystems"]),
-            initial_state=state_from_dict(d["initial_state"]),
+            initial_state=initial,
             initial_t0=-math.inf if t0 == MINUS_INFINITY_TOKEN else float(t0),
             interactions=tuple(interaction_from_dict(ev) for ev in d.get("interactions", [])),
             detectors=tuple(detector_from_dict(det) for det in d["detectors"]),

@@ -6,7 +6,7 @@ from copy import deepcopy
 import numpy as np
 import pytest
 
-from psvsim import scenarios, serialization
+from psvsim import engine, scenarios, serialization
 from psvsim.cli import main, parse_axis
 from psvsim.errors import ConfigurationError
 
@@ -180,6 +180,18 @@ def _malformed_scenarios():
     amplitude_cases["not-a-list"]["initial_state"]["amplitudes"] = {"re": 1.0, "im": 0.0}
     amplitude_cases["empty-list"] = deepcopy(ghz)
     amplitude_cases["empty-list"]["initial_state"]["amplitudes"] = []
+    pointers = {case: deepcopy(ghz) for case in ("negative", "fractional")}
+    pointers["negative"]["detectors"][0]["projectors"][1]["pointer"] = -1
+    pointers["fractional"]["detectors"][0]["projectors"][1]["pointer"] = 1.5
+    detector_labels = {case: deepcopy(ghz) for case in ("not-a-string", "empty")}
+    detector_labels["not-a-string"]["detectors"][0]["label"] = 5
+    detector_labels["empty"]["detectors"][0]["label"] = ""
+    int_outcome_label = deepcopy(ghz)
+    int_outcome_label["detectors"][0]["projectors"][0]["label"] = 7
+    # the top-level list disagrees with the initial state's on RA's dim or a's kind
+    mismatched = {case: deepcopy(ghz) for case in ("dim", "kind")}
+    mismatched["dim"]["subsystems"][3]["dim"] = 10**6
+    mismatched["kind"]["subsystems"][0]["kind"] = "mode"
     malformed = "malformed scenario"
     return {"missing-keys": ({"dim": 1}, malformed),
             "axis-without-targets": (no_targets, malformed),
@@ -198,7 +210,15 @@ def _malformed_scenarios():
             **{f"{case}-3-element-entries": (
                 blob, "malformed scenario: ValueError: complex entries must be [re, im] pairs")
                for case, blob in triples.items()},
-            **{f"amplitudes-{case}": (blob, malformed) for case, blob in amplitude_cases.items()}}
+            **{f"amplitudes-{case}": (blob, malformed) for case, blob in amplitude_cases.items()},
+            **{f"pointer-{case}": (blob, "detector 'A' pointers must be integers >= 0")
+               for case, blob in pointers.items()},
+            **{f"detector-label-{case}": (blob, "detector label must be a non-empty string")
+               for case, blob in detector_labels.items()},
+            "outcome-label-not-a-string": (int_outcome_label, "outcome labels must be strings"),
+            **{f"subsystem-{case}-mismatch": (
+                blob, "initial state subsystems do not match scenario subsystems")
+               for case, blob in mismatched.items()}}
 
 
 @pytest.mark.parametrize("name", sorted(_malformed_scenarios()))
@@ -206,8 +226,8 @@ def test_malformed_scenario_file_is_a_validation_error(name, tmp_path, capsys):
     scenario, message = _malformed_scenarios()[name]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(scenario))
-    code, _, err = run_cli(capsys, "dist", "--scenario", str(path), "--json")
-    assert code == 1
+    code, out, err = run_cli(capsys, "dist", "--scenario", str(path), "--json")
+    assert (code, out) == (1, "")
     blob = json.loads(err)
     assert blob["error"] == "validation"
     assert blob["message"].startswith(message)
@@ -299,6 +319,26 @@ def test_an_option_nothing_reads_is_a_validation_error(argv, ghz_file, capsys):
     assert (code, out) == (1, "")
     # compare-hk reports its own errors as JSON; argument errors are text
     assert err.startswith("error (validation): ") or json.loads(err)["error"] == "validation"
+
+
+def test_argument_errors_are_json_with_json(capsys):
+    argv = ("dist", "--scenario", "ghz", "--seed", "1")
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "validation",
+                               "message": "unrecognized arguments: --seed 1"}
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "error (validation): unrecognized arguments: --seed 1\n")
+    code, out, err = run_cli(capsys, "compare-hk", "--axes")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "validation"
+
+
+def test_sample_count_above_the_limit_is_a_validation_error(capsys):
+    n = engine.MAX_SAMPLES + 1
+    code, out, err = run_cli(capsys, "sample", "--scenario", "ghz", "--samples", str(n))
+    assert (code, out) == (1, "")
+    assert err == f"error (validation): {n} samples exceed limit {engine.MAX_SAMPLES}\n"
 
 
 def test_outcomes_match_detector_labels_exactly(tmp_path, capsys):

@@ -44,7 +44,7 @@ def test_svg_rejects_higher_dimensions():
     spin = SubsystemSpec("s", 2, SubsystemKind.SPIN)
     reg = SubsystemSpec("R", 2, SubsystemKind.REGISTER)
     s = Scenario(
-        dim=2, c=1.0, subsystems=(spin, reg),
+        dim=2, c=1.0,
         initial_state=hilbert.basis_state((spin, reg)),
         initial_t0=-math.inf, interactions=(),
         detectors=(DetectorEvent("A", Event(1.0, (0.0, 0.0)),

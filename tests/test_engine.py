@@ -49,7 +49,7 @@ def two_detector_scenario(event_a, event_b):
     initial = hilbert.tensor(scenarios.singlet_state(spins),
                              hilbert.basis_state(regs))
     s = Scenario(
-        dim=1, c=1.0, subsystems=spins + regs, initial_state=initial,
+        dim=1, c=1.0, initial_state=initial,
         initial_t0=-math.inf, interactions=(),
         detectors=(
             DetectorEvent("A", event_a, hilbert.spin_outcome_set("a", Z_AXIS), "RA"),
@@ -69,7 +69,7 @@ def ghz_n(axes):
     amps = np.zeros(2 ** n, dtype=complex)
     amps[0], amps[-1] = 1 / math.sqrt(2.0), -1 / math.sqrt(2.0)
     s = Scenario(
-        dim=1, c=1.0, subsystems=spins + regs,
+        dim=1, c=1.0,
         initial_state=hilbert.tensor(StateVector(spins, amps), hilbert.basis_state(regs)),
         initial_t0=-math.inf, interactions=(),
         detectors=tuple(
@@ -97,6 +97,26 @@ def test_detector_event_validation():
     d = DetectorEvent("A", Event(0, (0,)), outcomes, "RA")
     assert d.pointers == (1, 2)
     assert d.pointer_for("-") == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_events_reject_non_finite_values_when_built(bad):
+    with pytest.raises(ConfigurationError, match="has a non-finite coordinate"):
+        Event(bad, (0.0,))
+    with pytest.raises(ConfigurationError, match="has a non-finite coordinate"):
+        Event(1.0, (0.0, bad))
+    u = np.eye(2, dtype=complex)
+    u[0, 1] = bad
+    with pytest.raises(ConfigurationError, match="interaction 'k' has a non-finite unitary entry"):
+        InteractionEvent("k", Event(1.0, (0.0,)), ("a",), u)
+    # an outcome set holding a non-finite projector, past its own checks
+    outcomes = hilbert.spin_outcome_set("a", Z_AXIS)
+    p = np.array(outcomes.projector("-"))
+    p[1, 1] = bad
+    object.__setattr__(outcomes, "outcomes", (outcomes.outcomes[0], ("-", p)))
+    with pytest.raises(ConfigurationError,
+                       match="detector 'A' projector '-' has a non-finite entry"):
+        DetectorEvent("A", Event(1.0, (0.0,)), outcomes, "RA")
 
 
 def test_validate_scenario_errors():

@@ -7,7 +7,6 @@ from _oracles import singlet_joint, ghz_joint
 from psvsim import hilbert, scenarios
 from psvsim.engine import enumerate_valid_orders, joint_distribution, run
 from psvsim.errors import ConfigurationError
-from psvsim.geometry import Event
 from psvsim.hilbert import Axis, X_AXIS, Y_AXIS, Z_AXIS, states_close
 from psvsim.scenarios import (
     ghz,
@@ -68,10 +67,10 @@ def test_split_particle_rejects_bad_amplitudes():
 
 
 def test_split_particle_rejects_bad_layout():
-    with pytest.raises(ConfigurationError):  # C timelike to A and B
-        split_particle(geometry_events={"C": Event(20.0, (0.0,))})
-    with pytest.raises(ConfigurationError):  # AA1 after its detector
-        split_particle(geometry_events={"AA1": Event(5.0, (-4.0,))})
+    with pytest.raises(ConfigurationError, match=r"detectors \('A', 'C'\) must be spacelike"):
+        split_particle(c=5.0)  # C timelike to A
+    with pytest.raises(ConfigurationError, match="AA1 must precede detector A"):
+        split_particle(c=0.5)  # AA1 after A's cone
 
 
 def test_split_particle_charge_modes():
@@ -91,8 +90,9 @@ def test_singlet_distribution_matches_oracle():
 
 
 def test_singlet_requires_spacelike_detectors():
-    with pytest.raises(ConfigurationError):
-        singlet(Z_AXIS, X_AXIS, geometry_events={"B": Event(30.0, (4.0,))})
+    # at c = 1e10, A and B are lightlike within EPS_GEOM
+    with pytest.raises(ConfigurationError, match="detectors A and B must be spacelike"):
+        singlet(Z_AXIS, X_AXIS, c=1e10)
 
 
 def test_singlet_with_copies_structure():
@@ -105,10 +105,11 @@ def test_singlet_with_copies_structure():
 
 
 def test_singlet_with_copies_rejects_on_cone_devices():
-    # a copy device exactly on its detector's cone is ambiguous
-    with pytest.raises(ConfigurationError):
-        singlet(Z_AXIS, X_AXIS, with_copies=True,
-                geometry_events={"AA1": Event(1.0, (-2.0,))})
+    # at c = 2/2.2, AA1 lies exactly on A's cone, which is ambiguous; at
+    # c = 0.5 it lies outside
+    for c in (2.0 / 2.2, 0.5):
+        with pytest.raises(ConfigurationError, match="AA1 must lie strictly inside A's"):
+            singlet(Z_AXIS, X_AXIS, with_copies=True, c=c)
 
 
 def test_ghz_distribution_matches_oracle():
@@ -130,8 +131,9 @@ def test_ghz_product_rule():
 
 
 def test_ghz_rejects_timelike_detectors():
-    with pytest.raises(ConfigurationError):
-        ghz(geometry_events={"B": Event(30.0, (0.0,))})
+    # at c = 1e10, the detectors are lightlike within EPS_GEOM
+    with pytest.raises(ConfigurationError, match=r"detectors \('A', 'B'\) must be spacelike"):
+        ghz(c=1e10)
 
 
 def test_custom_speed_of_light():

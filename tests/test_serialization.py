@@ -104,7 +104,7 @@ def test_dense_ghz5_file_amplitudes_match_the_nested_conversion(tmp_path):
     core = rng.normal(size=32) + 1j * rng.normal(size=32)
     core[::3] = -0.0
     s = Scenario(
-        dim=1, c=1.0, subsystems=spins + regs,
+        dim=1, c=1.0,
         initial_state=hilbert.tensor(StateVector(spins, core / np.linalg.norm(core)),
                                      hilbert.basis_state(regs)),
         initial_t0=-math.inf, interactions=(),
