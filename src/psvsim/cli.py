@@ -19,6 +19,9 @@ from .hilbert import Axis, X_AXIS, Y_AXIS, Z_AXIS
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # subparsers are _Parsers too
+        super().__init__(*args, allow_abbrev=False, **kwargs)  # no option prefixes
+
     def error(self, message):
         raise ConfigurationError(message)
 

@@ -67,10 +67,10 @@ class DetectorEvent:
     pointer register.  ``pointers`` maps each outcome position to the
     register basis index recording it; index 0 is the ready state, reused
     by null ("nothing happened") outcomes.  Labels are strings, the
-    detector's non-empty; pointers are integers >= 0 and projector entries
-    finite.  Absorbing detectors digest the measured subsystems, resetting
-    them to their 0 basis state, so each of their projectors must fix one
-    basis configuration (rank 1, diagonal)."""
+    detector's non-empty, and pointers are integers >= 0.  Absorbing
+    detectors digest the measured subsystems, resetting them to their 0
+    basis state, so each of their projectors must fix one basis
+    configuration (rank 1, diagonal)."""
 
     label: str
     at: Event
@@ -82,11 +82,6 @@ class DetectorEvent:
     def __post_init__(self):
         if not (isinstance(self.label, str) and self.label):
             raise ConfigurationError(f"detector label must be a non-empty string, got {self.label!r}")
-        for outcome, p in self.outcomes.outcomes:
-            if not np.isfinite(p).all():
-                raise ConfigurationError(
-                    f"detector {self.label!r} projector {outcome!r} has a non-finite entry"
-                )
         if self.register in self.outcomes.targets:
             raise ConfigurationError(
                 f"detector {self.label!r} register must be distinct from its targets"
@@ -127,7 +122,8 @@ class BranchState:
     Exact because registers never entangle: only a detector's pointer
     shift (a basis permutation) acts on them, which ``validate_scenario``
     enforces.  ``materialize`` rebuilds the full tensor in the order of
-    ``subsystems`` with the core's phase.
+    ``subsystems`` with the core's phase; that dense form exists only in
+    scenario files and in observed states.
     """
 
     subsystems: tuple[SubsystemSpec, ...]
@@ -178,26 +174,28 @@ class BranchState:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A scenario, valid once built: ``__post_init__`` runs
+    ``validate_scenario``.  ``initial`` is the factored state the engine
+    starts every branch from."""
+
     dim: int
     c: float
-    initial_state: StateVector
+    initial: BranchState
     initial_t0: float  # -inf allowed
     interactions: tuple[InteractionEvent, ...]
     detectors: tuple[DetectorEvent, ...]
     charged_modes: tuple[str, ...] = ()
     worldlines: tuple[tuple[str, tuple[Event, ...]], ...] = ()  # diagram rendering only
 
+    def __post_init__(self):
+        validate_scenario(self)
+
     @property
     def subsystems(self) -> tuple[SubsystemSpec, ...]:
-        return self.initial_state.subsystems
+        return self.initial.subsystems
 
     def initial_surface(self) -> Lcsh:
         return Lcsh(t0=self.initial_t0, apexes=(), c=self.c)
-
-    @cached_property
-    def initial_branch(self) -> BranchState:
-        """The initial state with its registers split off, built once."""
-        return BranchState.split(self.initial_state)
 
     def detector(self, label: str) -> DetectorEvent:
         for d in self.detectors:
@@ -234,8 +232,27 @@ def _check_finite(s: Scenario) -> None:
     geometry.check_speed_of_light(s.c)
     if not (math.isfinite(s.initial_t0) or s.initial_t0 == geometry.MINUS_INFINITY):
         raise ConfigurationError(f"initial surface t0 must be finite or -inf, got {s.initial_t0}")
-    if not np.isfinite(s.initial_state.amplitudes).all():
+    if not np.isfinite(s.initial.core.amplitudes).all():
         raise ConfigurationError("initial state has a non-finite amplitude")
+
+
+def _check_factors(state: BranchState) -> None:
+    """What ``BranchState.split`` guarantees, checked for a state built by
+    hand: the core spans the non-register subsystems in order, and each
+    register is one basis state of its own subsystem."""
+    core = tuple(sub for sub in state.subsystems if sub.kind is not SubsystemKind.REGISTER)
+    if state.core.subsystems != core:
+        raise ConfigurationError(f"initial core spans {state.core.labels}, not the "
+                                 f"non-register subsystems {tuple(sub.label for sub in core)}")
+    registers = {sub.label: sub for sub in state.subsystems if sub.kind is SubsystemKind.REGISTER}
+    if state.registers.keys() != registers.keys():
+        raise ConfigurationError(f"initial register factors {sorted(state.registers)} are not "
+                                 f"the registers {sorted(registers)}")
+    for label, factor in state.registers.items():
+        nonzero = np.flatnonzero(factor.amplitudes)
+        if (factor.subsystems != (registers[label],) or len(nonzero) != 1
+                or factor.amplitudes[nonzero[0]] != 1):
+            raise ConfigurationError(f"register {label!r} is not in a single basis state")
 
 
 def validate_scenario(s: Scenario) -> None:
@@ -246,12 +263,15 @@ def validate_scenario(s: Scenario) -> None:
             raise ConfigurationError(f"event {ev} has dimension {ev.dim}, expected {s.dim}")
         if geometry.event_side_of_surface(ev, surface) is not SurfaceSide.FUTURE:
             raise ConfigurationError(f"event {ev} is not in the future of the initial surface")
-    kinds = {sub.label: sub.kind for sub in s.subsystems}
+    specs = {sub.label: sub for sub in s.subsystems}
+    if len(specs) != len(s.subsystems):
+        raise ConfigurationError(f"duplicate subsystem labels in {[sub.label for sub in s.subsystems]}")
+    _check_factors(s.initial)
     for ev in s.interactions:
         for t in ev.targets:
-            if t not in kinds:
+            if t not in specs:
                 raise ConfigurationError(f"interaction {ev.name!r} targets unknown subsystem {t!r}")
-            if kinds[t] is SubsystemKind.REGISTER:
+            if specs[t].kind is SubsystemKind.REGISTER:
                 raise ConfigurationError(f"interaction {ev.name!r} targets register {t!r}")
     seen = set()
     for d in s.detectors:
@@ -259,12 +279,12 @@ def validate_scenario(s: Scenario) -> None:
             raise ConfigurationError(f"duplicate detector label {d.label!r}")
         seen.add(d.label)
         for t in d.outcomes.targets + (d.register,):
-            if t not in kinds:
+            if t not in specs:
                 raise ConfigurationError(f"detector {d.label!r} references unknown subsystem {t!r}")
         for t in d.outcomes.targets:
-            if kinds[t] is SubsystemKind.REGISTER:
+            if specs[t].kind is SubsystemKind.REGISTER:
                 raise ConfigurationError(f"detector {d.label!r} measures register {t!r}")
-        reg = s.initial_state.spec_of(d.register)
+        reg = specs[d.register]
         if reg.kind is not SubsystemKind.REGISTER:
             raise ConfigurationError(f"detector {d.label!r} register {d.register!r} is not a register")
         if max(d.pointers) >= reg.dim:
@@ -272,13 +292,13 @@ def validate_scenario(s: Scenario) -> None:
                 f"detector {d.label!r} pointer {max(d.pointers)} exceeds register dim {reg.dim}"
             )
     for m in s.charged_modes:
-        if s.initial_state.spec_of(m).kind is not SubsystemKind.MODE:
+        if m not in specs:
+            raise ConfigurationError(f"unknown subsystem label {m!r}")
+        if specs[m].kind is not SubsystemKind.MODE:
             raise ConfigurationError(f"charged subsystem {m!r} is not an occupation mode")
-    norm = s.initial_state.norm
+    norm = s.initial.core.norm
     if abs(norm - 1.0) > hilbert.EPS_NORM:
         raise ConfigurationError(f"initial state norm {norm} != 1")
-    # splitting the registers off checks that each starts in a basis state
-    s.initial_branch
 
 
 # --- reduction orders ------------------------------------------------------
@@ -464,7 +484,7 @@ def run(
     rng = np.random.default_rng(_checked_seed(0 if seed is None else seed))
 
     surface = s.initial_surface()
-    state = s.initial_branch
+    state = s.initial
     steps: list[StepRecord] = []
     for k, label in enumerate(order):
         node = step(s, surface, state, label)
@@ -534,7 +554,7 @@ def joint_distribution(s: Scenario, order: tuple[str, ...]) -> JointDistribution
                 descend(node.surface_after, apply_detector(node.state_before, node.detector, label),
                         k + 1, acc_prob * p, chosen + (label,))
 
-    descend(s.initial_surface(), s.initial_branch, 0, 1.0, ())
+    descend(s.initial_surface(), s.initial, 0, 1.0, ())
     return JointDistribution(declared, probs)
 
 
@@ -632,7 +652,7 @@ def state_on_hyperplane(
             )
         reduced[st.detector] = above and not below
 
-    state = s.initial_branch
+    state = s.initial
     applied = {ev.name: ev for ev in s.interactions}
     for st in record.steps:
         for name in st.interactions_applied:

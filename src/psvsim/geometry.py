@@ -93,16 +93,6 @@ def check_speed_of_light(c: float) -> None:
         raise ConfigurationError(f"speed of light must be positive and finite, got {c}")
 
 
-def blc_time(apex: Event, x: tuple[float, ...], c: float = 1.0) -> float:
-    """Time at which the backward light cone of ``apex`` passes over x."""
-    if len(x) != apex.dim:
-        raise ConfigurationError(
-            f"query point dimension {len(x)} != apex dimension {apex.dim}"
-        )
-    r = math.sqrt(sum((a - b) ** 2 for a, b in zip(apex.x, x)))
-    return apex.t - r / c
-
-
 @dataclass(frozen=True)
 class Lcsh:
     """A light-cone spacelike hypersurface: the upper envelope of the
@@ -143,15 +133,16 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def surface_time(s: Lcsh, x: tuple[float, ...]) -> float:
-    """Pointwise height of the envelope at spatial point x (may be -inf)."""
-    t = s.t0
-    for apex in s.apexes:
-        t = max(t, blc_time(apex, x, s.c))
-    return t
+    """Height of the envelope at spatial point x (may be -inf): the
+    one-point case of ``surface_times``.  Raises ``ConfigurationError`` for
+    a point whose dimension is not the apexes'."""
+    if s.apexes and len(x) != s.dim:
+        raise ConfigurationError(f"query point dimension {len(x)} != apex dimension {s.dim}")
+    return float(surface_times(s, x)[0])
 
 
 def surface_times(s: Lcsh, xs: np.ndarray) -> np.ndarray:
-    """Vectorized ``surface_time`` over an (n, d) array of spatial points."""
+    """Envelope heights over an (n, d) array of spatial points."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     t = np.full(xs.shape[0], s.t0)
     if s.apexes:

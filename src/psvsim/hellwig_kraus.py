@@ -101,7 +101,7 @@ def hk_state(
     """Regional state: the initial state reduced by every detector whose
     cone-side is Future (they commute), with the copy interactions lying in
     the region's past applied as basis-matched duplications."""
-    state = s.initial_branch
+    state = s.initial
     for label in s.detector_labels:
         for l, side in region.sides:
             if l == label and side is SurfaceSide.FUTURE:

@@ -85,9 +85,6 @@ class StateVector:
                 return i
         raise ConfigurationError(f"unknown subsystem label {label!r}")
 
-    def spec_of(self, label: str) -> SubsystemSpec:
-        return self.subsystems[self.axis_of(label)]
-
     @property
     def norm(self) -> float:
         return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -230,7 +227,7 @@ def spin_projector(axis: Axis, sign: int) -> np.ndarray:
 @dataclass(frozen=True)
 class OutcomeSet:
     """A complete set of mutually orthogonal projectors on the joint space
-    of the target subsystems, one per outcome label."""
+    of the target subsystems, one per outcome label, with finite entries."""
 
     targets: tuple[str, ...]
     outcomes: tuple[tuple[str, np.ndarray], ...]
@@ -246,6 +243,8 @@ class OutcomeSet:
         for (label, _), p in zip(self.outcomes, projs):
             if p.shape != (d, d):
                 raise ConfigurationError(f"projector {label!r} has shape {p.shape}")
+            if not np.isfinite(p).all():
+                raise ConfigurationError(f"projector {label!r} has a non-finite entry")
             if np.abs(p - p.conj().T).max() > EPS_OP:
                 raise ConfigurationError(f"projector {label!r} is not Hermitian")
             if np.abs(p @ p - p).max() > EPS_OP:

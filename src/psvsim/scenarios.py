@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import geometry, hilbert
-from .engine import DetectorEvent, InteractionEvent, Scenario, validate_scenario
+from .engine import BranchState, DetectorEvent, InteractionEvent, Scenario
 from .errors import ConfigurationError
 from .geometry import Event, Separation, SurfaceSide
 from .hilbert import (
@@ -58,8 +58,11 @@ def _spin(label: str) -> SubsystemSpec:
     return SubsystemSpec(label, 2, SubsystemKind.SPIN)
 
 
-def _register(label: str, dim: int) -> SubsystemSpec:
-    return SubsystemSpec(label, dim, SubsystemKind.REGISTER)
+def _with_registers(core: StateVector, **dims: int) -> BranchState:
+    """``core`` followed by a register of each given dim, at its ready index 0."""
+    registers = tuple(SubsystemSpec(l, d, SubsystemKind.REGISTER) for l, d in dims.items())
+    return BranchState(core.subsystems + registers, core,
+                       {r.label: hilbert.basis_state((r,)) for r in registers})
 
 
 def _require(condition: bool, message: str) -> None:
@@ -130,17 +133,12 @@ def split_particle(
     _require(_in_blc_past(g["AA1"], g["C"], c), "AA1 must lie in the past of C's BLC")
     _require(_in_blc_past(g["AA2"], g["C"], c), "AA2 must lie in the past of C's BLC")
 
-    subsystems = (
-        _mode("a"), _mode("b"), _mode("c1"), _mode("c2"),
-        _register("RA", 2), _register("RB", 2), _register("RC", 4),
-    )
     amps = np.zeros((2, 2, 2, 2), dtype=complex)
     amps[1, 0, 0, 0] = ca
     amps[0, 1, 0, 0] = cb
-    initial = hilbert.tensor(
-        StateVector(subsystems[:4], amps.reshape(-1)),
-        hilbert.basis_state(subsystems[4:]),
-    )
+    initial = _with_registers(
+        StateVector((_mode("a"), _mode("b"), _mode("c1"), _mode("c2")), amps.reshape(-1)),
+        RA=2, RB=2, RC=4)
 
     interactions = (
         InteractionEvent("AA1 copy", g["AA1"], ("a", "c1"), occupation_copy_gate(),
@@ -169,8 +167,8 @@ def split_particle(
         DetectorEvent("C", g["C"], c_outcomes, "RC",
                       absorbing=True, pointers=(0, 1, 2, 3)),
     )
-    scenario = Scenario(
-        dim=1, c=c, initial_state=initial,
+    return Scenario(
+        dim=1, c=c, initial=initial,
         initial_t0=geometry.MINUS_INFINITY,
         interactions=interactions, detectors=detectors,
         charged_modes=("a", "b", "c1", "c2"),
@@ -181,8 +179,6 @@ def split_particle(
             ("c2", (g["AA2"], g["C"])),
         ),
     )
-    validate_scenario(scenario)
-    return scenario
 
 
 def singlet_state(subsystems: tuple[SubsystemSpec, SubsystemSpec], basis: Axis = Z_AXIS) -> StateVector:
@@ -209,9 +205,7 @@ def singlet(
 
     spins = (_spin("a"), _spin("b"))
     if not with_copies:
-        subsystems = spins + (_register("RA", 3), _register("RB", 3))
-        initial = hilbert.tensor(singlet_state(spins, copy_basis),
-                                 hilbert.basis_state(subsystems[2:]))
+        initial = _with_registers(singlet_state(spins, copy_basis), RA=3, RB=3)
         interactions: tuple[InteractionEvent, ...] = ()
         detectors = (
             DetectorEvent("A", g["A"], hilbert.spin_outcome_set("a", axis_a), "RA"),
@@ -228,14 +222,11 @@ def singlet(
         _require(_in_blc_past(g["AA1"], g["C"], c), "AA1 must lie in the past of C's BLC")
         _require(_in_blc_past(g["AA2"], g["C"], c), "AA2 must lie in the past of C's BLC")
         copies = (_spin("c1"), _spin("c2"))
-        subsystems = spins + copies + (_register("RA", 3), _register("RB", 3), _register("RC", 5))
         ready = axis_eigenstate(copy_basis, +1)
-        initial = hilbert.tensor(
-            singlet_state(spins, copy_basis),
-            StateVector((copies[0],), ready),
-            StateVector((copies[1],), ready),
-            hilbert.basis_state(subsystems[4:]),
-        )
+        initial = _with_registers(
+            hilbert.tensor(singlet_state(spins, copy_basis),
+                           StateVector((copies[0],), ready), StateVector((copies[1],), ready)),
+            RA=3, RB=3, RC=5)
         copy_axis_dict = {"theta": copy_basis.theta, "phi": copy_basis.phi}
         interactions = (
             InteractionEvent("AA1 copy", g["AA1"], ("a", "c1"), spin_copy_gate(copy_basis),
@@ -263,14 +254,12 @@ def singlet(
             ("c1", (g["AA1"], g["C"])),
             ("c2", (g["AA2"], g["C"])),
         )
-    scenario = Scenario(
-        dim=1, c=c, initial_state=initial,
+    return Scenario(
+        dim=1, c=c, initial=initial,
         initial_t0=geometry.MINUS_INFINITY,
         interactions=interactions, detectors=detectors,
         worldlines=worldlines,
     )
-    validate_scenario(scenario)
-    return scenario
 
 
 def ghz(
@@ -283,20 +272,18 @@ def ghz(
     g = GHZ_GEOMETRY
     for pair in (("A", "B"), ("A", "C"), ("B", "C")):
         _require(_spacelike(g[pair[0]], g[pair[1]], c), f"detectors {pair} must be spacelike")
-    spins = (_spin("a"), _spin("b"), _spin("c"))
-    subsystems = spins + (_register("RA", 3), _register("RB", 3), _register("RC", 3))
     amps = np.zeros((2, 2, 2), dtype=complex)
     amps[0, 0, 0] = 1 / _SQ2
     amps[1, 1, 1] = -1 / _SQ2
-    initial = hilbert.tensor(StateVector(spins, amps.reshape(-1)),
-                             hilbert.basis_state(subsystems[3:]))
+    initial = _with_registers(StateVector((_spin("a"), _spin("b"), _spin("c")), amps.reshape(-1)),
+                              RA=3, RB=3, RC=3)
     detectors = (
         DetectorEvent("A", g["A"], hilbert.spin_outcome_set("a", axes[0]), "RA"),
         DetectorEvent("B", g["B"], hilbert.spin_outcome_set("b", axes[1]), "RB"),
         DetectorEvent("C", g["C"], hilbert.spin_outcome_set("c", axes[2]), "RC"),
     )
-    scenario = Scenario(
-        dim=1, c=c, initial_state=initial,
+    return Scenario(
+        dim=1, c=c, initial=initial,
         initial_t0=geometry.MINUS_INFINITY,
         interactions=(), detectors=detectors,
         worldlines=(
@@ -305,5 +292,3 @@ def ghz(
             ("c", (g["source"], g["C"])),
         ),
     )
-    validate_scenario(scenario)
-    return scenario

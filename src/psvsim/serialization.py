@@ -15,6 +15,7 @@ import numpy as np
 
 from . import hilbert, scenarios
 from .engine import (
+    BranchState,
     DetectorEvent,
     EmpiricalDistribution,
     InteractionEvent,
@@ -22,7 +23,6 @@ from .engine import (
     RunRecord,
     Scenario,
     StepRecord,
-    validate_scenario,
 )
 from .errors import ConfigurationError
 from .geometry import Event, Lcsh
@@ -177,7 +177,7 @@ def scenario_to_dict(s: Scenario) -> dict:
         "dim": s.dim,
         "c": s.c,
         "subsystems": [subsystem_to_dict(sub) for sub in s.subsystems],
-        "initial_state": state_to_dict(s.initial_state),
+        "initial_state": state_to_dict(s.initial.materialize()),
         "initial_surface": {
             "t0": MINUS_INFINITY_TOKEN if math.isinf(s.initial_t0) else s.initial_t0
         },
@@ -192,19 +192,22 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    """Build and validate a scenario.  The top-level ``"subsystems"`` must
-    equal the initial state's in label, dim and kind.  A missing or
-    ill-typed field raises ConfigurationError, as every failed validation
-    does."""
+    """Build a scenario, which validates it.  The top-level
+    ``"subsystems"`` must equal the initial state's in label, dim and kind;
+    the dense initial state must be finite, and ``BranchState.split``
+    factors its registers out.  A missing or ill-typed field raises
+    ConfigurationError, as every failed validation does."""
     try:
         t0 = d.get("initial_surface", {}).get("t0", MINUS_INFINITY_TOKEN)
         initial = state_from_dict(d["initial_state"])
         if tuple(subsystem_from_dict(s) for s in d["subsystems"]) != initial.subsystems:
             raise ConfigurationError("initial state subsystems do not match scenario subsystems")
-        scenario = Scenario(
+        if not np.isfinite(initial.amplitudes).all():
+            raise ConfigurationError("initial state has a non-finite amplitude")
+        return Scenario(
             dim=d["dim"],
             c=d.get("c", 1.0),
-            initial_state=initial,
+            initial=BranchState.split(initial),
             initial_t0=-math.inf if t0 == MINUS_INFINITY_TOKEN else float(t0),
             interactions=tuple(interaction_from_dict(ev) for ev in d.get("interactions", [])),
             detectors=tuple(detector_from_dict(det) for det in d["detectors"]),
@@ -214,10 +217,8 @@ def scenario_from_dict(d: dict) -> Scenario:
                 for w in d.get("worldlines", [])
             ),
         )
-        validate_scenario(scenario)
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigurationError(f"malformed scenario: {type(exc).__name__}: {exc}") from exc
-    return scenario
 
 
 def step_to_dict(st: StepRecord) -> dict:

@@ -34,7 +34,7 @@ def test_criterion_01_singlet_correlation_law():
         s = scenarios.singlet(axis_a, axis_b)
         # A-step probability is 1/2 for every axis
         a_prob = hilbert.born_probability(
-            s.initial_state, s.detector("A").outcomes, "+")
+            s.initial.core, s.detector("A").outcomes, "+")
         assert abs(a_prob - 0.5) <= 1e-12
         d = joint_distribution(s, ("A", "B"))
         half_angle = (ta - tb) / 2.0
@@ -79,7 +79,7 @@ def test_criterion_03_ghz_certainty():
 
 def test_criterion_04_split_particle_branches():
     s = scenarios.split_particle()
-    subsystems = s.initial_state.subsystems
+    subsystems = s.subsystems
 
     # branch 1: A detects, B nothing, C receives copy 1
     rec_a = run(s, ("A", "B", "C"), outcomes=("hit", "none", "c1"))
@@ -94,7 +94,7 @@ def test_criterion_04_split_particle_branches():
     assert states_close(rec_b.final_state, expected_b, tol=1e-12)
 
     # order (C, B, A): pre-reduction state on S1- carries both copies
-    node = step(s, s.initial_surface(), s.initial_branch, "C")
+    node = step(s, s.initial_surface(), s.initial, "C")
     amps = np.zeros((2, 2, 2, 2), dtype=complex)
     amps[1, 0, 1, 0] = 1 / math.sqrt(2.0)  # a occupied with copy 1
     amps[0, 1, 0, 1] = 1 / math.sqrt(2.0)  # b occupied with copy 2
@@ -177,7 +177,7 @@ def test_criterion_07_geometry_suite():
 
 def test_criterion_08_copy_entanglement_structure():
     s = scenarios.singlet(Z_AXIS, X_AXIS, with_copies=True)
-    node = step(s, s.initial_surface(), s.initial_branch, "C")
+    node = step(s, s.initial_surface(), s.initial, "C")
     assert node.interactions_applied == ("AA1 copy", "AA2 copy")
     rank = hilbert.schmidt_rank(node.state_before.materialize(), ("c1", "c2"))
     assert rank > 1

@@ -155,8 +155,13 @@ def _malformed_scenarios():
     nan = float("nan")
     nan_amplitude = deepcopy(ghz)
     nan_amplitude["initial_state"]["amplitudes"][0][0] = nan
-    nan_projector = deepcopy(ghz)
-    nan_projector["detectors"][0]["projectors"][0]["matrix"][0][0][0] = nan
+    # off the slice through the largest amplitude, at register RA = 1
+    nan_off_peak = deepcopy(ghz)
+    nan_off_peak["initial_state"]["amplitudes"][
+        np.ravel_multi_index((0, 0, 0, 1, 0, 0), amps.shape)][0] = nan
+    non_finite_projectors = {case: deepcopy(ghz) for case in ("nan", "inf")}
+    for case, value in (("nan", nan), ("inf", math.inf)):
+        non_finite_projectors[case]["detectors"][0]["projectors"][0]["matrix"][0][0][0] = value
     nan_time = deepcopy(ghz)
     nan_time["detectors"][1]["at"]["t"] = nan
     nan_speed = dict(ghz, c=nan)
@@ -202,7 +207,10 @@ def _malformed_scenarios():
             "register-in-superposition": (superposed, "register 'RA' is not in a single basis"),
             "register-entangled-with-spin": (entangled, "register 'RA' is not in a single basis"),
             "nan-amplitude": (nan_amplitude, "initial state has a non-finite amplitude"),
-            "nan-projector": (nan_projector, "detector 'A' projector '+' has a non-finite entry"),
+            "nan-amplitude-off-the-peak-slice": (
+                nan_off_peak, "initial state has a non-finite amplitude"),
+            **{f"{case}-projector": (blob, "projector '+' has a non-finite entry")
+               for case, blob in non_finite_projectors.items()},
             "nan-detector-time": (nan_time, "event Event(t=nan, x=(0.0,)) has a non-finite"),
             "nan-speed-of-light": (nan_speed, "speed of light must be positive and finite, got nan"),
             "absorbing-detector-not-rank-1": (
@@ -332,6 +340,18 @@ def test_argument_errors_are_json_with_json(capsys):
     code, out, err = run_cli(capsys, "compare-hk", "--axes")
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == "validation"
+
+
+@pytest.mark.parametrize("argv, unrecognized", [
+    (("dist", "--scenario", "ghz", "--seed", "1", "--js"), "--seed 1 --js"),
+    (("dist", "--scenario", "ghz", "--js"), "--js"),
+    (("dist", "--scenario", "singlet", "--with"), "--with"),
+    (("run", "--scenario", "ghz", "--ou", "x"), "--ou x"),
+], ids=" ".join)
+def test_an_option_prefix_is_not_the_option(argv, unrecognized, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error (validation): unrecognized arguments: {unrecognized}\n"
 
 
 def test_sample_count_above_the_limit_is_a_validation_error(capsys):

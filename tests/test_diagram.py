@@ -4,7 +4,7 @@ import pytest
 
 from psvsim import hilbert, scenarios
 from psvsim.diagram import render_ascii, render_svg
-from psvsim.engine import DetectorEvent, Scenario, run
+from psvsim.engine import BranchState, DetectorEvent, Scenario, run
 from psvsim.errors import ConfigurationError
 from psvsim.geometry import Event
 from psvsim.hilbert import SubsystemKind, SubsystemSpec, Z_AXIS
@@ -42,10 +42,10 @@ def test_svg_of_bare_scenario_has_no_surfaces():
 
 def test_svg_rejects_higher_dimensions():
     spin = SubsystemSpec("s", 2, SubsystemKind.SPIN)
-    reg = SubsystemSpec("R", 2, SubsystemKind.REGISTER)
+    reg = SubsystemSpec("R", 3, SubsystemKind.REGISTER)
     s = Scenario(
         dim=2, c=1.0,
-        initial_state=hilbert.basis_state((spin, reg)),
+        initial=BranchState.split(hilbert.basis_state((spin, reg))),
         initial_t0=-math.inf, interactions=(),
         detectors=(DetectorEvent("A", Event(1.0, (0.0, 0.0)),
                                  hilbert.spin_outcome_set("s", Z_AXIS), "R"),),

@@ -16,7 +16,6 @@ from psvsim.geometry import (
     Separation,
     SurfaceSide,
     adjoin_apex,
-    blc_time,
     classify,
     compare,
     event_side_of_surface,
@@ -62,9 +61,11 @@ def test_dimension_checks():
 
 def test_blc_time():
     apex = Event(1.0, (0.0,))
-    assert blc_time(apex, (0.0,)) == 1.0
-    assert blc_time(apex, (2.0,)) == -1.0
-    assert blc_time(apex, (2.0,), c=2.0) == 0.0
+    assert surface_time(Lcsh(apexes=(apex,)), (0.0,)) == 1.0
+    assert surface_time(Lcsh(apexes=(apex,)), (2.0,)) == -1.0
+    assert surface_time(Lcsh(apexes=(apex,), c=2.0), (2.0,)) == 0.0
+    with pytest.raises(ConfigurationError, match="query point dimension 2 != apex dimension 1"):
+        surface_time(Lcsh(apexes=(apex,)), (0.0, 0.0))
 
 
 def test_surface_time_envelope():

@@ -70,7 +70,7 @@ def test_hk_state_requires_outcomes_for_reduced_detectors():
 def test_pure_spinor_rejects_entangled_subsystem():
     s = scenarios.singlet(Z_AXIS, X_AXIS)
     with pytest.raises(PhysicsError):
-        hk._pure_spinor(s.initial_state, "a")
+        hk._pure_spinor(s.initial.core, "a")
 
 
 def test_hk_copy_states_are_regional_duplicates():

@@ -75,7 +75,7 @@ def test_split_particle_rejects_bad_layout():
 
 def test_split_particle_charge_modes():
     s = split_particle()
-    assert hilbert.charge_expectation(s.initial_state, s.charged_modes) == \
+    assert hilbert.charge_expectation(s.initial.core, s.charged_modes) == \
         pytest.approx(1.0, abs=1e-12)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from psvsim import hilbert, scenarios, serialization as ser
-from psvsim.engine import DetectorEvent, Scenario, joint_distribution, run
+from psvsim.engine import BranchState, DetectorEvent, Scenario, joint_distribution, run
 from psvsim.errors import ConfigurationError
 from psvsim.geometry import Event, Lcsh
 from psvsim.hilbert import Axis, StateVector, SubsystemKind, SubsystemSpec, X_AXIS, Z_AXIS, \
@@ -38,7 +38,7 @@ def test_surface_roundtrip_with_minus_infinity():
 
 def test_state_roundtrip_preserves_complex_amplitudes():
     s = scenarios.singlet(Z_AXIS, Axis(1.0, 0.8))
-    st = s.initial_state
+    st = s.initial.materialize()
     st2 = roundtrip(st, ser.state_to_dict, ser.state_from_dict)
     assert st2.labels == st.labels
     assert np.abs(st2.amplitudes - st.amplitudes).max() < 1e-15
@@ -54,7 +54,7 @@ def test_scenario_roundtrip_preserves_distribution(build):
     s = build()
     s2 = roundtrip(s, ser.scenario_to_dict, ser.scenario_from_dict)
     assert s2.detector_labels == s.detector_labels
-    assert states_close(s2.initial_state, s.initial_state, tol=1e-12)
+    assert states_close(s2.initial.materialize(), s.initial.materialize(), tol=1e-12)
     d1 = joint_distribution(s, s.detector_labels)
     d2 = joint_distribution(s2, s2.detector_labels)
     assert d1.max_deviation(d2) < 1e-12
@@ -105,8 +105,8 @@ def test_dense_ghz5_file_amplitudes_match_the_nested_conversion(tmp_path):
     core[::3] = -0.0
     s = Scenario(
         dim=1, c=1.0,
-        initial_state=hilbert.tensor(StateVector(spins, core / np.linalg.norm(core)),
-                                     hilbert.basis_state(regs)),
+        initial=BranchState.split(hilbert.tensor(StateVector(spins, core / np.linalg.norm(core)),
+                                                 hilbert.basis_state(regs))),
         initial_t0=-math.inf, interactions=(),
         detectors=tuple(DetectorEvent(f"D{k}", Event(3.0, (6.0 * k,)),
                                       hilbert.spin_outcome_set(f"s{k}", X_AXIS), f"R{k}")
@@ -119,7 +119,7 @@ def test_dense_ghz5_file_amplitudes_match_the_nested_conversion(tmp_path):
     nested = ser._pairs_to_complex(pairs)
     assert len(pairs) == 6**5
     assert ser._amplitudes_to_complex(pairs).tobytes() == nested.tobytes()
-    assert ser.scenario_from_dict(blob).initial_state.amplitudes.tobytes() == nested.tobytes()
+    assert ser.scenario_from_dict(blob).initial.materialize().amplitudes.tobytes() == nested.tobytes()
 
 
 def test_run_record_and_distribution_roundtrip():
