@@ -23,7 +23,6 @@ from .geometry import (
     Lcsh,
     Separation,
     SurfaceSide,
-    achronality_violation,
     adjoin_apex,
     classify,
     event_side_of_surface,
@@ -44,13 +43,10 @@ from .hilbert import (
     axis_eigenstate,
     basis_state,
     born_probability,
-    charge_expectation,
     phase_canonical,
     project_and_normalize,
-    schmidt_rank,
     spin_outcome_set,
     spin_projector,
-    states_close,
     tensor,
 )
 from .engine import (
@@ -79,7 +75,6 @@ from .hellwig_kraus import (
     hk_copy_inconsistency,
     hk_region_of,
     hk_state,
-    region_from_sides,
 )
 from .scenarios import ghz, singlet, singlet_state, split_particle
 from .diagram import render_ascii, render_svg
@@ -117,13 +112,11 @@ __all__ = [
     "X_AXIS",
     "Y_AXIS",
     "Z_AXIS",
-    "achronality_violation",
     "adjoin_apex",
     "apply_unitary",
     "axis_eigenstate",
     "basis_state",
     "born_probability",
-    "charge_expectation",
     "classify",
     "enumerate_valid_orders",
     "event_side_of_surface",
@@ -135,19 +128,16 @@ __all__ = [
     "joint_distribution",
     "phase_canonical",
     "project_and_normalize",
-    "region_from_sides",
     "render_ascii",
     "render_svg",
     "run",
     "sample",
-    "schmidt_rank",
     "singlet",
     "singlet_state",
     "spin_outcome_set",
     "spin_projector",
     "split_particle",
     "state_on_hyperplane",
-    "states_close",
     "step",
     "surface_time",
     "surface_times",

@@ -227,11 +227,9 @@ class Scenario:
 def _check_finite(s: Scenario) -> None:
     """Reject NaN and infinities in the scenario's own numbers, which slip
     through tolerance checks such as ``abs(x - 1) > EPS`` (False for NaN).
-    Only the initial floor may be -inf.  Events, unitaries and projectors
-    are checked when they are built."""
+    Events, unitaries, projectors and the initial surface (built by
+    ``validate_scenario``) are checked when they are built."""
     geometry.check_speed_of_light(s.c)
-    if not (math.isfinite(s.initial_t0) or s.initial_t0 == geometry.MINUS_INFINITY):
-        raise ConfigurationError(f"initial surface t0 must be finite or -inf, got {s.initial_t0}")
     if not np.isfinite(s.initial.core.amplitudes).all():
         raise ConfigurationError("initial state has a non-finite amplitude")
 
@@ -392,7 +390,6 @@ class BranchNode:
     and the Born probability of each of the detector's outcomes there."""
 
     detector: DetectorEvent
-    surface_before: Lcsh
     surface_after: Lcsh
     state_before: BranchState  # on S_k-, after due interactions
     probabilities: tuple[float, ...]  # in ``detector.outcomes.labels`` order
@@ -427,7 +424,6 @@ def step(s: Scenario, surface: Lcsh, state: BranchState, detector: str) -> Branc
     state = state.canonical()
     return BranchNode(
         detector=det,
-        surface_before=surface,
         surface_after=new_surface,
         state_before=state,
         probabilities=tuple(hilbert.born_probability(state.core, det.outcomes, l)
@@ -468,7 +464,7 @@ def run(
     s: Scenario,
     order: tuple[str, ...],
     outcomes: tuple[str, ...] | None = None,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> RunRecord:
     """Walk one path of the branch tree, then apply any remaining
     interactions (trivial Hamiltonian after the last event) to t = +inf.
@@ -481,7 +477,7 @@ def run(
     _require_valid(s, order)
     if outcomes is not None and len(outcomes) != len(order):
         raise ConfigurationError("need one fixed outcome per detector in the order")
-    rng = np.random.default_rng(_checked_seed(0 if seed is None else seed))
+    rng = np.random.default_rng(_checked_seed(seed))
 
     surface = s.initial_surface()
     state = s.initial
@@ -563,9 +559,6 @@ class EmpiricalDistribution:
     detectors: tuple[str, ...]
     counts: dict[tuple[str, ...], int]
     n: int
-
-    def frequency(self, key: tuple[str, ...]) -> float:
-        return self.counts.get(tuple(key), 0) / self.n
 
 
 def sample(s: Scenario, order: tuple[str, ...], n: int, seed: int = 0) -> EmpiricalDistribution:

@@ -98,7 +98,7 @@ class Lcsh:
     """A light-cone spacelike hypersurface: the upper envelope of the
     backward light cones of ``apexes`` over the flat surface t = t0.
 
-    t0 = -inf gives the pure cone envelope.
+    t0 = -inf gives the pure cone envelope; any other floor is finite.
     """
 
     t0: float = MINUS_INFINITY
@@ -107,6 +107,8 @@ class Lcsh:
 
     def __post_init__(self):
         check_speed_of_light(self.c)
+        if not (math.isfinite(self.t0) or self.t0 == MINUS_INFINITY):
+            raise ConfigurationError(f"surface floor t0 must be finite or -inf, got {self.t0}")
         dims = {a.dim for a in self.apexes}
         if len(dims) > 1:
             raise ConfigurationError(f"apexes have mixed dimensions {sorted(dims)}")
@@ -276,32 +278,3 @@ def is_future_of(s1: Lcsh, s0: Lcsh, region: Region | None = None) -> bool:
     speed of light."""
     up, down = compare(s1, s0, region)
     return up and not down
-
-
-def achronality_violation(
-    s: Lcsh,
-    rng: np.random.Generator,
-    n_pairs: int = 10_000,
-    region: Region | None = None,
-) -> float:
-    """Max interval over random point pairs sampled on the surface.
-
-    Points where the surface is still at t0 = -inf are excluded: the
-    formal limit surface is flat there and trivially achronal.
-    """
-    dim = s.dim or 1
-    if region is None:
-        region = _bounding_region((s,))
-    lo = np.array([r[0] for r in region])
-    hi = np.array([r[1] for r in region])
-    xs = lo + rng.random((2 * n_pairs, dim)) * (hi - lo)
-    ts = surface_times(s, xs)
-    finite = np.isfinite(ts)
-    xs, ts = xs[finite], ts[finite]
-    half = len(xs) // 2
-    if half == 0:
-        return -math.inf
-    a, b = slice(0, half), slice(half, 2 * half)
-    dx2 = np.sum((xs[a] - xs[b]) ** 2, axis=1)
-    vals = s.c**2 * (ts[a] - ts[b]) ** 2 - dx2
-    return float(vals.max())

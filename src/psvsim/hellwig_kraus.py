@@ -61,11 +61,6 @@ def hk_region_of(e: Event, s: Scenario, labels: tuple[str, ...]) -> HkRegion:
     return HkRegion(tuple(sides))
 
 
-def region_from_sides(**sides: str) -> HkRegion:
-    """Convenience constructor: region_from_sides(A='past', B='future')."""
-    return HkRegion(tuple((l, SurfaceSide(v)) for l, v in sides.items()))
-
-
 def _pure_spinor(state: StateVector, label: str) -> np.ndarray:
     """Extract the pure single-subsystem state; error if entangled."""
     axis = state.axis_of(label)
@@ -142,19 +137,19 @@ def hk_copy_inconsistency(
 
     HK forwards basis-matched duplicates of the regional states, forcing
     this probability to 1.  The engine's value is in general below 1.
+    Each copy reads its source's state in the HK region of its own copy
+    event.
     """
     scenario = scenarios.singlet(axis_a, axis_b, with_copies=True, copy_basis=copy_basis)
     outcomes = {"A": "+", "B": "+"}
+    final_axes = dict(zip(scenario.detector("C").outcomes.targets, (axis_b, axis_a)))
 
-    region2 = region_from_sides(A="past", B="future")
-    region3 = region_from_sides(A="future", B="past")
-    st2 = hk_state(scenario, outcomes, region2)
-    st3 = hk_state(scenario, outcomes, region3)
-    c1 = _pure_spinor(st2, "c1")
-    c2 = _pure_spinor(st3, "c2")
-    p1 = abs(np.vdot(hilbert.axis_eigenstate(axis_b, -1), c1)) ** 2
-    p2 = abs(np.vdot(hilbert.axis_eigenstate(axis_a, -1), c2)) ** 2
-    hk = p1 * p2
+    hk = 1.0
+    for ev in scenario.interactions:
+        target = ev.gate["target"]
+        region = hk_region_of(ev.at, scenario, ("A", "B"))
+        copy = _pure_spinor(hk_state(scenario, outcomes, region), target)
+        hk *= abs(np.vdot(hilbert.axis_eigenstate(final_axes[target], -1), copy)) ** 2
 
     dist = joint_distribution(scenario, ("A", "B", "C"))
     denominator = sum(

@@ -301,35 +301,3 @@ def project_and_normalize(state: StateVector, outcome_set: OutcomeSet, label: st
             f"outcome {label!r} on {outcome_set.targets} has zero probability"
         )
     return phase_canonical(projected.with_amplitudes(projected.amplitudes / nrm))
-
-
-def charge_expectation(state: StateVector, charged_modes: tuple[str, ...]) -> float:
-    """Total expected occupation over the designated charged modes
-    (weight 1 each)."""
-    probs = np.abs(state.amplitudes.reshape(state.dims)) ** 2
-    total = 0.0
-    for label in charged_modes:
-        axis = state.axis_of(label)
-        other = tuple(i for i in range(len(state.dims)) if i != axis)
-        marginal = probs.sum(axis=other)
-        total += float(np.dot(marginal, np.arange(len(marginal))))
-    return total
-
-
-def schmidt_rank(state: StateVector, labels: tuple[str, ...], tol: float = 1e-9) -> int:
-    """Schmidt rank across the (labels | rest) cut."""
-    axes = [state.axis_of(l) for l in labels]
-    dims = state.dims
-    psi = np.moveaxis(state.amplitudes.reshape(dims), axes, range(len(axes)))
-    block = math.prod(dims[a] for a in axes)
-    svals = np.linalg.svd(psi.reshape(block, -1), compute_uv=False)
-    return int(np.sum(svals > tol))
-
-
-def states_close(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:
-    """Equality up to global phase (after canonicalization)."""
-    if a.labels != b.labels or a.dims != b.dims:
-        return False
-    pa = phase_canonical(a).amplitudes
-    pb = phase_canonical(b).amplitudes
-    return bool(np.abs(pa - pb).max() <= tol)

@@ -6,6 +6,10 @@ hand-rolled subsystem embedding (by basis index, or as a sum of
 package under test.  Surface
 comparisons are the brute-force 64^d probe-grid evaluation that
 ``geometry.compare`` must reproduce.
+
+``states_close``, ``schmidt_rank``, ``charge_expectation`` and
+``achronality_violation`` are checks that only tests read; they are not part
+of the package.
 """
 
 import itertools
@@ -16,7 +20,8 @@ from unittest import mock
 import numpy as np
 
 from psvsim import geometry
-from psvsim.geometry import EPS_GEOM, probe_points, surface_times
+from psvsim.geometry import EPS_GEOM, Region, _bounding_region, probe_points, surface_times
+from psvsim.hilbert import StateVector, phase_canonical
 
 
 def embed(op: np.ndarray, positions: list[int], dims: list[int]) -> np.ndarray:
@@ -199,3 +204,64 @@ def probe_grid_sizes(fn, *args):
 
     with mock.patch.object(geometry, "probe_points", spy):
         return fn(*args), sizes
+
+
+def charge_expectation(state: StateVector, charged_modes: tuple[str, ...]) -> float:
+    """Total expected occupation over the designated charged modes
+    (weight 1 each)."""
+    probs = np.abs(state.amplitudes.reshape(state.dims)) ** 2
+    total = 0.0
+    for label in charged_modes:
+        axis = state.axis_of(label)
+        other = tuple(i for i in range(len(state.dims)) if i != axis)
+        marginal = probs.sum(axis=other)
+        total += float(np.dot(marginal, np.arange(len(marginal))))
+    return total
+
+
+def schmidt_rank(state: StateVector, labels: tuple[str, ...], tol: float = 1e-9) -> int:
+    """Schmidt rank across the (labels | rest) cut."""
+    axes = [state.axis_of(l) for l in labels]
+    dims = state.dims
+    psi = np.moveaxis(state.amplitudes.reshape(dims), axes, range(len(axes)))
+    block = math.prod(dims[a] for a in axes)
+    svals = np.linalg.svd(psi.reshape(block, -1), compute_uv=False)
+    return int(np.sum(svals > tol))
+
+
+def states_close(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:
+    """Equality up to global phase (after canonicalization)."""
+    if a.labels != b.labels or a.dims != b.dims:
+        return False
+    pa = phase_canonical(a).amplitudes
+    pb = phase_canonical(b).amplitudes
+    return bool(np.abs(pa - pb).max() <= tol)
+
+
+def achronality_violation(
+    s: geometry.Lcsh,
+    rng: np.random.Generator,
+    n_pairs: int = 10_000,
+    region: Region | None = None,
+) -> float:
+    """Max interval over random point pairs sampled on the surface.
+
+    Points where the surface is still at t0 = -inf are excluded: the
+    formal limit surface is flat there and trivially achronal.
+    """
+    dim = s.dim or 1
+    if region is None:
+        region = _bounding_region((s,))
+    lo = np.array([r[0] for r in region])
+    hi = np.array([r[1] for r in region])
+    xs = lo + rng.random((2 * n_pairs, dim)) * (hi - lo)
+    ts = surface_times(s, xs)
+    finite = np.isfinite(ts)
+    xs, ts = xs[finite], ts[finite]
+    half = len(xs) // 2
+    if half == 0:
+        return -math.inf
+    a, b = slice(0, half), slice(half, 2 * half)
+    dx2 = np.sum((xs[a] - xs[b]) ** 2, axis=1)
+    vals = s.c**2 * (ts[a] - ts[b]) ** 2 - dx2
+    return float(vals.max())

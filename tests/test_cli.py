@@ -165,6 +165,7 @@ def _malformed_scenarios():
     nan_time = deepcopy(ghz)
     nan_time["detectors"][1]["at"]["t"] = nan
     nan_speed = dict(ghz, c=nan)
+    nan_floor = dict(ghz, initial_surface={"t0": nan})
     absorbing = deepcopy(ghz)
     absorbing["detectors"][0]["absorbing"] = True
     triples = {case: deepcopy(ghz) for case in ("amplitudes", "projector", "unitary")}
@@ -213,6 +214,7 @@ def _malformed_scenarios():
                for case, blob in non_finite_projectors.items()},
             "nan-detector-time": (nan_time, "event Event(t=nan, x=(0.0,)) has a non-finite"),
             "nan-speed-of-light": (nan_speed, "speed of light must be positive and finite, got nan"),
+            "nan-initial-t0": (nan_floor, "surface floor t0 must be finite or -inf, got nan"),
             "absorbing-detector-not-rank-1": (
                 absorbing, "absorbing detector 'A' requires rank-1 basis projectors"),
             **{f"{case}-3-element-entries": (

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from _oracles import states_close
 from psvsim import engine, geometry, hilbert, scenarios
 from psvsim.engine import (
     BranchState,
@@ -36,7 +37,6 @@ from psvsim.hilbert import (
     StateVector,
     SubsystemKind,
     SubsystemSpec,
-    states_close,
 )
 
 
@@ -219,7 +219,6 @@ def test_step_applies_interactions_then_reduces():
     probs = dict(zip(node.detector.outcomes.labels, node.probabilities))
     assert probs["c1"] == pytest.approx(0.5, abs=1e-12)
     assert sum(node.probabilities) == pytest.approx(1.0, abs=1e-12)
-    assert node.surface_before == s.initial_surface()
     assert node.surface_after.apexes[-1] == s.detector("C").at
 
 
@@ -319,7 +318,7 @@ def test_sample_reproducible_and_consistent():
     assert e3.counts != e1.counts
     d = joint_distribution(s, ("A", "B"))
     for key, p in d.probabilities.items():
-        assert abs(e1.frequency(key) - p) < 4 * math.sqrt(p * (1 - p) / 4000)
+        assert abs(e1.counts.get(key, 0) / 4000 - p) < 4 * math.sqrt(p * (1 - p) / 4000)
 
 
 def test_joint_distribution_expands_each_node_once(monkeypatch):
@@ -405,7 +404,7 @@ def _assert_matches_dense(state, s, dense, tol=1e-12):
                for k in np.flatnonzero(mags >= mags.max() - tol)) <= tol
     for sub in s.subsystems:
         if sub.kind is SubsystemKind.REGISTER:
-            assert hilbert.schmidt_rank(state, (sub.label,)) == 1
+            assert _oracles.schmidt_rank(state, (sub.label,)) == 1
 
 
 def _check_against_dense_oracle(s, order, seed):
@@ -564,6 +563,8 @@ def test_state_on_hyperplane_rejects_foreign_queries():
         state_on_hyperplane(rec, Lcsh(apexes=(Event(9.0, (0.0, 0.0)),)))
     with pytest.raises(ConfigurationError, match="speed of light"):
         state_on_hyperplane(rec, Lcsh(apexes=(Event(9.0, (0.0,)),), c=2.0))
+    with pytest.raises(ConfigurationError, match="surface floor t0 must be finite or -inf, got nan"):
+        state_on_hyperplane(run(s, ("A", "B", "C"), seed=1), math.nan)
     # a flat query has no cones, so its c is irrelevant
     assert not isinstance(state_on_hyperplane(rec, Lcsh(t0=20.0, c=2.0)), UndefinedState)
 

@@ -59,7 +59,7 @@ def test_dimension_checks():
         classify(Event(0, (0,)), Event(0, (0, 0)))
 
 
-def test_blc_time():
+def test_surface_time_of_one_cone():
     apex = Event(1.0, (0.0,))
     assert surface_time(Lcsh(apexes=(apex,)), (0.0,)) == 1.0
     assert surface_time(Lcsh(apexes=(apex,)), (2.0,)) == -1.0
@@ -77,14 +77,6 @@ def test_surface_time_envelope():
     assert surface_time(flat, (0.0,)) == -math.inf
 
 
-def test_surface_times_matches_scalar():
-    s = Lcsh(t0=-1.0, apexes=(Event(2.0, (1.0,)),), c=0.5)
-    xs = np.linspace(-5, 5, 17).reshape(-1, 1)
-    vec = surface_times(s, xs)
-    for x, t in zip(xs, vec):
-        assert t == pytest.approx(surface_time(s, tuple(x)), abs=1e-12)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from((1, 2, 3)), st.sampled_from((0.5, 1.0, 3.0)),
        st.sampled_from((-math.inf, -1.5, 0.0)),
@@ -93,7 +85,9 @@ def test_surface_times_matches_scalar():
 def test_surface_times_equals_the_per_apex_envelope_exactly(d, c, t0, apexes, points):
     s = Lcsh(t0=t0, apexes=tuple(Event(t, x[:d]) for t, x in apexes), c=c)
     xs = np.array(points)[:, :d]
-    assert np.array_equal(surface_times(s, xs), _oracles.surface_times_by_apex(s, xs))
+    expected = _oracles.surface_times_by_apex(s, xs)
+    assert np.array_equal(surface_times(s, xs), expected)
+    assert [surface_time(s, tuple(x)) for x in xs] == expected.tolist()
 
 
 def test_event_side_of_surface():
@@ -243,7 +237,7 @@ def test_surface_comparisons_reject_mixed_dimensions_and_speeds():
 def test_surfaces_are_achronal(apexes, c):
     s = Lcsh(t0=-10.0, apexes=tuple(Event(t, (x,)) for t, x in apexes), c=c)
     rng = np.random.default_rng(7)
-    assert geometry.achronality_violation(s, rng, n_pairs=2000) <= geometry.EPS_GEOM
+    assert _oracles.achronality_violation(s, rng, n_pairs=2000) <= geometry.EPS_GEOM
 
 
 def test_large_c_flattens_surface():
@@ -263,6 +257,9 @@ def test_large_c_flattens_surface():
 def test_lcsh_validation():
     with pytest.raises(ConfigurationError):
         Lcsh(c=0.0)
+    for t0 in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match=f"surface floor t0 must be finite or -inf, got {t0}"):
+            Lcsh(t0=t0)
     with pytest.raises(ConfigurationError):
         Lcsh(apexes=(Event(0, (0,)), Event(0, (0, 0))))
     with pytest.raises(ConfigurationError):

@@ -10,6 +10,10 @@ from psvsim.errors import AmbiguousRegionError, ConfigurationError, PhysicsError
 from psvsim.geometry import Event, SurfaceSide
 from psvsim.hilbert import Axis, X_AXIS, Y_AXIS, Z_AXIS
 
+PAST, FUTURE = SurfaceSide.PAST, SurfaceSide.FUTURE
+ABOVE_B_ONLY = hk.HkRegion((("A", PAST), ("B", FUTURE)))
+ABOVE_A_ONLY = hk.HkRegion((("A", FUTURE), ("B", PAST)))
+
 
 def copies_scenario(axis_a=X_AXIS, axis_b=Z_AXIS, copy_basis=Z_AXIS):
     return scenarios.singlet(axis_a, axis_b, with_copies=True,
@@ -35,6 +39,15 @@ def test_region_above_one_cone_only():
     assert r.reduced == ("A",)
 
 
+@pytest.mark.parametrize("copy_basis", [Z_AXIS, X_AXIS, Y_AXIS], ids=["z", "x", "y"])
+def test_copy_events_lie_in_the_regions_the_comparator_reads(copy_basis):
+    # AA1 copies a inside A's cone but above B's; AA2 the mirror image
+    s = copies_scenario(copy_basis=copy_basis)
+    aa1, aa2 = s.interactions
+    assert hk.hk_region_of(aa1.at, s, ("A", "B")) == ABOVE_B_ONLY
+    assert hk.hk_region_of(aa2.at, s, ("A", "B")) == ABOVE_A_ONLY
+
+
 def test_region_of_on_cone_point_is_ambiguous():
     s = copies_scenario()
     with pytest.raises(AmbiguousRegionError):
@@ -42,19 +55,18 @@ def test_region_of_on_cone_point_is_ambiguous():
 
 
 def test_region_helpers():
-    r = hk.region_from_sides(A="past", B="future")
+    r = ABOVE_B_ONLY
     assert r.reduced == ("B",)
     assert dict(r.sides)["B"] is SurfaceSide.FUTURE
     assert "C" not in dict(r.sides)
-    full = hk.region_from_sides(A="future", B="future")
+    full = hk.HkRegion((("A", FUTURE), ("B", FUTURE)))
     assert full.contains_past_of(r)
     assert not r.contains_past_of(full)
 
 
 def test_hk_state_reduces_future_side_detectors():
     s = scenarios.singlet(Z_AXIS, X_AXIS)
-    region = hk.region_from_sides(A="future", B="past")
-    state = hk.hk_state(s, {"A": "+"}, region)
+    state = hk.hk_state(s, {"A": "+"}, ABOVE_A_ONLY)
     # b collapses to |z->, i.e. the -1 eigenstate of A's axis
     spinor = hk._pure_spinor(state, "b")
     expected = hilbert.axis_eigenstate(Z_AXIS, -1)
@@ -64,7 +76,7 @@ def test_hk_state_reduces_future_side_detectors():
 def test_hk_state_requires_outcomes_for_reduced_detectors():
     s = scenarios.singlet(Z_AXIS, X_AXIS)
     with pytest.raises(ConfigurationError):
-        hk.hk_state(s, {}, hk.region_from_sides(A="future", B="past"))
+        hk.hk_state(s, {}, ABOVE_A_ONLY)
 
 
 def test_pure_spinor_rejects_entangled_subsystem():
@@ -76,7 +88,7 @@ def test_pure_spinor_rejects_entangled_subsystem():
 def test_hk_copy_states_are_regional_duplicates():
     s = copies_scenario()
     outcomes = {"A": "+", "B": "+"}
-    st2 = hk.hk_state(s, outcomes, hk.region_from_sides(A="past", B="future"))
+    st2 = hk.hk_state(s, outcomes, ABOVE_B_ONLY)
     # in the region above only B's cone, AA1's copy duplicates the state of
     # spin a conditioned on B's + outcome: a is then |z-> (anti-correlated)
     c1 = hk._pure_spinor(st2, "c1")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
+from _oracles import charge_expectation, schmidt_rank, states_close
 from psvsim import hilbert
 from psvsim.errors import ConfigurationError, ImpossibleBranchError
 from psvsim.hilbert import (
@@ -21,13 +22,10 @@ from psvsim.hilbert import (
     axis_eigenstate,
     basis_state,
     born_probability,
-    charge_expectation,
     phase_canonical,
     project_and_normalize,
-    schmidt_rank,
     spin_outcome_set,
     spin_projector,
-    states_close,
     tensor,
 )
 

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import singlet_joint, ghz_joint
+from _oracles import charge_expectation, ghz_joint, singlet_joint, states_close
 from psvsim import hilbert, scenarios
 from psvsim.engine import enumerate_valid_orders, joint_distribution, run
 from psvsim.errors import ConfigurationError
-from psvsim.hilbert import Axis, X_AXIS, Y_AXIS, Z_AXIS, states_close
+from psvsim.hilbert import Axis, X_AXIS, Y_AXIS, Z_AXIS
 from psvsim.scenarios import (
     ghz,
     occupation_copy_gate,
@@ -75,7 +75,7 @@ def test_split_particle_rejects_bad_layout():
 
 def test_split_particle_charge_modes():
     s = split_particle()
-    assert hilbert.charge_expectation(s.initial.core, s.charged_modes) == \
+    assert charge_expectation(s.initial.core, s.charged_modes) == \
         pytest.approx(1.0, abs=1e-12)
 
 

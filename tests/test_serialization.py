@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import states_close
 from psvsim import hilbert, scenarios, serialization as ser
 from psvsim.engine import BranchState, DetectorEvent, Scenario, joint_distribution, run
 from psvsim.errors import ConfigurationError
 from psvsim.geometry import Event, Lcsh
-from psvsim.hilbert import Axis, StateVector, SubsystemKind, SubsystemSpec, X_AXIS, Z_AXIS, \
-    states_close
+from psvsim.hilbert import Axis, StateVector, SubsystemKind, SubsystemSpec, X_AXIS, Z_AXIS
 
 
 def roundtrip(obj, to_dict, from_dict):
