@@ -83,29 +83,24 @@ _AXIS_KEYS = {"split": (), "singlet": ("i", "j"), "ghz": ("i", "j", "k")}
 def build_scenario(args) -> engine.Scenario:
     """The scenario named by ``--scenario``.  An option the scenario would
     not read (``--with-copies`` off ``singlet``, an ``--axes`` key it has
-    no axis for, ``--c`` on a file) is a ``ConfigurationError``."""
+    no axis for) is a ``ConfigurationError``."""
     name = args.scenario
     if args.with_copies and name != "singlet":
         raise ConfigurationError(f"--with-copies applies only to singlet, not {name!r}")
     keys = ("i", "j", "k") if args.with_copies else _AXIS_KEYS.get(name, ())
     axes = _axes(args, keys, f"scenario {name!r}")
-    if args.c is not None and name not in _AXIS_KEYS:
-        raise ConfigurationError("--c does not apply to a scenario file; set \"c\" in the file")
-    c = 1.0 if args.c is None else args.c
     if name == "split":
-        return scenarios.split_particle(c=c)
+        return scenarios.split_particle()
     if name == "singlet":
         return scenarios.singlet(
             axes.get("i", Z_AXIS),
             axes.get("j", X_AXIS),
             with_copies=args.with_copies,
             copy_basis=axes.get("k", Z_AXIS),
-            c=c,
         )
     if name == "ghz":
         return scenarios.ghz(
             axes=(axes.get("i", X_AXIS), axes.get("j", Y_AXIS), axes.get("k", Y_AXIS)),
-            c=c,
         )
     try:
         with open(name, encoding="utf-8") as fh:
@@ -267,8 +262,6 @@ def build_parser() -> _Parser:
                        help="split | singlet | ghz | path to a scenario JSON file")
         p.add_argument("--axes", help="built-in scenarios: axis assignments, "
                                       "e.g. i=z,j=x or i=1.05:0.3 (theta:phi)")
-        p.add_argument("--c", type=float,
-                       help="built-in scenarios: speed of light (default 1)")
         p.add_argument("--with-copies", action="store_true",
                        help="singlet only: include the copy devices and detector C")
         p.add_argument("--json", action="store_true")

@@ -60,14 +60,20 @@ def _surface_path(surface: Lcsh, frame: _Frame) -> str:
     return " ".join(frame.point(x, t) for x, t in zip(xs, ts))
 
 
-def render_svg(source: RunRecord | Scenario) -> str:
-    """Render a scenario (geometry only) or a run record (geometry plus
-    the sequence of reduction surfaces)."""
-    scenario = source.scenario if isinstance(source, RunRecord) else source
+def _scenario_1d(record: RunRecord) -> Scenario:
+    """The record's scenario, which must have 1 spatial dimension."""
+    scenario = record.scenario
     if scenario.dim != 1:
         raise ConfigurationError(
             f"diagrams are only drawn for 1 spatial dimension, scenario has {scenario.dim}"
         )
+    return scenario
+
+
+def render_svg(record: RunRecord) -> str:
+    """Render a run record: the scenario's geometry plus the sequence of
+    reduction surfaces."""
+    scenario = _scenario_1d(record)
     frame = _Frame(*_bounds(scenario))
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -92,8 +98,7 @@ def render_svg(source: RunRecord | Scenario) -> str:
             f'font-size="11" fill="#707070">S0</text>'
         )
 
-    steps = source.steps if isinstance(source, RunRecord) else ()
-    for k, step in enumerate(steps):
+    for k, step in enumerate(record.steps):
         color = _SURFACE_COLORS[k % len(_SURFACE_COLORS)]
         path = _surface_path(step.surface_after, frame)
         first = path.split(" ", 1)[0]
@@ -141,7 +146,7 @@ def render_svg(source: RunRecord | Scenario) -> str:
             f'font-size="10">{ev.name}</text>'
         )
 
-    outcome_by_det = {s.detector: s.outcome for s in steps}
+    outcome_by_det = {s.detector: s.outcome for s in record.steps}
     for det in scenario.detectors:
         x, y = frame.px(det.at.x[0]), frame.py(det.at.t)
         parts.append(
@@ -160,13 +165,9 @@ def render_svg(source: RunRecord | Scenario) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_ascii(source: RunRecord | Scenario) -> str:
+def render_ascii(record: RunRecord) -> str:
     """Coarse character-grid rendering of the same content."""
-    scenario = source.scenario if isinstance(source, RunRecord) else source
-    if scenario.dim != 1:
-        raise ConfigurationError(
-            f"diagrams are only drawn for 1 spatial dimension, scenario has {scenario.dim}"
-        )
+    scenario = _scenario_1d(record)
     (x0, x1), (t0, t1) = _bounds(scenario)
     grid = [[" "] * COLUMNS for _ in range(ROWS)]
 
@@ -176,8 +177,7 @@ def render_ascii(source: RunRecord | Scenario) -> str:
         if 0 <= row < ROWS and 0 <= col < COLUMNS:
             grid[row][col] = ch
 
-    steps = source.steps if isinstance(source, RunRecord) else ()
-    for step in steps:
+    for step in record.steps:
         xs = np.linspace(x0, x1, COLUMNS)
         ts = surface_times(step.surface_after, xs.reshape(-1, 1))
         for x, t in zip(xs, ts):

@@ -224,16 +224,6 @@ class Scenario:
         return tuple((lo - pad, hi + pad) for lo, hi in self._support_box)
 
 
-def _check_finite(s: Scenario) -> None:
-    """Reject NaN and infinities in the scenario's own numbers, which slip
-    through tolerance checks such as ``abs(x - 1) > EPS`` (False for NaN).
-    Events, unitaries, projectors and the initial surface (built by
-    ``validate_scenario``) are checked when they are built."""
-    geometry.check_speed_of_light(s.c)
-    if not np.isfinite(s.initial.core.amplitudes).all():
-        raise ConfigurationError("initial state has a non-finite amplitude")
-
-
 def _check_factors(state: BranchState) -> None:
     """What ``BranchState.split`` guarantees, checked for a state built by
     hand: the core spans the non-register subsystems in order, and each
@@ -254,7 +244,11 @@ def _check_factors(state: BranchState) -> None:
 
 
 def validate_scenario(s: Scenario) -> None:
-    _check_finite(s)
+    # NaN slips through tolerance checks such as ``abs(x - 1) > EPS``.  Events,
+    # unitaries, projectors and the initial surface with its speed of light
+    # reject non-finite values when they are built.
+    if not np.isfinite(s.initial.core.amplitudes).all():
+        raise ConfigurationError("initial state has a non-finite amplitude")
     surface = s.initial_surface()
     for ev in s.events:
         if ev.dim != s.dim:

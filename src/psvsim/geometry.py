@@ -87,12 +87,6 @@ def classify(e0: Event, e1: Event, c: float = 1.0) -> Separation:
     return Separation.SPACELIKE if gap < 0.0 else Separation.TIMELIKE
 
 
-def check_speed_of_light(c: float) -> None:
-    """Raise ``ConfigurationError`` unless c is positive and finite."""
-    if not (math.isfinite(c) and c > 0):
-        raise ConfigurationError(f"speed of light must be positive and finite, got {c}")
-
-
 @dataclass(frozen=True)
 class Lcsh:
     """A light-cone spacelike hypersurface: the upper envelope of the
@@ -106,7 +100,8 @@ class Lcsh:
     c: float = 1.0
 
     def __post_init__(self):
-        check_speed_of_light(self.c)
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ConfigurationError(f"speed of light must be positive and finite, got {self.c}")
         if not (math.isfinite(self.t0) or self.t0 == MINUS_INFINITY):
             raise ConfigurationError(f"surface floor t0 must be finite or -inf, got {self.t0}")
         dims = {a.dim for a in self.apexes}

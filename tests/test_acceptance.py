@@ -5,7 +5,6 @@ the independent dense-matrix helpers in _oracles.py."""
 import math
 
 import numpy as np
-import pytest
 
 from _oracles import (
     achronality_violation,

@@ -303,7 +303,10 @@ def test_joint_distribution_keys_follow_declaration_order():
 
 
 def test_asymmetric_split_probabilities():
-    s = scenarios.split_particle(amplitudes=(0.6, 0.8))
+    s = scenarios.split_particle()
+    amps = np.zeros((2, 2, 2, 2), dtype=complex)
+    amps[1, 0, 0, 0], amps[0, 1, 0, 0] = 0.6, 0.8
+    s = replace(s, initial=replace(s.initial, core=s.initial.core.with_amplitudes(amps.reshape(-1))))
     d = joint_distribution(s, ("A", "B", "C"))
     assert d.probability(("hit", "none", "c1")) == pytest.approx(0.36, abs=1e-12)
     assert d.probability(("none", "hit", "c2")) == pytest.approx(0.64, abs=1e-12)

@@ -24,3 +24,23 @@ def test_every_exported_name_has_a_program_reader():
     program += sorted((ROOT / "perfbench").glob("*.py"))
     read = set().union(*map(_loaded_names, program))
     assert sorted(set(psvsim.__all__) - read) == []
+
+
+def _imported_names(path: Path) -> set[str]:
+    """Every name a module binds by import, ``from __future__`` aside."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__.py imports to re-export; its readers are checked above.
+    modules = [p for p in sorted((ROOT / "src" / "psvsim").glob("*.py")) if p.name != "__init__.py"]
+    modules += sorted((ROOT / "tests").glob("*.py"))
+    unread = {p.relative_to(ROOT).as_posix(): sorted(_imported_names(p) - _loaded_names(p))
+              for p in modules}
+    assert {path: names for path, names in unread.items() if names} == {}

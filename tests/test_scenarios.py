@@ -1,14 +1,18 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from _oracles import charge_expectation, ghz_joint, singlet_joint, states_close
 from psvsim import hilbert, scenarios
-from psvsim.engine import enumerate_valid_orders, joint_distribution, run
-from psvsim.errors import ConfigurationError
+from psvsim.engine import enumerate_valid_orders, joint_distribution
 from psvsim.hilbert import Axis, X_AXIS, Y_AXIS, Z_AXIS
 from psvsim.scenarios import (
+    GHZ_GEOMETRY,
+    SINGLET_GEOMETRY,
+    SPLIT_GEOMETRY,
     ghz,
     occupation_copy_gate,
     singlet,
@@ -61,18 +65,6 @@ def test_split_particle_orders_include_reversed():
     assert ("A", "B", "C") in orders
 
 
-def test_split_particle_rejects_bad_amplitudes():
-    with pytest.raises(ConfigurationError):
-        split_particle(amplitudes=(1.0, 1.0))
-
-
-def test_split_particle_rejects_bad_layout():
-    with pytest.raises(ConfigurationError, match=r"detectors \('A', 'C'\) must be spacelike"):
-        split_particle(c=5.0)  # C timelike to A
-    with pytest.raises(ConfigurationError, match="AA1 must precede detector A"):
-        split_particle(c=0.5)  # AA1 after A's cone
-
-
 def test_split_particle_charge_modes():
     s = split_particle()
     assert charge_expectation(s.initial.core, s.charged_modes) == \
@@ -89,12 +81,6 @@ def test_singlet_distribution_matches_oracle():
             assert d.probability(key) == pytest.approx(p, abs=1e-12)
 
 
-def test_singlet_requires_spacelike_detectors():
-    # at c = 1e10, A and B are lightlike within EPS_GEOM
-    with pytest.raises(ConfigurationError, match="detectors A and B must be spacelike"):
-        singlet(Z_AXIS, X_AXIS, c=1e10)
-
-
 def test_singlet_with_copies_structure():
     s = singlet(Z_AXIS, X_AXIS, with_copies=True)
     assert s.detector_labels == ("A", "B", "C")
@@ -102,14 +88,6 @@ def test_singlet_with_copies_structure():
     assert len(enumerate_valid_orders(s)) == 6
     d = joint_distribution(s, ("A", "B", "C"))
     assert sum(d.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_singlet_with_copies_rejects_on_cone_devices():
-    # at c = 2/2.2, AA1 lies exactly on A's cone, which is ambiguous; at
-    # c = 0.5 it lies outside
-    for c in (2.0 / 2.2, 0.5):
-        with pytest.raises(ConfigurationError, match="AA1 must lie strictly inside A's"):
-            singlet(Z_AXIS, X_AXIS, with_copies=True, c=c)
 
 
 def test_ghz_distribution_matches_oracle():
@@ -130,14 +108,75 @@ def test_ghz_product_rule():
         assert p == pytest.approx(0.25, abs=1e-12)
 
 
+#: Where each copy event lies relative to each detector's backward light
+#: cone.  Split's copies sit on their branch detector's cone; the singlet's
+#: sit strictly inside, so that their Hellwig-Kraus region is unambiguous.
+_COPY_RELATIONS = {
+    "split": {("AA1", "A"): "on", ("AA1", "B"): "outside", ("AA1", "C"): "inside",
+              ("AA2", "A"): "outside", ("AA2", "B"): "on", ("AA2", "C"): "inside"},
+    "singlet": {("AA1", "A"): "inside", ("AA1", "B"): "outside", ("AA1", "C"): "inside",
+                ("AA2", "A"): "outside", ("AA2", "B"): "inside", ("AA2", "C"): "inside"},
+    "singlet-bare": {},
+    "ghz": {},
+}
+
+
+def _cone_relation(ev, apex, c: float = 1.0) -> str:
+    """Where ``ev`` lies relative to ``apex``'s backward light cone at
+    speed of light ``c`` in 1+1 D, from coordinates alone."""
+    lead, distance = c * (apex.t - ev.t), abs(apex.x[0] - ev.x[0])
+    return "inside" if lead > distance else "on" if lead == distance else "outside"
+
+
+def _spacelike(a, b, c: float = 1.0) -> bool:
+    return c * abs(a.t - b.t) < abs(a.x[0] - b.x[0])
+
+
+def _check_layout(name: str, s, layout) -> None:
+    """``s`` is built at c = 1 on ``layout``, its detectors are mutually
+    spacelike, and its copy events lie in the cones ``_COPY_RELATIONS`` names."""
+    copies = sorted({ev for ev, _ in _COPY_RELATIONS[name]})
+    assert s.c == 1.0
+    assert [d.at for d in s.detectors] == [layout[l] for l in s.detector_labels]
+    assert [ev.at for ev in s.interactions] == [layout[l] for l in copies]
+    for a, b in itertools.combinations(s.detector_labels, 2):
+        assert _spacelike(layout[a], layout[b]), (a, b)
+    relations = {(ev, det): _cone_relation(layout[ev], layout[det])
+                 for ev in copies for det in s.detector_labels}
+    assert relations == _COPY_RELATIONS[name], name
+
+
+def test_split_particle_rejects_bad_layout():
+    # the builder's c is fixed at 1; the same coordinates at c = 5 would
+    # put C timelike to A, and at c = 0.5 AA1 outside A's cone
+    _check_layout("split", split_particle(), SPLIT_GEOMETRY)
+    g = SPLIT_GEOMETRY
+    assert not _spacelike(g["A"], g["C"], c=5.0)
+    assert _cone_relation(g["AA1"], g["A"], c=0.5) == "outside"
+
+
+def test_singlet_requires_spacelike_detectors():
+    s = singlet(Z_AXIS, X_AXIS)
+    assert s.detector_labels == ("A", "B")
+    _check_layout("singlet-bare", s, SINGLET_GEOMETRY)
+
+
+def test_singlet_with_copies_rejects_on_cone_devices():
+    _check_layout("singlet", singlet(Z_AXIS, X_AXIS, with_copies=True), SINGLET_GEOMETRY)
+    # at c = 2/2.2 AA1 would lie exactly on A's cone, which is ambiguous;
+    # at c = 0.5 it would lie outside
+    g = SINGLET_GEOMETRY
+    assert _cone_relation(g["AA1"], g["A"], c=2.0 / 2.2) == "on"
+    assert _cone_relation(g["AA1"], g["A"], c=0.5) == "outside"
+
+
 def test_ghz_rejects_timelike_detectors():
-    # at c = 1e10, the detectors are lightlike within EPS_GEOM
-    with pytest.raises(ConfigurationError, match=r"detectors \('A', 'B'\) must be spacelike"):
-        ghz(c=1e10)
+    _check_layout("ghz", ghz(), GHZ_GEOMETRY)
 
 
 def test_custom_speed_of_light():
-    # with c = 10 the same coordinates are all spacelike-connected anyway
-    s = ghz(c=10.0)
+    # another c is another scenario; with c = 10 the GHZ coordinates are
+    # all spacelike-connected anyway
+    s = replace(ghz(), c=10.0)
     d = joint_distribution(s, ("A", "B", "C"))
     assert sum(d.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
