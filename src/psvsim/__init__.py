@@ -39,7 +39,6 @@ from .hilbert import (
     X_AXIS,
     Y_AXIS,
     Z_AXIS,
-    apply_unitary,
     axis_eigenstate,
     basis_state,
     born_probability,
@@ -113,7 +112,6 @@ __all__ = [
     "Y_AXIS",
     "Z_AXIS",
     "adjoin_apex",
-    "apply_unitary",
     "axis_eigenstate",
     "basis_state",
     "born_probability",

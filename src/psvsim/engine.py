@@ -52,10 +52,15 @@ class InteractionEvent:
     gate: dict | None = None  # structured description for serialization
 
     def __post_init__(self):
+        if type(self.targets) is not tuple or not self.targets or len(set(self.targets)) < len(self.targets):
+            raise ConfigurationError(f"interaction {self.name!r} targets must be a non-empty "
+                                     f"tuple of distinct labels, got {self.targets!r}")
         u = np.array(self.unitary, dtype=complex)
         if not np.isfinite(u).all():
             raise ConfigurationError(f"interaction {self.name!r} has a non-finite unitary entry")
-        if not hilbert.is_unitary(u):
+        # u u^dagger = 1 within EPS_OP; an entry above 1, which could overflow it, fails first
+        if not (u.ndim == 2 and len(u) == u.shape[1] and np.abs(u).max(initial=0) <= 1 + hilbert.EPS_OP
+                and np.abs(u @ u.conj().T - np.eye(len(u))).max(initial=0) <= hilbert.EPS_OP):
             raise ConfigurationError(f"interaction {self.name!r} is not unitary")
         u.flags.writeable = False
         object.__setattr__(self, "unitary", u)
@@ -283,6 +288,15 @@ def validate_scenario(s: Scenario) -> None:
             raise ConfigurationError(
                 f"detector {d.label!r} pointer {max(d.pointers)} exceeds register dim {reg.dim}"
             )
+    # hilbert trusts each operator's shape; an outcome set's projectors share one
+    operators = [(f"interaction {ev.name!r} unitary", ev.unitary, ev.targets) for ev in s.interactions]
+    operators += [(f"detector {d.label!r} projector", d.outcomes.outcomes[0][1], d.outcomes.targets)
+                  for d in s.detectors]
+    for what, op, targets in operators:
+        side = math.prod(specs[t].dim for t in targets)
+        if op.shape != (side, side):
+            raise ConfigurationError(f"{what} has shape {op.shape}, expected ({side}, {side}) "
+                                     f"for targets {targets}")
     for m in s.charged_modes:
         if m not in specs:
             raise ConfigurationError(f"unknown subsystem label {m!r}")

@@ -143,9 +143,10 @@ def surface_times(s: Lcsh, xs: np.ndarray) -> np.ndarray:
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     t = np.full(xs.shape[0], s.t0)
     if s.apexes:
-        d = xs[:, None, :] - s.apex_points
-        r = np.sqrt(np.multiply(d, d, out=d).sum(axis=2))  # np.linalg.norm, without its copies
-        t = np.maximum(t, (s.apex_times - r / s.c).max(axis=1))
+        with np.errstate(over="ignore"):  # a distance past the float range: the cone is at -inf
+            d = xs[:, None, :] - s.apex_points
+            r = np.sqrt(np.multiply(d, d, out=d).sum(axis=2))  # np.linalg.norm, without its copies
+            t = np.maximum(t, (s.apex_times - r / s.c).max(axis=1))
     return t
 
 
@@ -187,14 +188,12 @@ def _bounding_region(surfaces: tuple[Lcsh, ...]) -> Region:
 
 def probe_points(
     surfaces: tuple[Lcsh, ...],
-    region: Region | None = None,
+    region: Region,
     points_per_axis: int = 64,
 ) -> np.ndarray:
     """Probe grid for surface comparisons: a regular grid over ``region``
-    (default: ``_bounding_region``) plus all apex spatial projections.
-    Two points per axis give the region's corners."""
-    if region is None:
-        region = _bounding_region(surfaces)
+    plus all apex spatial projections.  Two points per axis give the
+    region's corners."""
     if points_per_axis == 2:
         grid = np.array(list(itertools.product(*region)), dtype=float)
     else:
@@ -266,10 +265,10 @@ def compare(s1: Lcsh, s0: Lcsh, region: Region | None = None) -> tuple[bool, boo
     return up, down
 
 
-def is_future_of(s1: Lcsh, s0: Lcsh, region: Region | None = None) -> bool:
+def is_future_of(s1: Lcsh, s0: Lcsh) -> bool:
     """True iff s1 >= s0 at every probe point and s1 > s0 at one, both
     within EPS_GEOM: s1 covers s0 and not the other way (see ``compare``).  Raises
     ``ConfigurationError`` for surfaces of different spatial dimension or
     speed of light."""
-    up, down = compare(s1, s0, region)
+    up, down = compare(s1, s0)
     return up and not down

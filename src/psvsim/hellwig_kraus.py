@@ -43,16 +43,13 @@ class HkRegion:
         return set(other.reduced) <= mine
 
 
-def detector_blc(s: Scenario, label: str) -> Lcsh:
-    return Lcsh(t0=geometry.MINUS_INFINITY, apexes=(s.detector(label).at,), c=s.c)
-
-
 def hk_region_of(e: Event, s: Scenario, labels: tuple[str, ...]) -> HkRegion:
     """Region of a spacetime point; points exactly on a cone are errors
     since the delta-limit convention makes regions open sets."""
     sides = []
     for label in labels:
-        side = geometry.event_side_of_surface(e, detector_blc(s, label))
+        cone = Lcsh(t0=geometry.MINUS_INFINITY, apexes=(s.detector(label).at,), c=s.c)
+        side = geometry.event_side_of_surface(e, cone)
         if side is SurfaceSide.ON:
             raise AmbiguousRegionError(
                 f"point {e} lies exactly on the backward light cone of {label!r}"

@@ -114,19 +114,10 @@ def split_particle() -> Scenario:
         InteractionEvent("AA2 copy", g["AA2"], ("b", "c2"), occupation_copy_gate(),
                          gate={"kind": "copy_occupation", "source": "b", "target": "c2"}),
     )
-    dims_c = (2, 2)
-
-    def _cfg(i, j):
-        p = np.zeros((4, 4), dtype=complex)
-        k = np.ravel_multi_index((i, j), dims_c)
-        p[k, k] = 1.0
-        return p
-
-    c_outcomes = OutcomeSet(
-        targets=("c1", "c2"),
-        outcomes=(("none", _cfg(0, 0)), ("c1", _cfg(1, 0)),
-                  ("c2", _cfg(0, 1)), ("both", _cfg(1, 1))),
-    )
+    # occupations (i, j) of (c1, c2) are basis index 2i + j
+    c_outcomes = OutcomeSet(targets=("c1", "c2"), outcomes=tuple(
+        (label, np.diag(np.eye(4, dtype=complex)[k]))
+        for label, k in (("none", 0), ("c1", 2), ("c2", 1), ("both", 3))))
     detectors = (
         DetectorEvent("A", g["A"], _occupation_outcomes("a"), "RA",
                       absorbing=True, pointers=(0, 1)),
@@ -169,13 +160,13 @@ def singlet(
     g = SINGLET_GEOMETRY
 
     spins = (_spin("a"), _spin("b"))
+    detectors = (
+        DetectorEvent("A", g["A"], hilbert.spin_outcome_set("a", axis_a), "RA"),
+        DetectorEvent("B", g["B"], hilbert.spin_outcome_set("b", axis_b), "RB"),
+    )
     if not with_copies:
         initial = _with_registers(singlet_state(spins, copy_basis), RA=3, RB=3)
         interactions: tuple[InteractionEvent, ...] = ()
-        detectors = (
-            DetectorEvent("A", g["A"], hilbert.spin_outcome_set("a", axis_a), "RA"),
-            DetectorEvent("B", g["B"], hilbert.spin_outcome_set("b", axis_b), "RB"),
-        )
         worldlines = (("a", (g["source"], g["A"])), ("b", (g["source"], g["B"])))
     else:
         copies = (_spin("c1"), _spin("c2"))
@@ -199,12 +190,8 @@ def singlet(
                 p = np.kron(spin_projector(axis_b, +1 if s1 == "+" else -1),
                             spin_projector(axis_a, +1 if s2 == "+" else -1))
                 pairs.append((s1 + s2, p))
-        detectors = (
-            DetectorEvent("A", g["A"], hilbert.spin_outcome_set("a", axis_a), "RA"),
-            DetectorEvent("B", g["B"], hilbert.spin_outcome_set("b", axis_b), "RB"),
-            DetectorEvent("C", g["C"], OutcomeSet(targets=("c1", "c2"), outcomes=tuple(pairs)),
-                          "RC", pointers=(1, 2, 3, 4)),
-        )
+        detectors += (DetectorEvent("C", g["C"], OutcomeSet(targets=("c1", "c2"),
+                                                            outcomes=tuple(pairs)), "RC"),)
         worldlines = (
             ("a", (g["source"], g["AA1"], g["A"])),
             ("b", (g["source"], g["AA2"], g["B"])),

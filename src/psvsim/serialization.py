@@ -1,8 +1,8 @@
 """JSON schemas for scenarios, states, run records and distributions.
 
 Events serialize as {"t": number, "x": [number, ...]}, axes as
-{"theta": ..., "phi": ...} (accepted also as {"xyz": [...]}), complex
-matrices and amplitude vectors as nested [re, im] pairs.
+{"theta": ..., "phi": ...}, complex matrices and amplitude vectors as
+nested [re, im] pairs.  Scalar and label-list fields are type-checked as read.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from . import hilbert, scenarios
+from . import scenarios
 from .engine import (
     BranchState,
     DetectorEvent,
@@ -29,6 +29,21 @@ from .geometry import Event, Lcsh
 from .hilbert import Axis, OutcomeSet, StateVector, SubsystemKind, SubsystemSpec
 
 MINUS_INFINITY_TOKEN = "minus_infinity"
+_NUMBER = (int, float)
+_TYPE_NAMES = {_NUMBER: "a number", int: "an integer", bool: "true or false", list: "a list", str: "a string"}
+
+
+def _typed(v: Any, kind: type | tuple[type, ...], what: str) -> Any:
+    """``v`` if it has JSON type ``kind``.  A JSON true or false is a bool
+    only, never a number, though Python counts bools as ints."""
+    if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
+        raise TypeError(f"{what} must be {_TYPE_NAMES[kind]}, got {v!r}")
+    return v
+
+
+def _labels(v: Any, what: str) -> tuple[str, ...]:
+    """A label list, never a string read as a list of letters."""
+    return tuple(_typed(label, str, f"{what} entry") for label in _typed(v, list, what))
 
 
 def event_to_dict(e: Event) -> dict:
@@ -36,7 +51,8 @@ def event_to_dict(e: Event) -> dict:
 
 
 def event_from_dict(d: dict) -> Event:
-    return Event(d["t"], tuple(d["x"]))
+    x = tuple(_typed(v, _NUMBER, "event x entry") for v in _typed(d["x"], list, "event x"))
+    return Event(_typed(d["t"], _NUMBER, "event t"), x)
 
 
 def axis_to_dict(a: Axis) -> dict:
@@ -44,8 +60,6 @@ def axis_to_dict(a: Axis) -> dict:
 
 
 def axis_from_dict(d: dict) -> Axis:
-    if "xyz" in d:
-        return Axis.from_xyz(d["xyz"])
     return Axis(theta=d["theta"], phi=d.get("phi", 0.0))
 
 
@@ -58,7 +72,8 @@ def _pairs_to_complex(pairs: Any) -> np.ndarray:
     arr = np.asarray(pairs, dtype=float)
     if arr.shape[-1:] != (2,):
         raise ValueError(f"complex entries must be [re, im] pairs, got shape {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]
+    with np.errstate(invalid="ignore"):  # 1j * inf is a NaN, which the finiteness checks reject
+        return arr[..., 0] + 1j * arr[..., 1]
 
 
 def surface_to_dict(s: Lcsh) -> dict:
@@ -74,7 +89,7 @@ def subsystem_to_dict(s: SubsystemSpec) -> dict:
 
 
 def subsystem_from_dict(d: dict) -> SubsystemSpec:
-    return SubsystemSpec(d["label"], d["dim"], SubsystemKind(d["kind"]))
+    return SubsystemSpec(d["label"], _typed(d["dim"], int, "subsystem dim"), SubsystemKind(d["kind"]))
 
 
 def state_to_dict(state: StateVector) -> dict:
@@ -134,12 +149,12 @@ def interaction_from_dict(d: dict) -> InteractionEvent:
         targets = (gate["source"], gate["target"])
     else:
         unitary = _pairs_to_complex(d["unitary"])
-        targets = tuple(d["subsystems"])
+        targets = _labels(d["subsystems"], "interaction subsystems")
     return InteractionEvent(d["name"], event_from_dict(d["at"]), targets, unitary, gate=gate)
 
 
 def detector_to_dict(det: DetectorEvent) -> dict:
-    d = {
+    return {
         "label": det.label,
         "at": event_to_dict(det.at),
         "register": det.register,
@@ -150,25 +165,18 @@ def detector_to_dict(det: DetectorEvent) -> dict:
             for (l, p), ptr in zip(det.outcomes.outcomes, det.pointers)
         ],
     }
-    return d
 
 
 def detector_from_dict(d: dict) -> DetectorEvent:
-    if "axis" in d:
-        axis = axis_from_dict(d["axis"])
-        target = d.get("target") or d["targets"][0]
-        outcomes = hilbert.spin_outcome_set(target, axis)
-        pointers = tuple(d.get("pointers", (1, 2)))
-    else:
-        entries = d["projectors"]
-        outcomes = OutcomeSet(
-            targets=tuple(d["targets"]),
-            outcomes=tuple((e["label"], _pairs_to_complex(e["matrix"])) for e in entries),
-        )
-        pointers = tuple(e.get("pointer", i + 1) for i, e in enumerate(entries))
+    entries = d["projectors"]
+    outcomes = OutcomeSet(
+        targets=_labels(d["targets"], "detector targets"),
+        outcomes=tuple((e["label"], _pairs_to_complex(e["matrix"])) for e in entries),
+    )
     return DetectorEvent(
         d["label"], event_from_dict(d["at"]), outcomes, d["register"],
-        absorbing=d.get("absorbing", False), pointers=pointers,
+        absorbing=_typed(d.get("absorbing", False), bool, "detector absorbing"),
+        pointers=tuple(e.get("pointer", i + 1) for i, e in enumerate(entries)),
     )
 
 
@@ -205,19 +213,20 @@ def scenario_from_dict(d: dict) -> Scenario:
         if not np.isfinite(initial.amplitudes).all():
             raise ConfigurationError("initial state has a non-finite amplitude")
         return Scenario(
-            dim=d["dim"],
-            c=d.get("c", 1.0),
+            dim=_typed(d["dim"], int, "dim"),
+            c=_typed(d.get("c", 1.0), _NUMBER, "c"),
             initial=BranchState.split(initial),
-            initial_t0=-math.inf if t0 == MINUS_INFINITY_TOKEN else float(t0),
+            initial_t0=(-math.inf if t0 == MINUS_INFINITY_TOKEN
+                        else float(_typed(t0, _NUMBER, "initial_surface t0"))),
             interactions=tuple(interaction_from_dict(ev) for ev in d.get("interactions", [])),
             detectors=tuple(detector_from_dict(det) for det in d["detectors"]),
-            charged_modes=tuple(d.get("charged_modes", [])),
+            charged_modes=_labels(d.get("charged_modes", []), "charged_modes"),
             worldlines=tuple(
                 (w["label"], tuple(event_from_dict(p) for p in w["points"]))
                 for w in d.get("worldlines", [])
             ),
         )
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ConfigurationError(f"malformed scenario: {type(exc).__name__}: {exc}") from exc
 
 

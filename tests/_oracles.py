@@ -169,10 +169,16 @@ def surface_times_by_apex(s, xs):
     return t
 
 
+def _grid(s1, s0, region):
+    """The 64^d probe grid plus apex projections of the pair, over
+    ``region`` or, if None, the pair's default region."""
+    return probe_points((s0, s1), _bounding_region((s0, s1)) if region is None else region, 64)
+
+
 def grid_covers(s1, s0, region=None):
     """s1 >= s0 - EPS_GEOM at every point of the 64^d probe grid (plus apex
     projections) of the pair."""
-    xs = probe_points((s0, s1), region, 64)
+    xs = _grid(s1, s0, region)
     return bool(np.all(surface_times(s1, xs) >= surface_times(s0, xs) - EPS_GEOM))
 
 
@@ -185,7 +191,7 @@ def grid_compare(s1, s0, region=None):
 def grid_is_future_of(s1, s0, region=None):
     """s1 >= s0 at every probe-grid point and s1 > s0 at one, within
     EPS_GEOM."""
-    xs = probe_points((s0, s1), region, 64)
+    xs = _grid(s1, s0, region)
     t1 = surface_times(s1, xs)
     t0 = surface_times(s0, xs)
     if not np.all(t1 >= t0 - EPS_GEOM):
@@ -198,7 +204,7 @@ def probe_grid_sizes(fn, *args):
     call it made."""
     sizes = []
 
-    def spy(surfaces, region=None, points_per_axis=64):
+    def spy(surfaces, region, points_per_axis=64):
         sizes.append(points_per_axis)
         return probe_points(surfaces, region, points_per_axis)
 

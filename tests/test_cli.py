@@ -130,9 +130,10 @@ def _pairs(a) -> list:
 def _malformed_scenarios():
     """name -> (scenario JSON, start of the expected error message)."""
     ghz = serialization.scenario_to_dict(scenarios.ghz())
-    no_targets = deepcopy(ghz)
-    no_targets["detectors"][0] = {"label": "A", "at": {"t": 3, "x": [-4]},
-                                  "register": "RA", "axis": {"theta": 0.0}}
+    # an axis where a detector's targets and projectors belong
+    no_projectors = deepcopy(ghz)
+    no_projectors["detectors"][0] = {"label": "A", "at": {"t": 3, "x": [-4]},
+                                     "register": "RA", "axis": {"theta": 0.0}}
     bogus_kind = deepcopy(ghz)
     bogus_kind["subsystems"][0]["kind"] = "bogus"
     kicks_register = deepcopy(ghz)
@@ -201,9 +202,74 @@ def _malformed_scenarios():
     mismatched = {case: deepcopy(ghz) for case in ("dim", "kind")}
     mismatched["dim"]["subsystems"][3]["dim"] = 10**6
     mismatched["kind"]["subsystems"][0]["kind"] = "mode"
+
+    def edited(edit):
+        blob = deepcopy(ghz)
+        edit(blob)
+        return blob
+
+    def interaction(subsystems, unitary, t=1.0):
+        return lambda blob: blob.__setitem__("interactions", [
+            {"name": "kick", "at": {"t": t, "x": [0]}, "subsystems": subsystems,
+             "unitary": _pairs(unitary)}])
+
+    def detector_a(key, value):
+        return lambda blob: blob["detectors"][0].__setitem__(key, value)
+
+    shapes = {
+        # after the detectors (t = 3), where dist, orders and sample never apply it
+        "late-interaction-wrong-shape": (
+            interaction(["a", "b"], np.eye(2), t=10.0),
+            "interaction 'kick' unitary has shape (2, 2), expected (4, 4) for targets ('a', 'b')"),
+        "detector-projector-wrong-side": (  # A's 2x2 projectors on spins a and b
+            detector_a("targets", ["a", "b"]),
+            "detector 'A' projector has shape (2, 2), expected (4, 4) for targets ('a', 'b')"),
+    }
+    interaction_targets = "interaction 'kick' targets must be a non-empty tuple of distinct labels"
+    outcome_targets = "outcome set targets must be a non-empty tuple of distinct labels"
+    targets = {
+        "interaction-duplicate-target": (interaction(["a", "a"], np.eye(4)), interaction_targets),
+        "interaction-empty-targets": (interaction([], np.eye(1)), interaction_targets),
+        "detector-duplicate-target": (detector_a("targets", ["a", "a"]), outcome_targets),
+        "detector-empty-targets": (detector_a("targets", []), outcome_targets),
+    }
+    type_error = "malformed scenario: TypeError: "
+    field_types = {
+        "absorbing-a-string": (detector_a("absorbing", "no"),
+                               "detector absorbing must be true or false, got 'no'"),
+        "detector-time-a-string": (detector_a("at", {"t": "3", "x": [-6]}),
+                                   "event t must be a number, got '3'"),
+        "x-entry-a-string": (detector_a("at", {"t": 3, "x": ["-6"]}),
+                             "event x entry must be a number, got '-6'"),
+        "x-a-string": (detector_a("at", {"t": 3, "x": "6"}),
+                       "event x must be a list, got '6'"),
+        "c-a-string": (lambda blob: blob.__setitem__("c", "1"), "c must be a number, got '1'"),
+        "c-a-bool": (lambda blob: blob.__setitem__("c", True), "c must be a number, got True"),
+        "t0-a-string": (lambda blob: blob.__setitem__("initial_surface", {"t0": "-1e9"}),
+                        "initial_surface t0 must be a number, got '-1e9'"),
+        "dim-a-bool": (lambda blob: blob.__setitem__("dim", True),
+                       "dim must be an integer, got True"),
+        "dim-a-float": (lambda blob: blob.__setitem__("dim", 1.0),
+                        "dim must be an integer, got 1.0"),
+        "subsystem-dim-a-float": (lambda blob: blob["subsystems"][0].__setitem__("dim", 2.0),
+                                  "subsystem dim must be an integer, got 2.0"),
+        "detector-targets-a-string": (detector_a("targets", "a"),
+                                      "detector targets must be a list, got 'a'"),
+        "detector-target-not-a-string": (detector_a("targets", [0]),
+                                         "detector targets entry must be a string, got 0"),
+        "interaction-subsystems-a-string": (
+            interaction("ab", np.eye(4)),
+            "interaction subsystems must be a list, got 'ab'"),
+        "charged-modes-a-string": (lambda blob: blob.__setitem__("charged_modes", "a"),
+                                   "charged_modes must be a list, got 'a'"),
+    }
     malformed = "malformed scenario"
     return {"missing-keys": ({"dim": 1}, malformed),
-            "axis-without-targets": (no_targets, malformed),
+            "detector-without-projectors": (no_projectors, malformed),
+            **{name: (edited(edit), message) for name, (edit, message) in shapes.items()},
+            **{name: (edited(edit), message) for name, (edit, message) in targets.items()},
+            **{name: (edited(edit), type_error + message)
+               for name, (edit, message) in field_types.items()},
             "top-level-list": ([1, 2], malformed),
             "bogus-kind": (bogus_kind, malformed),
             "interaction-on-register": (kicks_register, "interaction 'kick' targets register"),
@@ -240,11 +306,12 @@ def test_malformed_scenario_file_is_a_validation_error(name, tmp_path, capsys):
     scenario, message = _malformed_scenarios()[name]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(scenario))
-    code, out, err = run_cli(capsys, "dist", "--scenario", str(path), "--json")
-    assert (code, out) == (1, "")
-    blob = json.loads(err)
-    assert blob["error"] == "validation"
-    assert blob["message"].startswith(message)
+    for command in ("dist", "run", "orders", "sample"):
+        code, out, err = run_cli(capsys, command, "--scenario", str(path), "--json")
+        assert (code, out) == (1, "")
+        blob = json.loads(err)
+        assert blob["error"] == "validation"
+        assert blob["message"].startswith(message)
 
 
 @pytest.mark.parametrize("command", ["run", "sample", "diagram"])

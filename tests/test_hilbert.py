@@ -119,14 +119,6 @@ def test_unitary_preserves_norm(seed):
     assert out.norm == pytest.approx(1.0, abs=1e-12)
 
 
-def test_apply_unitary_rejects_nonunitary():
-    st_ = basis_state((SPIN,))
-    with pytest.raises(ConfigurationError):
-        apply_unitary(st_, np.array([[1.0, 0.0], [0.0, 2.0]]), ("s",))
-    with pytest.raises(ConfigurationError):
-        apply_unitary(st_, np.eye(4), ("s",))
-
-
 @st.composite
 def matrix_targets(draw):
     """(dims, target positions, seed): up to four spins and registers, and

@@ -44,3 +44,9 @@ def test_no_module_imports_a_name_it_never_reads():
     unread = {p.relative_to(ROOT).as_posix(): sorted(_imported_names(p) - _loaded_names(p))
               for p in modules}
     assert {path: names for path, names in unread.items() if names} == {}
+
+
+def test_the_package_exports_exactly_what_its_init_imports():
+    # A name dropped from one of the two lists cannot linger in the other.
+    imported = _imported_names(ROOT / "src" / "psvsim" / "__init__.py")
+    assert sorted(imported) == sorted(psvsim.__all__)

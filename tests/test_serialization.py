@@ -21,12 +21,10 @@ def test_event_roundtrip():
     assert roundtrip(e, ser.event_to_dict, ser.event_from_dict) == e
 
 
-def test_axis_roundtrip_and_xyz_form():
+def test_axis_roundtrip():
     a = Axis(1.2, -0.7)
     b = roundtrip(a, ser.axis_to_dict, ser.axis_from_dict)
     assert b == a
-    c = ser.axis_from_dict({"xyz": [0.0, 0.0, 1.0]})
-    assert c.theta == pytest.approx(0.0)
 
 
 def test_surface_roundtrip_with_minus_infinity():
@@ -74,16 +72,6 @@ def test_unknown_gate_kind_rejected():
             "name": "x", "at": {"t": 0, "x": [0]},
             "gate": {"kind": "teleport", "source": "a", "target": "b"},
         })
-
-
-def test_detector_axis_form():
-    det = ser.detector_from_dict({
-        "label": "A", "at": {"t": 3, "x": [-4]},
-        "axis": {"theta": 0.0, "phi": 0.0},
-        "targets": ["a"], "register": "RA",
-    })
-    assert det.outcomes.labels == ("+", "-")
-    assert det.pointers == (1, 2)
 
 
 def test_scenario_from_dict_validates():
