@@ -314,7 +314,21 @@ def _report(args, argv: list[str], kind: str, exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    """Run the subcommand in ``argv`` and return its exit code.
+
+    With ``argv`` None this is the program (``python -m psvsim.cli``, the
+    ``psvsim`` console script): it reads ``sys.argv`` and first calls
+    ``gc.freeze()``, so that no later collection, the one at interpreter
+    exit included, walks again the objects its imports left.  An
+    in-process caller passes ``argv`` and is never frozen, since a
+    freeze would keep any cycle not yet collected for the life of its
+    process.
+    """
+    if argv is None:
+        gc.freeze()
+        argv = sys.argv[1:]
+    else:
+        argv = list(argv)
     args = None
     try:
         args = build_parser().parse_args(argv)

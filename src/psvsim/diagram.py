@@ -42,6 +42,9 @@ class _Frame:
 
 
 def _bounds(scenario: Scenario) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The drawn x and t ranges.  Coordinates near the float limit can
+    make a range or its span overflow, and then no point can be placed:
+    that is a ``ConfigurationError``."""
     (x_range,) = scenario.support_region(pad=1.5)
     ts = [e.t for e in scenario.events]
     ts += [p.t for _, line in scenario.worldlines for p in line]
@@ -50,7 +53,13 @@ def _bounds(scenario: Scenario) -> tuple[tuple[float, float], tuple[float, float
     if not ts:
         ts = [0.0]
     tspan = max(ts) - min(ts) or 1.0
-    return x_range, (min(ts) - 0.6 * tspan - 0.5, max(ts) + 0.4 * tspan + 0.5)
+    t_range = (min(ts) - 0.6 * tspan - 0.5, max(ts) + 0.4 * tspan + 0.5)
+    x0, x1 = (float(v) for v in x_range)  # a numpy scalar would warn on overflow
+    t0, t1 = t_range
+    if not (math.isfinite(x1 - x0) and math.isfinite(t1 - t0)):
+        raise ConfigurationError(f"scenario too large to draw: x from {x0:g} to {x1:g}, "
+                                 f"t from {t0:g} to {t1:g}")
+    return x_range, t_range
 
 
 def _surface_path(surface: Lcsh, frame: _Frame) -> str:

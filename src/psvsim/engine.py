@@ -479,13 +479,15 @@ def run(
 
     Each node is expanded once by ``step``; the branch taken is the fixed
     outcome, or is drawn from the node's Born probabilities with the
-    stream ``default_rng(seed)``, one uniform per step.  The recorded
-    states are full tensors.
+    stream ``default_rng(seed)``, one uniform per step.  The seed is
+    checked either way, but no generator is built when every outcome is
+    fixed.  The recorded states are full tensors.
     """
     _require_valid(s, order)
     if outcomes is not None and len(outcomes) != len(order):
         raise ConfigurationError("need one fixed outcome per detector in the order")
-    rng = np.random.default_rng(_checked_seed(seed))
+    seed = _checked_seed(seed)
+    rng = np.random.default_rng(seed) if outcomes is None else None
 
     surface = s.initial_surface()
     state = s.initial

@@ -1,6 +1,8 @@
 import gc
 import json
 import math
+import subprocess
+import sys
 from copy import deepcopy
 
 import numpy as np
@@ -314,6 +316,31 @@ def test_malformed_scenario_file_is_a_validation_error(name, tmp_path, capsys):
         assert blob["message"].startswith(message)
 
 
+@pytest.mark.parametrize("far", ["x", "t"])
+def test_a_scenario_too_large_to_draw_fails_diagram_only(far, tmp_path, capsys):
+    """Coordinates near the float limit that every subcommand but
+    ``diagram`` runs: a drawn range or span would overflow."""
+    ghz = serialization.scenario_to_dict(scenarios.ghz())
+    if far == "x":  # A and C at opposite ends of the float range
+        ghz["detectors"][0]["at"]["x"] = [-1.7e308]
+        ghz["detectors"][2]["at"]["x"] = [1.7e308]
+        order = "A,B,C"
+    else:  # B far in C's future
+        ghz["detectors"][1]["at"]["t"] = 1.7e308
+        order = "A,C,B"
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(ghz))
+    argv = ("--scenario", str(path), "--order", order, "--json")
+    for command in ("dist", "run"):
+        assert run_cli(capsys, command, *argv)[0] == 0
+    for extra in ((), ("--ascii",)):
+        code, out, err = run_cli(capsys, "diagram", *argv, *extra)
+        assert (code, out) == (1, "")
+        blob = json.loads(err)
+        assert blob["error"] == "validation"
+        assert blob["message"].startswith("scenario too large to draw: ")
+
+
 @pytest.mark.parametrize("command", ["run", "sample", "diagram"])
 def test_negative_seed_is_a_validation_error(command, capsys):
     code, _, err = run_cli(capsys, command, "--scenario", "singlet", "--seed", "-1")
@@ -362,6 +389,26 @@ def test_failed_load_leaves_the_collector_as_it_was(enabled, tmp_path, capsys):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def test_the_program_freezes_its_imports(capsys):
+    """Run as a program, ``main`` freezes what the imports left, so the
+    collector (the pass at exit included) does not walk it again; an
+    in-process call freezes nothing."""
+    child = ("import gc, sys\n"
+             "from psvsim import cli\n"
+             "sys.argv = ['psvsim', 'dist', '--scenario', 'split', '--json']\n"
+             "assert gc.get_freeze_count() == 0\n"
+             "code = cli.main()\n"
+             "sys.stderr.write(f'{code} {gc.get_freeze_count()}')\n")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=120, check=True)
+    code, frozen = map(int, proc.stderr.split())
+    assert code == 0 and frozen > 0
+    assert json.loads(proc.stdout)["detectors"] == ["A", "B", "C"]
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, "dist", "--scenario", "split", "--json")[0] == 0
+    assert gc.get_freeze_count() == before
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 import itertools
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -507,6 +509,20 @@ def test_negative_seed_is_rejected():
         sample(s, ("A", "B", "C"), 10, seed=-1)
     with pytest.raises(ConfigurationError, match="seed"):
         run(s, ("A", "B", "C"), seed=-1)
+    with pytest.raises(ConfigurationError, match="seed"):
+        run(s, ("A", "B", "C"), outcomes=("+", "+", "+"), seed=-1)
+
+
+def test_a_run_with_fixed_outcomes_builds_no_generator():
+    """Nothing is drawn, so ``numpy.random`` is never imported."""
+    child = ("import sys\n"
+             "from psvsim import engine, scenarios\n"
+             "engine.run(scenarios.split_particle(), ('A', 'B', 'C'), "
+             "outcomes=('none', 'hit', 'c2'))\n"
+             "print('numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_state_on_hyperplane_undefined_on_crossing():

@@ -1,4 +1,7 @@
 import ast
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import psvsim
@@ -50,3 +53,22 @@ def test_the_package_exports_exactly_what_its_init_imports():
     # A name dropped from one of the two lists cannot linger in the other.
     imported = _imported_names(ROOT / "src" / "psvsim" / "__init__.py")
     assert sorted(imported) == sorted(psvsim.__all__)
+
+
+def test_a_failing_property_test_reports_its_example(tmp_path):
+    # Under the project's pytest settings (warnings are errors) and its
+    # conftest, a failing hypothesis test is a FAILED line with its
+    # falsifying example, not an INTERNALERROR that stops the run.
+    for name in ("pyproject.toml", "tests/conftest.py"):
+        shutil.copy(ROOT / name, tmp_path)
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 10\n")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "test_fails.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAILED test_fails.py::test_fails" in proc.stdout
+    assert "Falsifying example" in proc.stdout
