@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
 
 from . import geometry, hilbert
+from ._record import Record
 from .errors import ConfigurationError
 from .geometry import Event, Lcsh, Separation, SurfaceSide
 from .hilbert import OutcomeSet, StateVector, SubsystemKind, SubsystemSpec
@@ -41,8 +42,8 @@ MAX_SAMPLES = 10**9
 SAMPLE_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class InteractionEvent:
+@dataclass(init=False, repr=False, eq=False)
+class InteractionEvent(Record):
     """A unitary anchored at a spacetime point, e.g. an AA copy gate."""
 
     name: str
@@ -51,23 +52,24 @@ class InteractionEvent:
     unitary: np.ndarray
     gate: dict | None = None  # structured description for serialization
 
-    def __post_init__(self):
-        if type(self.targets) is not tuple or not self.targets or len(set(self.targets)) < len(self.targets):
-            raise ConfigurationError(f"interaction {self.name!r} targets must be a non-empty "
-                                     f"tuple of distinct labels, got {self.targets!r}")
-        u = np.array(self.unitary, dtype=complex)
+    def __init__(self, name: str, at: Event, targets: tuple[str, ...], unitary: np.ndarray,
+                 gate: dict | None = None):
+        if type(targets) is not tuple or not targets or len(set(targets)) < len(targets):
+            raise ConfigurationError(f"interaction {name!r} targets must be a non-empty "
+                                     f"tuple of distinct labels, got {targets!r}")
+        u = np.array(unitary, dtype=complex)
         if not np.isfinite(u).all():
-            raise ConfigurationError(f"interaction {self.name!r} has a non-finite unitary entry")
+            raise ConfigurationError(f"interaction {name!r} has a non-finite unitary entry")
         # u u^dagger = 1 within EPS_OP; an entry above 1, which could overflow it, fails first
         if not (u.ndim == 2 and len(u) == u.shape[1] and np.abs(u).max(initial=0) <= 1 + hilbert.EPS_OP
                 and np.abs(u @ u.conj().T - np.eye(len(u))).max(initial=0) <= hilbert.EPS_OP):
-            raise ConfigurationError(f"interaction {self.name!r} is not unitary")
+            raise ConfigurationError(f"interaction {name!r} is not unitary")
         u.flags.writeable = False
-        object.__setattr__(self, "unitary", u)
+        self.__dict__.update(name=name, at=at, targets=targets, unitary=u, gate=gate)
 
 
-@dataclass(frozen=True)
-class DetectorEvent:
+@dataclass(init=False, repr=False, eq=False)
+class DetectorEvent(Record):
     """A local detector: an outcome set on the measured subsystems plus a
     pointer register.  ``pointers`` maps each outcome position to the
     register basis index recording it; index 0 is the ready state, reused
@@ -84,42 +86,43 @@ class DetectorEvent:
     absorbing: bool = False
     pointers: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if not (isinstance(self.label, str) and self.label):
-            raise ConfigurationError(f"detector label must be a non-empty string, got {self.label!r}")
-        if self.register in self.outcomes.targets:
+    def __init__(self, label: str, at: Event, outcomes: OutcomeSet, register: str,
+                 absorbing: bool = False, pointers: tuple[int, ...] = ()):
+        if not (isinstance(label, str) and label):
+            raise ConfigurationError(f"detector label must be a non-empty string, got {label!r}")
+        if register in outcomes.targets:
             raise ConfigurationError(
-                f"detector {self.label!r} register must be distinct from its targets"
+                f"detector {label!r} register must be distinct from its targets"
             )
-        if not self.pointers:
-            object.__setattr__(
-                self, "pointers", tuple(range(1, len(self.outcomes.outcomes) + 1))
-            )
-        if len(self.pointers) != len(self.outcomes.outcomes):
+        if not pointers:
+            pointers = tuple(range(1, len(outcomes.outcomes) + 1))
+        if len(pointers) != len(outcomes.outcomes):
             raise ConfigurationError(
-                f"detector {self.label!r} has {len(self.pointers)} pointers for "
-                f"{len(self.outcomes.outcomes)} outcomes"
+                f"detector {label!r} has {len(pointers)} pointers for "
+                f"{len(outcomes.outcomes)} outcomes"
             )
         if not all(isinstance(p, int) and not isinstance(p, bool) and p >= 0
-                   for p in self.pointers):
+                   for p in pointers):
             raise ConfigurationError(
-                f"detector {self.label!r} pointers must be integers >= 0, got {self.pointers}"
+                f"detector {label!r} pointers must be integers >= 0, got {pointers}"
             )
-        for outcome, p in self.outcomes.outcomes if self.absorbing else ():
+        for outcome, p in outcomes.outcomes if absorbing else ():
             diag = np.diag(p).real
             if (np.abs(p - np.diag(diag)).max() > hilbert.EPS_OP
                     or abs(diag.sum() - 1.0) > hilbert.EPS_OP):
                 raise ConfigurationError(
-                    f"absorbing detector {self.label!r} requires rank-1 basis projectors "
+                    f"absorbing detector {label!r} requires rank-1 basis projectors "
                     f"(outcome {outcome!r} is not one)"
                 )
+        self.__dict__.update(label=label, at=at, outcomes=outcomes, register=register,
+                             absorbing=absorbing, pointers=pointers)
 
     def pointer_for(self, outcome: str) -> int:
         return self.pointers[self.outcomes.labels.index(outcome)]
 
 
-@dataclass(frozen=True)
-class BranchState:
+@dataclass(init=False, repr=False, eq=False)
+class BranchState(Record):
     """A branch state with its pointer registers kept out of the amplitude
     tensor: ``core`` spans the non-register subsystems, and each register
     is a single-subsystem unit basis vector in ``registers``.
@@ -134,6 +137,10 @@ class BranchState:
     subsystems: tuple[SubsystemSpec, ...]
     core: StateVector
     registers: dict[str, StateVector]
+
+    def __init__(self, subsystems: tuple[SubsystemSpec, ...], core: StateVector,
+                 registers: dict[str, StateVector]):
+        self.__dict__.update(subsystems=subsystems, core=core, registers=registers)
 
     @classmethod
     def split(cls, state: StateVector) -> "BranchState":
@@ -157,11 +164,12 @@ class BranchState:
         return cls(state.subsystems, StateVector(core, psi[index]), registers)
 
     def interact(self, ev: InteractionEvent) -> "BranchState":
-        return replace(self, core=hilbert.apply_unitary(self.core, ev.unitary, ev.targets))
+        core = hilbert.apply_unitary(self.core, ev.unitary, ev.targets)
+        return BranchState(self.subsystems, core, self.registers)
 
     def canonical(self) -> "BranchState":
         """Global phase fixed on the core by ``hilbert.phase_canonical``."""
-        return replace(self, core=hilbert.phase_canonical(self.core))
+        return BranchState(self.subsystems, hilbert.phase_canonical(self.core), self.registers)
 
     def materialize(self) -> StateVector:
         """The full tensor.  Register indices are fixed, so the core's
@@ -177,9 +185,9 @@ class BranchState:
         return StateVector(self.subsystems, psi.reshape(-1))
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A scenario, valid once built: ``__post_init__`` runs
+@dataclass(init=False, repr=False, eq=False)
+class Scenario(Record):
+    """A scenario, valid once built: ``__init__`` runs
     ``validate_scenario``.  ``initial`` is the factored state the engine
     starts every branch from."""
 
@@ -192,7 +200,13 @@ class Scenario:
     charged_modes: tuple[str, ...] = ()
     worldlines: tuple[tuple[str, tuple[Event, ...]], ...] = ()  # diagram rendering only
 
-    def __post_init__(self):
+    def __init__(self, dim: int, c: float, initial: BranchState, initial_t0: float,
+                 interactions: tuple[InteractionEvent, ...], detectors: tuple[DetectorEvent, ...],
+                 charged_modes: tuple[str, ...] = (),
+                 worldlines: tuple[tuple[str, tuple[Event, ...]], ...] = ()):
+        self.__dict__.update(dim=dim, c=c, initial=initial, initial_t0=initial_t0,
+                             interactions=interactions, detectors=detectors,
+                             charged_modes=charged_modes, worldlines=worldlines)
         validate_scenario(self)
 
     @property
@@ -379,8 +393,11 @@ def apply_detector(state: BranchState, det: DetectorEvent, outcome: str) -> Bran
     return BranchState(state.subsystems, core, registers)
 
 
-@dataclass(frozen=True)
-class StepRecord:
+@dataclass(init=False, repr=False, eq=False)
+class StepRecord(Record):
+    """One step of a run: the outcome taken and the surfaces and full
+    states on either side of the detector's reduction."""
+
     detector: str
     outcome: str
     probability: float
@@ -391,9 +408,17 @@ class StepRecord:
     state_after: StateVector   # on S_k+
     interactions_applied: tuple[str, ...]
 
+    def __init__(self, detector: str, outcome: str, probability: float, reduction: bool,
+                 surface_before: Lcsh, surface_after: Lcsh, state_before: StateVector,
+                 state_after: StateVector, interactions_applied: tuple[str, ...]):
+        self.__dict__.update(detector=detector, outcome=outcome, probability=probability,
+                             reduction=reduction, surface_before=surface_before,
+                             surface_after=surface_after, state_before=state_before,
+                             state_after=state_after, interactions_applied=interactions_applied)
 
-@dataclass(frozen=True)
-class BranchNode:
+
+@dataclass(init=False, repr=False, eq=False)
+class BranchNode(Record):
     """One expanded node of the outcome-branch tree: the state on S_k-
     and the Born probability of each of the detector's outcomes there."""
 
@@ -402,6 +427,12 @@ class BranchNode:
     state_before: BranchState  # on S_k-, after due interactions
     probabilities: tuple[float, ...]  # in ``detector.outcomes.labels`` order
     interactions_applied: tuple[str, ...]
+
+    def __init__(self, detector: DetectorEvent, surface_after: Lcsh, state_before: BranchState,
+                 probabilities: tuple[float, ...], interactions_applied: tuple[str, ...]):
+        self.__dict__.update(detector=detector, surface_after=surface_after,
+                             state_before=state_before, probabilities=probabilities,
+                             interactions_applied=interactions_applied)
 
     @property
     def reduction(self) -> bool:
@@ -440,13 +471,20 @@ def step(s: Scenario, surface: Lcsh, state: BranchState, detector: str) -> Branc
     )
 
 
-@dataclass(frozen=True)
-class RunRecord:
+@dataclass(init=False, repr=False, eq=False)
+class RunRecord(Record):
+    """One path of the branch tree, as ``run`` walked it."""
+
     scenario: Scenario
     order: tuple[str, ...]
     steps: tuple[StepRecord, ...]
     final_state: StateVector  # at t = +inf (all remaining interactions applied)
     total_probability: float
+
+    def __init__(self, scenario: Scenario, order: tuple[str, ...], steps: tuple[StepRecord, ...],
+                 final_state: StateVector, total_probability: float):
+        self.__dict__.update(scenario=scenario, order=order, steps=steps,
+                             final_state=final_state, total_probability=total_probability)
 
     def outcomes(self) -> tuple[str, ...]:
         """Outcome labels in scenario detector declaration order."""
@@ -523,13 +561,16 @@ def run(
 
 # --- exact enumeration and sampling ----------------------------------------
 
-@dataclass(frozen=True)
-class JointDistribution:
+@dataclass(init=False, repr=False, eq=False)
+class JointDistribution(Record):
     """Exact probability map over outcome tuples, keyed in scenario
     detector declaration order."""
 
     detectors: tuple[str, ...]
     probabilities: dict[tuple[str, ...], float]
+
+    def __init__(self, detectors: tuple[str, ...], probabilities: dict[tuple[str, ...], float]):
+        self.__dict__.update(detectors=detectors, probabilities=probabilities)
 
     def probability(self, key: tuple[str, ...]) -> float:
         return self.probabilities.get(tuple(key), 0.0)
@@ -564,11 +605,17 @@ def joint_distribution(s: Scenario, order: tuple[str, ...]) -> JointDistribution
     return JointDistribution(declared, probs)
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
+@dataclass(init=False, repr=False, eq=False)
+class EmpiricalDistribution(Record):
+    """Counts of n sampled runs over outcome tuples, keyed in scenario
+    detector declaration order."""
+
     detectors: tuple[str, ...]
     counts: dict[tuple[str, ...], int]
     n: int
+
+    def __init__(self, detectors: tuple[str, ...], counts: dict[tuple[str, ...], int], n: int):
+        self.__dict__.update(detectors=detectors, counts=counts, n=n)
 
 
 def sample(s: Scenario, order: tuple[str, ...], n: int, seed: int = 0) -> EmpiricalDistribution:
@@ -604,12 +651,15 @@ def sample(s: Scenario, order: tuple[str, ...], n: int, seed: int = 0) -> Empiri
 
 # --- transport to query surfaces -------------------------------------------
 
-@dataclass(frozen=True)
-class UndefinedState:
+@dataclass(init=False, repr=False, eq=False)
+class UndefinedState(Record):
     """Marker for query surfaces on which no state vector exists because
     they cross a reduction surface."""
 
     reason: str
+
+    def __init__(self, reason: str):
+        self.__dict__.update(reason=reason)
 
 
 def state_on_hyperplane(
@@ -621,15 +671,19 @@ def state_on_hyperplane(
 
     Defined iff the query crosses no reduction surface of the record:
     for each reduction surface r, the query lies on or above r or on or
-    below it over the scenario's ``support_region()``, both decided by one
-    ``geometry.compare(query, r)``.  The test is region-local: far outside the
-    region the envelopes may still cross.  Reductions whose surface lies
-    below the query apply; on a query equal to a reduction surface, that
-    reduction does not.  Local pieces (interaction unitaries,
-    non-reduction measurements) apply whenever their anchoring event is in
-    the query's past.  Raises ``ConfigurationError`` for a query whose
-    apexes have another spatial dimension or speed of light than the
-    scenario.
+    below it over the scenario's ``support_region()``.  One
+    ``geometry.compare_chain`` decides this for every reduction surface,
+    since a run's step surfaces are nested.  The test is region-local: far
+    outside the region the envelopes may still cross.  Reductions whose
+    surface lies below the query apply.  A query equal to a reduction
+    surface S_k gets the S_k- state of the step that produced it: that
+    reduction does not apply, so the answer depends on the order.  On the
+    singlet's S_AB (the cones of A and B), order (A, B) gives the state
+    with A's pointer set and order (B, A) the one with B's, and the two
+    are orthogonal.  Local pieces (interaction unitaries, non-reduction
+    measurements) apply whenever their anchoring event is in the query's
+    past.  Raises ``ConfigurationError`` for a query whose apexes have
+    another spatial dimension or speed of light than the scenario.
     """
     s = record.scenario
     if not isinstance(query, Lcsh):
@@ -644,11 +698,10 @@ def state_on_hyperplane(
         )
     region = s.support_region()
 
+    reductions = [st for st in record.steps if st.reduction]
+    sides = geometry.compare_chain(query, tuple(st.surface_after for st in reductions), region)
     reduced: dict[str, bool] = {}
-    for st in record.steps:
-        if not st.reduction:
-            continue
-        above, below = geometry.compare(query, st.surface_after, region)
+    for st, (above, below) in zip(reductions, sides):
         if not (above or below):
             return UndefinedState(
                 f"query surface crosses reduction surface of detector {st.detector!r}"

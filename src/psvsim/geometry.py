@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
+from ._record import Record
 from .errors import ConfigurationError, OrderingViolationError
 
 #: Tolerance for on-surface / tie-breaking decisions, in scenario units.
@@ -45,17 +46,16 @@ class SurfaceSide(Enum):
     FUTURE = "future"
 
 
-@dataclass(frozen=True)
-class Event:
+@dataclass(init=False, repr=False, eq=False)
+class Event(Record):
     """A spacetime point (t, x) in d spatial dimensions, d in {1, 2, 3},
     with finite coordinates."""
 
     t: float
     x: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
+    def __init__(self, t: float, x: tuple[float, ...]):
+        self.__dict__.update(t=float(t), x=tuple(float(v) for v in x))
         if not 1 <= len(self.x) <= 3:
             raise ConfigurationError(
                 f"spatial dimension must be 1, 2 or 3, got {len(self.x)}"
@@ -87,8 +87,8 @@ def classify(e0: Event, e1: Event, c: float = 1.0) -> Separation:
     return Separation.SPACELIKE if gap < 0.0 else Separation.TIMELIKE
 
 
-@dataclass(frozen=True)
-class Lcsh:
+@dataclass(init=False, repr=False, eq=False)
+class Lcsh(Record):
     """A light-cone spacelike hypersurface: the upper envelope of the
     backward light cones of ``apexes`` over the flat surface t = t0.
 
@@ -99,12 +99,13 @@ class Lcsh:
     apexes: tuple[Event, ...] = ()
     c: float = 1.0
 
-    def __post_init__(self):
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ConfigurationError(f"speed of light must be positive and finite, got {self.c}")
-        if not (math.isfinite(self.t0) or self.t0 == MINUS_INFINITY):
-            raise ConfigurationError(f"surface floor t0 must be finite or -inf, got {self.t0}")
-        dims = {a.dim for a in self.apexes}
+    def __init__(self, t0: float = MINUS_INFINITY, apexes: tuple[Event, ...] = (), c: float = 1.0):
+        self.__dict__.update(t0=t0, apexes=apexes, c=c)
+        if not (math.isfinite(c) and c > 0):
+            raise ConfigurationError(f"speed of light must be positive and finite, got {c}")
+        if not (math.isfinite(t0) or t0 == MINUS_INFINITY):
+            raise ConfigurationError(f"surface floor t0 must be finite or -inf, got {t0}")
+        dims = {a.dim for a in apexes}
         if len(dims) > 1:
             raise ConfigurationError(f"apexes have mixed dimensions {sorted(dims)}")
 
@@ -143,11 +144,17 @@ def surface_times(s: Lcsh, xs: np.ndarray) -> np.ndarray:
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     t = np.full(xs.shape[0], s.t0)
     if s.apexes:
-        with np.errstate(over="ignore"):  # a distance past the float range: the cone is at -inf
-            d = xs[:, None, :] - s.apex_points
-            r = np.sqrt(np.multiply(d, d, out=d).sum(axis=2))  # np.linalg.norm, without its copies
-            t = np.maximum(t, (s.apex_times - r / s.c).max(axis=1))
+        t = np.maximum(t, _cone_times(s, xs).max(axis=1))
     return t
+
+
+def _cone_times(s: Lcsh, xs: np.ndarray) -> np.ndarray:
+    """Height of each backward cone of s (at least one) over an (n, d)
+    float array of points, shape (n, m)."""
+    with np.errstate(over="ignore"):  # a distance past the float range: the cone is at -inf
+        d = xs[:, None, :] - s.apex_points
+        r = np.sqrt(np.multiply(d, d, out=d).sum(axis=2))  # np.linalg.norm, without its copies
+        return s.apex_times - r / s.c
 
 
 def adjoin_apex(s: Lcsh, apex: Event) -> Lcsh:
@@ -163,7 +170,7 @@ def adjoin_apex(s: Lcsh, apex: Event) -> Lcsh:
             f"apex at t={apex.t}, x={apex.x} lies {below:g} below the surface; "
             "the detector would act on an already-reduced region"
         )
-    return replace(s, apexes=s.apexes + (apex,))
+    return Lcsh(s.t0, s.apexes + (apex,), s.c)
 
 
 def event_side_of_surface(e: Event, s: Lcsh) -> SurfaceSide:
@@ -253,16 +260,56 @@ def compare(s1: Lcsh, s0: Lcsh, region: Region | None = None) -> tuple[bool, boo
     answers False for that direction.  Each direction that passes is then
     certified, or decided on the grid, by ``_covers_screened``.  Raises
     ``ConfigurationError`` for surfaces of different spatial dimension or
-    speed of light.
+    speed of light.  The one-surface case of ``compare_chain``.
     """
-    _check_comparable((s1, s0), region)
+    return compare_chain(s1, (s0,), region)[0]
+
+
+def compare_chain(
+    q: Lcsh,
+    chain: tuple[Lcsh, ...],
+    region: Region | None = None,
+) -> list[tuple[bool, bool]]:
+    """``compare(q, s, region)`` for each surface s of a nested chain, from
+    one evaluation of the surfaces.  The chain's surfaces share one floor
+    and one speed of light, and each one's apexes are a prefix of the last
+    one's, as the step surfaces of a run are.  ``region`` defaults to the
+    bounding region of q and the last surface.
+
+    q and every cone of the last surface are evaluated once, at
+    ``probe_points((q, last), region, 2)``: the region's corners, q's
+    apexes, then the last surface's apexes.  Surface k's heights there are
+    its floor raised to the running maximum over its own cones, and its
+    pair with q is screened on the prefix that ``compare(q, s_k)`` would
+    build (corners, q's apexes, s_k's apexes), so each answer is
+    ``compare``'s to the bit.  Raises ``ConfigurationError`` for a chain
+    that is not nested, and where ``compare`` raises.
+    """
+    if not chain:
+        return []
+    last = chain[-1]
+    if any(s.t0 != last.t0 or s.c != last.c or s.apexes != last.apexes[:len(s.apexes)]
+           for s in chain):
+        raise ConfigurationError("chain surfaces must share one floor and speed of light, "
+                                 "each with a prefix of the last one's apexes")
+    _check_comparable((q, last), region)
     if region is None:
-        region = _bounding_region((s1, s0))
-    xs = probe_points((s1, s0), region, 2)
-    t1, t0 = surface_times(s1, xs), surface_times(s0, xs)
-    up = not np.any(t1 < t0 - EPS_GEOM) and _covers_screened(s1, s0, region)
-    down = not np.any(t0 < t1 - EPS_GEOM) and _covers_screened(s0, s1, region)
-    return up, down
+        region = _bounding_region((q, last))
+    xs = probe_points((q, last), region, 2)
+    tq = surface_times(q, xs)
+    if last.apexes:
+        cones = np.maximum.accumulate(_cone_times(last, xs), axis=1)
+    screen = len(xs) - len(last.apexes)  # the corners and q's apexes
+    out = []
+    for s in chain:
+        m = len(s.apexes)
+        t1, t0 = tq[:screen + m], np.full(screen + m, s.t0)
+        if m:
+            t0 = np.maximum(t0, cones[:screen + m, m - 1])
+        up = not np.any(t1 < t0 - EPS_GEOM) and _covers_screened(q, s, region)
+        down = not np.any(t0 < t1 - EPS_GEOM) and _covers_screened(s, q, region)
+        out.append((up, down))
+    return out
 
 
 def is_future_of(s1: Lcsh, s0: Lcsh) -> bool:

@@ -15,22 +15,26 @@ not to this implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, hilbert, scenarios
-from .engine import Scenario, _in_time_order, apply_detector, joint_distribution
+from ._record import Record
+from .engine import BranchState, Scenario, _in_time_order, apply_detector, joint_distribution
 from .errors import AmbiguousRegionError, ConfigurationError, PhysicsError
 from .geometry import Event, Lcsh, SurfaceSide
 from .hilbert import Axis, StateVector
 
 
-@dataclass(frozen=True)
-class HkRegion:
+@dataclass(init=False, repr=False, eq=False)
+class HkRegion(Record):
     """Cone-side labelling: one Past/Future entry per considered detector."""
 
     sides: tuple[tuple[str, SurfaceSide], ...]
+
+    def __init__(self, sides: tuple[tuple[str, SurfaceSide], ...]):
+        self.__dict__.update(sides=sides)
 
     @property
     def reduced(self) -> tuple[str, ...]:
@@ -109,16 +113,22 @@ def hk_state(
             continue
         if ev.gate and ev.gate.get("kind", "").startswith("copy"):
             core = _duplicate_onto(state.core, ev.gate["source"], ev.gate["target"])
-            state = replace(state, core=core)
+            state = BranchState(state.subsystems, core, state.registers)
         else:
             state = state.interact(ev)
     return state.canonical().materialize()
 
 
-@dataclass(frozen=True)
-class HkComparison:
+@dataclass(init=False, repr=False, eq=False)
+class HkComparison(Record):
+    """The conditional probability both prescriptions predict for the
+    final detector (see ``hk_copy_inconsistency``)."""
+
     hk_conditional: float
     psv_conditional: float
+
+    def __init__(self, hk_conditional: float, psv_conditional: float):
+        self.__dict__.update(hk_conditional=hk_conditional, psv_conditional=psv_conditional)
 
 
 def hk_copy_inconsistency(

@@ -14,9 +14,12 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from ._record import Record
 from .errors import ConfigurationError, ImpossibleBranchError
 
-EPS_NORM = 1e-9
+#: An accepted initial state has |norm - 1| <= EPS_NORM, so its outcome
+#: probabilities sum to norm^2 = 1 +- 1e-12, the scenario-file contract.
+EPS_NORM = 5e-13
 EPS_OP = 1e-12     # unitarity / hermiticity / projector checks
 EPS_PROB = 1e-12   # impossible-branch threshold
 EPS_TIE = 1e-9     # relative: moduli this close to the largest tie in phase_canonical
@@ -28,8 +31,8 @@ class SubsystemKind(Enum):
     REGISTER = "register"
 
 
-@dataclass(frozen=True)
-class SubsystemSpec:
+@dataclass(init=False, repr=False, eq=False)
+class SubsystemSpec(Record):
     """One tensor factor.  Spins and occupation modes are two-dimensional;
     registers hold detector pointer states (index 0 = ready)."""
 
@@ -37,7 +40,8 @@ class SubsystemSpec:
     dim: int
     kind: SubsystemKind
 
-    def __post_init__(self):
+    def __init__(self, label: str, dim: int, kind: SubsystemKind):
+        self.__dict__.update(label=label, dim=dim, kind=kind)
         if self.kind in (SubsystemKind.SPIN, SubsystemKind.MODE) and self.dim != 2:
             raise ConfigurationError(
                 f"{self.kind.value} subsystem {self.label!r} must have dim 2"
@@ -48,16 +52,20 @@ class SubsystemSpec:
             )
 
 
-@dataclass(frozen=True)
-class StateVector:
+@dataclass(init=False, repr=False, eq=False)
+class StateVector(Record):
+    """A state: a read-only flat amplitude vector over the listed
+    subsystems, in their order."""
+
     subsystems: tuple[SubsystemSpec, ...]
     amplitudes: np.ndarray  # flat complex vector of length prod(dims)
 
-    def __post_init__(self):
-        labels = [s.label for s in self.subsystems]
+    def __init__(self, subsystems: tuple[SubsystemSpec, ...], amplitudes: np.ndarray):
+        self.__dict__["subsystems"] = subsystems
+        labels = [s.label for s in subsystems]
         if len(set(labels)) != len(labels):
             raise ConfigurationError(f"duplicate subsystem labels in {labels}")
-        object.__setattr__(self, "amplitudes", self._checked(self.amplitudes))
+        self.__dict__["amplitudes"] = self._checked(amplitudes)
 
     def _checked(self, amplitudes) -> np.ndarray:
         """``amplitudes`` as a read-only flat complex vector of this
@@ -93,9 +101,8 @@ class StateVector:
         """The same subsystems with new amplitudes.  The labels were
         checked when this state was built, so only the amplitudes are."""
         new = object.__new__(StateVector)
-        object.__setattr__(new, "subsystems", self.subsystems)
-        new.__dict__["dims"] = self.dims
-        object.__setattr__(new, "amplitudes", self._checked(amps))
+        new.__dict__.update(subsystems=self.subsystems, dims=self.dims,
+                            amplitudes=self._checked(amps))
         return new
 
 
@@ -161,16 +168,17 @@ def apply_unitary(state: StateVector, matrix: np.ndarray, labels: tuple[str, ...
 
 # --- spin axes -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Axis:
+@dataclass(init=False, repr=False, eq=False)
+class Axis(Record):
     """A measurement axis, stored as polar/azimuthal angles of the unit
     vector (Bloch parametrization)."""
 
     theta: float
     phi: float = 0.0
 
-    def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+    def __init__(self, theta: float, phi: float = 0.0):
+        self.__dict__.update(theta=theta, phi=phi)
+        if not (math.isfinite(theta) and math.isfinite(phi)):
             raise ConfigurationError(
                 f"axis angles must be finite, got theta={self.theta}, phi={self.phi}"
             )
@@ -212,26 +220,26 @@ def spin_projector(axis: Axis, sign: int) -> np.ndarray:
 
 # --- measurement -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class OutcomeSet:
+@dataclass(init=False, repr=False, eq=False)
+class OutcomeSet(Record):
     """A complete set of mutually orthogonal projectors on the joint space
     of the target subsystems, one per outcome label, with finite entries."""
 
     targets: tuple[str, ...]
     outcomes: tuple[tuple[str, np.ndarray], ...]
 
-    def __post_init__(self):
-        if type(self.targets) is not tuple or not self.targets or len(set(self.targets)) < len(self.targets):
+    def __init__(self, targets: tuple[str, ...], outcomes: tuple[tuple[str, np.ndarray], ...]):
+        if type(targets) is not tuple or not targets or len(set(targets)) < len(targets):
             raise ConfigurationError(f"outcome set targets must be a non-empty tuple of "
-                                     f"distinct labels, got {self.targets!r}")
-        labels = [l for l, _ in self.outcomes]
+                                     f"distinct labels, got {targets!r}")
+        labels = [l for l, _ in outcomes]
         if not all(isinstance(l, str) for l in labels):
             raise ConfigurationError(f"outcome labels must be strings, got {labels}")
         if len(set(labels)) != len(labels):
             raise ConfigurationError(f"duplicate outcome labels {labels}")
-        projs = [np.asarray(p, dtype=complex) for _, p in self.outcomes]
+        projs = [np.asarray(p, dtype=complex) for _, p in outcomes]
         d = projs[0].shape[0]
-        for (label, _), p in zip(self.outcomes, projs):
+        for label, p in zip(labels, projs):
             if p.shape != (d, d):
                 raise ConfigurationError(f"projector {label!r} has shape {p.shape}")
             if not np.isfinite(p).all():
@@ -250,8 +258,8 @@ class OutcomeSet:
                     )
         if np.abs(sum(projs) - np.eye(d)).max() > EPS_OP:
             raise ConfigurationError("projectors do not sum to the identity")
-        frozen = tuple((l, _frozen(p)) for (l, _), p in zip(self.outcomes, projs))
-        object.__setattr__(self, "outcomes", frozen)
+        self.__dict__.update(targets=targets,
+                             outcomes=tuple((l, _frozen(p)) for l, p in zip(labels, projs)))
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -184,8 +184,11 @@ def grid_covers(s1, s0, region=None):
 
 def grid_compare(s1, s0, region=None):
     """The two-way comparison on the probe grid: (grid_covers(s1, s0),
-    grid_covers(s0, s1))."""
-    return grid_covers(s1, s0, region), grid_covers(s0, s1, region)
+    grid_covers(s0, s1)), from one evaluation of each surface (both
+    directions probe the same points)."""
+    xs = _grid(s1, s0, region)
+    t1, t0 = surface_times(s1, xs), surface_times(s0, xs)
+    return bool(np.all(t1 >= t0 - EPS_GEOM)), bool(np.all(t0 >= t1 - EPS_GEOM))
 
 
 def grid_is_future_of(s1, s0, region=None):

@@ -171,6 +171,10 @@ def _malformed_scenarios():
     norm_sqrt_2 = deepcopy(ghz)
     for pair in norm_sqrt_2["initial_state"]["amplitudes"]:
         pair[:] = [math.sqrt(2.0) * v for v in pair]
+    # accepted within a norm slack of 1e-9, its distribution would sum to 1 + 8e-10
+    norm_off_by_4e_10 = deepcopy(ghz)
+    for pair in norm_off_by_4e_10["initial_state"]["amplitudes"]:
+        pair[:] = [(1 + 4e-10) * v for v in pair]
     nan_floor = dict(ghz, initial_surface={"t0": nan})
     absorbing = deepcopy(ghz)
     absorbing["detectors"][0]["absorbing"] = True
@@ -286,6 +290,7 @@ def _malformed_scenarios():
             "nan-detector-time": (nan_time, "event Event(t=nan, x=(0.0,)) has a non-finite"),
             "nan-speed-of-light": (nan_speed, "speed of light must be positive and finite, got nan"),
             "initial-norm-sqrt-2": (norm_sqrt_2, "initial state norm"),
+            "initial-norm-off-by-4e-10": (norm_off_by_4e_10, "initial state norm"),
             "nan-initial-t0": (nan_floor, "surface floor t0 must be finite or -inf, got nan"),
             "absorbing-detector-not-rank-1": (
                 absorbing, "absorbing detector 'A' requires rank-1 basis projectors"),

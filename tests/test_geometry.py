@@ -18,6 +18,7 @@ from psvsim.geometry import (
     adjoin_apex,
     classify,
     compare,
+    compare_chain,
     event_side_of_surface,
     is_future_of,
     surface_time,
@@ -189,7 +190,24 @@ def test_covers_and_is_future_of_match_the_probe_grid(pair):
 @given(surface_pairs())
 def test_compare_matches_the_probe_grid_both_ways(pair):
     s1, s0, region = pair
-    assert compare(s1, s0, region) == _oracles.grid_compare(s1, s0, region)
+    box = region or geometry._bounding_region((s1, s0))  # compare's default region
+    up, down = _oracles.grid_compare(s1, s0, box)
+    assert compare(s1, s0, region) == (up, down)
+    # Nested chains, each surface checked on its own grid: s1 against s0 cut
+    # to the first half of its cones and whole, and s0 against s1 likewise.
+    for q, last, whole in ((s1, s0, (up, down)), (s0, s1, (down, up))):
+        cut = Lcsh(last.t0, last.apexes[:len(last.apexes) // 2], last.c)
+        assert compare_chain(q, (cut, last), box) == [_oracles.grid_compare(q, cut, box), whole]
+
+
+def test_compare_chain_requires_a_nested_chain():
+    a, b = Event(0.0, (0.0,)), Event(1.0, (2.0,))
+    last = Lcsh(apexes=(a, b))
+    for first in (Lcsh(apexes=(b,)),              # not a prefix of last's apexes
+                  Lcsh(t0=-5.0, apexes=(a,)),     # another floor
+                  Lcsh(apexes=(a,), c=2.0)):      # another speed of light
+        with pytest.raises(ConfigurationError, match="chain surfaces must share"):
+            compare_chain(Lcsh(t0=5.0), (first, last))
 
 
 def test_surface_pairs_reach_the_grid_fallback():

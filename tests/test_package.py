@@ -1,10 +1,39 @@
 import ast
+import dataclasses
+import math
+import os
 import shutil
 import subprocess
 import sys
+import textwrap
+from functools import cache
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import psvsim
+from psvsim import (
+    Axis,
+    BranchNode,
+    BranchState,
+    DetectorEvent,
+    EmpiricalDistribution,
+    Event,
+    HkComparison,
+    HkRegion,
+    InteractionEvent,
+    JointDistribution,
+    Lcsh,
+    OutcomeSet,
+    RunRecord,
+    Scenario,
+    StateVector,
+    StepRecord,
+    SubsystemSpec,
+    UndefinedState,
+)
+from psvsim.errors import ConfigurationError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -72,3 +101,122 @@ def test_a_failing_property_test_reports_its_example(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAILED test_fails.py::test_fails" in proc.stdout
     assert "Falsifying example" in proc.stdout
+
+
+def test_importing_the_program_runs_no_generated_code():
+    # A class that builds its methods from source text (a frozen dataclass
+    # does) compiles them on every import; byte-code caching cannot keep them.
+    child = textwrap.dedent("""
+        import builtins, sys
+        import argparse, json, numpy
+
+        calls = []
+
+        def counted(name, original):
+            def spy(*args, **kwargs):
+                # the import system runs each module's own code through exec
+                if not sys._getframe(1).f_code.co_filename.startswith("<frozen importlib"):
+                    calls.append(name)
+                return original(*args, **kwargs)
+            return spy
+
+        for name in ("exec", "eval", "compile"):
+            setattr(builtins, name, counted(name, getattr(builtins, name)))
+        import psvsim.cli
+        print(len(calls))
+        """)
+    path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+_RECORD_CLASSES = (
+    SubsystemSpec, StateVector, Axis, OutcomeSet, Event, Lcsh, InteractionEvent, DetectorEvent,
+    BranchState, Scenario, StepRecord, BranchNode, RunRecord, JointDistribution,
+    EmpiricalDistribution, UndefinedState, HkRegion, HkComparison,
+)
+
+
+@cache
+def _records() -> dict:
+    """One instance of each frozen record class, from the built-ins."""
+    s = psvsim.singlet(psvsim.Z_AXIS, psvsim.X_AXIS, with_copies=True)
+    order = ("A", "B", "C")
+    record = psvsim.run(s, order, seed=1)
+    detector = s.detector("A")
+    b_cone = Lcsh(apexes=(s.detector("B").at,), c=s.c)  # crosses A's reduction surface
+    return {
+        SubsystemSpec: s.subsystems[0],
+        StateVector: s.initial.core,
+        Axis: psvsim.X_AXIS,
+        OutcomeSet: detector.outcomes,
+        Event: detector.at,
+        Lcsh: record.steps[1].surface_after,
+        InteractionEvent: s.interactions[0],
+        DetectorEvent: detector,
+        BranchState: s.initial,
+        Scenario: s,
+        StepRecord: record.steps[0],
+        BranchNode: psvsim.step(s, s.initial_surface(), s.initial, "A"),
+        RunRecord: record,
+        JointDistribution: psvsim.joint_distribution(s, order),
+        EmpiricalDistribution: psvsim.sample(s, order, 10),
+        UndefinedState: psvsim.state_on_hyperplane(record, b_cone),
+        HkRegion: psvsim.hk_region_of(s.interactions[0].at, s, ("A", "B")),
+        HkComparison: psvsim.hk_copy_inconsistency(psvsim.X_AXIS, psvsim.Z_AXIS),
+    }
+
+
+#: A field value each validating record class rejects.
+_INVALID = {
+    SubsystemSpec: {"dim": 3},
+    StateVector: {"amplitudes": np.zeros(3)},
+    Axis: {"theta": math.nan},
+    OutcomeSet: {"targets": ()},
+    Event: {"x": (0.0,) * 4},
+    Lcsh: {"c": 0.0},
+    InteractionEvent: {"unitary": 2 * np.eye(4)},
+    DetectorEvent: {"label": ""},
+    Scenario: {"dim": 2},
+}
+
+#: For each record class whose fields are all hashable, a valid other value.
+_OTHER_VALUE = {
+    SubsystemSpec: {"label": "z"},
+    Axis: {"phi": 1.0},
+    Event: {"t": 9.0},
+    Lcsh: {"t0": 0.0},
+    UndefinedState: {"reason": "another"},
+    HkRegion: {"sides": ()},
+    HkComparison: {"hk_conditional": 0.25},
+}
+
+
+@pytest.mark.parametrize("cls", _RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_records_behave_as_frozen_dataclasses(cls):
+    obj = _records()[cls]
+    assert type(obj) is cls
+    names = [f.name for f in dataclasses.fields(obj)]
+    values = [getattr(obj, name) for name in names]
+    for name in (names[0], "not_a_field"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+    assert all(getattr(obj, name) is value for name, value in zip(names, values))
+    assert repr(obj) == f"{cls.__qualname__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+    if cls in _INVALID:
+        with pytest.raises(ConfigurationError) as by_replace:
+            dataclasses.replace(obj, **_INVALID[cls])
+        with pytest.raises(ConfigurationError) as by_init:
+            cls(**{**dict(zip(names, values)), **_INVALID[cls]})
+        assert str(by_replace.value) == str(by_init.value)
+    assert obj == obj and obj != object()
+    if cls in _OTHER_VALUE:
+        copy = dataclasses.replace(obj)
+        assert copy is not obj and copy == obj and hash(copy) == hash(obj) == hash(tuple(values))
+        assert dataclasses.replace(obj, **_OTHER_VALUE[cls]) != obj
+    else:  # a field holds an array or a dict
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(obj)
