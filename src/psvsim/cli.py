@@ -117,14 +117,14 @@ def build_scenario(args) -> engine.Scenario:
 
 def _read_scenario(fh) -> engine.Scenario:
     """Parse and build a scenario file with the cyclic garbage collector
-    paused.  A dense file holds hundreds of thousands of [re, im] lists,
-    none of them garbage, which the collector would otherwise rescan
-    while they are built and again once it is back on.  They are freed
-    before it resumes."""
+    paused.  A dense file read by ``json.loads`` holds hundreds of
+    thousands of [re, im] lists, none of them garbage, which the collector
+    would otherwise rescan while they are built and again once it is back
+    on.  They are freed before it resumes."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return serialization.scenario_from_dict(json.load(fh))
+        return serialization.scenario_from_json(fh.read())
     finally:
         if enabled:
             gc.enable()

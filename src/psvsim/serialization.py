@@ -8,7 +8,9 @@ nested [re, im] pairs.  Scalar and label-list fields are type-checked as read.
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import re
 from typing import Any
 
 import numpy as np
@@ -29,6 +31,19 @@ from .geometry import Event, Lcsh
 from .hilbert import Axis, OutcomeSet, StateVector, SubsystemKind, SubsystemSpec
 
 MINUS_INFINITY_TOKEN = "minus_infinity"
+#: An "amplitudes" key and the "[" of its list; ``re`` compiles it on the
+#: first file read, not on import.
+_AMPLITUDES_KEY = r'"amplitudes"[ \t\n\r]*:[ \t\n\r]*\['
+#: Byte classes of a dense amplitude list, as a ``bytes.translate`` table:
+#: JSON whitespace, its structural characters "[", "]" and ",", and the
+#: characters a JSON number is made of.  Any other byte (a quote, a letter,
+#: non-ASCII) ends the list's text.
+_OTHER, _SPACE, _STRUCT, _DIGIT = range(4)
+_BYTE_CLASS = bytes(_SPACE if b in b" \t\n\r" else _STRUCT if b in b"[]," else
+                    _DIGIT if b in b"0123456789+-.eE" else _OTHER for b in range(256))
+#: The structural characters after the opening "[" of an n-pair list, four
+#: bytes per pair read as one native word: n - 1 times "[,]," then "[,]]".
+_PAIR, _LAST_PAIR = np.frombuffer(b"[,],[,]]", dtype=np.uint32)
 _NUMBER = (int, float)
 _TYPE_NAMES = {_NUMBER: "a number", int: "an integer", bool: "true or false", list: "a list", str: "a string"}
 
@@ -228,6 +243,96 @@ def scenario_from_dict(d: dict) -> Scenario:
         )
     except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ConfigurationError(f"malformed scenario: {type(exc).__name__}: {exc}") from exc
+
+
+def scenario_from_json(text: str) -> Scenario:
+    """``scenario_from_dict(json.loads(text))``, with the initial state's
+    dense amplitude list read without a Python object per number where
+    ``_with_dense_amplitudes`` can.  Where it cannot, the text takes that
+    path as a whole, so every error is the one it raises."""
+    d = _with_dense_amplitudes(text)
+    return scenario_from_dict(json.loads(text) if d is None else d)
+
+
+def _with_dense_amplitudes(text: str) -> dict | None:
+    """The scenario document ``json.loads(text)`` would give, with
+    ``initial_state.amplitudes`` as an (n, 2) float array, or None.  The
+    list's text is replaced by a ``NaN`` before the rest is parsed; it must
+    be the document's one constant and land at that key, so a list
+    anywhere else, a repeated key or an error in the rest is None."""
+    m = re.search(_AMPLITUDES_KEY, text)
+    if m is None:
+        return None
+    start = m.end() - 1
+    read = _dense_pairs(text, start)
+    if read is None:
+        return None
+    stop, pairs = read
+    marker, constants = object(), []
+    try:
+        d = json.loads(text[:start] + "NaN" + text[stop:],
+                       parse_constant=lambda token: constants.append(token) or marker)
+    except (ValueError, RecursionError):
+        return None
+    state = d.get("initial_state") if type(d) is dict else None
+    if len(constants) != 1 or type(state) is not dict or state.get("amplitudes") is not marker:
+        return None
+    state["amplitudes"] = pairs
+    return d
+
+
+def _dense_pairs(text: str, start: int) -> tuple[int, np.ndarray] | None:
+    """The list of [re, im] number pairs whose "[" is at ``text[start]``:
+    the index past its "]" and its numbers as an (n, 2) float array, or
+    None if it is not such a list.  Its structure is checked on its bytes
+    in a few array passes: the structural characters come in the order
+    "[[,],[,],...[,]]", whitespace alone sits between them except in the
+    two number slots of each pair, and each slot holds one token.  Tokens
+    that are exactly 0 or 0.0 are +0.0; every other token is read by one
+    ``json.loads`` of them all, which rejects what JSON does not allow."""
+    raw = text[start:].encode("utf-8", "surrogatepass")
+    classes = raw.translate(_BYTE_CLASS)
+    end = classes.find(_OTHER)
+    if end < 0:
+        end = len(classes)
+    buf = np.frombuffer(raw, dtype=np.uint8, count=end)
+    cls = np.frombuffer(classes, dtype=np.uint8, count=end)
+    struct = np.flatnonzero(cls == _STRUCT)
+    closes = buf[struct] == ord("]")
+    closing = np.flatnonzero(closes[:-1] & closes[1:])  # the first "]]" ends the list
+    if not closing.size:
+        return None
+    struct = struct[:closing[0] + 2]
+    n, rem = divmod(len(struct) - 1, 4)
+    if rem:
+        return None
+    marks = buf[struct[1:]].view(np.uint32)  # each pair's four marks as one word
+    if (marks[:-1] != _PAIR).any() or marks[-1] != _LAST_PAIR:
+        return None
+    stop = int(struct[-1]) + 1
+    digit = cls[:stop] == _DIGIT
+    edges = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    if len(edges) != 4 * n:
+        return None
+    # Per pair: the begin and end of each token, and the "[", ",", "]" round them.
+    tok, mark = edges.reshape(n, 4), struct[1:].reshape(n, 4)
+    if (tok[:, 0] <= mark[:, 0]).any() or (tok[:, 1] > mark[:, 1]).any() \
+            or (tok[:, 2] <= mark[:, 1]).any() or (tok[:, 3] > mark[:, 2]).any():
+        return None
+    begins, ends = tok[:, 0::2].ravel(), tok[:, 1::2].ravel()
+    size = ends - begins
+    zero = (buf[begins] == ord("0")) & ((size == 1) | (
+        (size == 3) & (buf[begins + 1] == ord(".")) & (buf[begins + 2] == ord("0"))))
+    keep = np.flatnonzero(~zero)
+    flat = np.zeros(2 * n)
+    if keep.size:
+        tokens = ",".join(text[start + b:start + e]
+                          for b, e in zip(begins[keep].tolist(), ends[keep].tolist()))
+        try:
+            flat[keep] = np.fromiter(json.loads(f"[{tokens}]"), dtype=float, count=keep.size)
+        except (ValueError, OverflowError):  # not JSON numbers, or an integer past float range
+            return None
+    return start + stop, flat.reshape(n, 2)
 
 
 def step_to_dict(st: StepRecord) -> dict:

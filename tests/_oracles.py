@@ -9,17 +9,19 @@ comparisons are the brute-force 64^d probe-grid evaluation that
 
 ``states_close``, ``schmidt_rank``, ``charge_expectation`` and
 ``achronality_violation`` are checks that only tests read; they are not part
-of the package.
+of the package.  ``read_scenario_whole`` is the scenario-file reader the
+program's fast amplitude pass must agree with.
 """
 
 import itertools
+import json
 import math
 from functools import reduce
 from unittest import mock
 
 import numpy as np
 
-from psvsim import geometry
+from psvsim import geometry, serialization
 from psvsim.geometry import EPS_GEOM, Region, _bounding_region, probe_points, surface_times
 from psvsim.hilbert import StateVector, phase_canonical
 
@@ -274,3 +276,10 @@ def achronality_violation(
     dx2 = np.sum((xs[a] - xs[b]) ** 2, axis=1)
     vals = s.c**2 * (ts[a] - ts[b]) ** 2 - dx2
     return float(vals.max())
+
+
+def read_scenario_whole(fh):
+    """A scenario file read the plain way, a stand-in for
+    ``cli._read_scenario``: the whole text through ``json.load``, every
+    [re, im] pair a Python list, then ``serialization.scenario_from_dict``."""
+    return serialization.scenario_from_dict(json.load(fh))

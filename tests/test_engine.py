@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from _oracles import states_close
-from psvsim import engine, geometry, hilbert, scenarios
+from psvsim import engine, geometry, hilbert, scenarios, serialization
 from psvsim.engine import (
     BranchState,
     DetectorEvent,
@@ -29,7 +30,7 @@ from psvsim.engine import (
     step,
     validate_reduction_order,
 )
-from psvsim.errors import ConfigurationError
+from psvsim.errors import ConfigurationError, ImpossibleBranchError
 from psvsim.geometry import Event, Lcsh
 from psvsim.hilbert import (
     X_AXIS,
@@ -455,6 +456,57 @@ def test_ghz_matches_dense_oracle(case, seed):
 def test_singlet_with_copies_matches_dense_oracle(axis_a, axis_b, basis, order, seed):
     s = scenarios.singlet(axis_a, axis_b, with_copies=True, copy_basis=basis)
     _check_against_dense_oracle(s, tuple(order), seed)
+
+
+@st.composite
+def foliation_cases(draw):
+    """A scenario, its valid orders and one outcome leaf of positive
+    probability (keyed in declaration order): a built-in with drawn axes,
+    or a GHZ-3/4 file with drawn axes and detector events, read back by
+    ``serialization.scenario_from_json``."""
+    kind = draw(st.sampled_from(["split", "singlet", "singlet with copies", "ghz", "ghz file"]))
+    if kind == "split":
+        s = scenarios.split_particle()
+    elif kind == "ghz":
+        s = scenarios.ghz(tuple(draw(axis_strategy) for _ in range(3)))
+    elif kind == "ghz file":
+        n = draw(st.integers(3, 4))
+        blob = serialization.scenario_to_dict(ghz_n([draw(axis_strategy) for _ in range(n)]))
+        coordinate = lambda lo, hi: draw(st.floats(lo, hi).map(lambda v: round(v, 3)))
+        for det in blob["detectors"]:
+            det["at"] = {"t": coordinate(0.0, 6.0), "x": [coordinate(-8.0, 8.0)]}
+        s = serialization.scenario_from_json(json.dumps(blob))
+    else:
+        s = scenarios.singlet(draw(axis_strategy), draw(axis_strategy),
+                              with_copies=kind == "singlet with copies",
+                              copy_basis=draw(axis_strategy))
+    orders = enumerate_valid_orders(s)
+    leaves = joint_distribution(s, orders[0]).probabilities
+    leaf = draw(st.sampled_from(sorted(leaves)))
+    return s, orders, leaf, leaves[leaf]
+
+
+@settings(max_examples=40, deadline=None)
+@given(foliation_cases())
+def test_fixed_outcomes_give_one_final_state_under_every_valid_order(case):
+    """The paper's foliation independence for states: ``run`` with the
+    same outcomes ends in the same state, up to a global phase, whatever
+    valid order the detectors reduce in.  An order may find the outcomes
+    impossible only where their joint probability is at most the
+    impossible-branch threshold: ``joint_distribution`` prunes by each
+    step's probability, so a leaf of probability 3e-22 can be listed under
+    one order and have a step below ``EPS_PROB`` under another."""
+    s, orders, leaf, probability = case
+    by_detector = dict(zip(s.detector_labels, leaf))
+    finals = []
+    for order in orders:
+        try:
+            finals.append(run(s, order, outcomes=tuple(by_detector[l] for l in order)).final_state)
+        except ImpossibleBranchError:
+            assert probability <= hilbert.EPS_PROB
+    for final in finals[1:]:
+        assert final.subsystems == finals[0].subsystems
+        assert 1.0 - abs(np.vdot(finals[0].amplitudes, final.amplitudes)) <= 1e-12
 
 
 def test_sample_counts_are_prefix_monotone():

@@ -6,14 +6,17 @@ a warning (pytest turns warnings into errors) or another exit code."""
 import io
 import json
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from copy import deepcopy
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracles
 from psvsim import cli, hilbert, scenarios, serialization
 from psvsim.engine import BranchState, DetectorEvent, InteractionEvent, Scenario
 from psvsim.geometry import Event
@@ -171,3 +174,174 @@ def test_a_mutated_scenario_file_gives_a_distribution_or_one_json_error(path, wh
         assert code == 0 and err.getvalue() == ""
         total = math.fsum(e["probability"] for e in json.loads(out.getvalue())["entries"])
         assert abs(total - 1.0) <= 1e-12
+
+
+
+# --- the dense amplitude pass against the plain reader ----------------------
+
+_LAYOUTS = {"default": {}, "indent": {"indent": 2}, "compact": {"separators": (",", ":")}}
+#: Whitespace of a written amplitude list: between its key and the list,
+#: then after "[", before ",", after "," and before "]".
+_SPACING = {"default": (": ", "", "", " ", ""), "compact": (":", "", "", "", ""),
+            "indent": (": ", "\n  ", "", "\n  ", "\n"),
+            "loose": (" \n:\t", " \t", "\r\n", "\n\t ", "  ")}
+#: Edits of one pair's text, from its two tokens x and y.
+_PAIR_EDITS = {
+    "one element": "[{x}]", "three elements": "[{x}, {y}, 0.0]", "nested": "[[{x}], {y}]",
+    "trailing comma": "[{x}, {y},]", "no comma": "[{x} {y}]", "empty": "[]",
+    "re before [": "{x} [, {y}]", "re after ,": "[, {x} {y}]", "im before ,": "[{x} {y}, ]",
+    "im after ]": "[{x}, ] {y}", "[ as ,": ",{x}, {y}]", ", as ]": "[{x}] {y}]",
+    "] as [": "[{x}, {y}[", "token after ]": "[{x}, {y}] 0.0",
+    "non-ASCII space": "[{x},\u00a0{y}]", "non-ASCII letter": "[{x}, {y}\u00e9]",
+}
+#: Edits of the whole list, from the text of its pairs.
+_LIST_EDITS = {"trailing comma": "[{body},]", "token after [": "[0.0 {body}]",
+               "token before ]": "[{body} 0.0]", "extra ]": "[{body}]]", "no ]": "[{body}",
+               "empty": "[]"}
+#: Replacement tokens, and whether the fast pass reads a list holding one.
+_TOKENS = {"0": True, "0.0": True, "-0.0": True, "-0": True, "0e0": True, "0.00": True,
+           "0.5": True, "1e-320": True, "1e400": True, "-1e400": True, "1" + "0" * 400: False,
+           "01": False, "00": False, "0-0": False, "+1": False, ".5": False, "1.": False,
+           "NaN": False, "Infinity": False, '"0.5"': False, "true": False, "null": False,
+           "[]": False, "1 2": False}
+#: Edits of the rest of the document, and whether the fast pass reads it.
+_DOC_EDITS = {"c is NaN": False, "amplitudes in a detector": True,
+              "amplitudes in an earlier detector": False, "amplitudes in a label": True,
+              "label amplitudes": True, "non-ASCII label": True, "state in a list": False,
+              "repeated, null": False, "repeated, NaN": False, "repeated, a list": False,
+              "repeated before": False, "document in a list": False, "BOM": False,
+              "trailing text": False, "cut in the list": False}
+
+
+def _amplitudes_text(pairs, spacing="default", tokens=(), pair_edit=None, list_edit=None):
+    """The text of an amplitude list: ``pairs`` with (pair, slot, token)
+    substitutions, one pair's text edited, then the list's."""
+    texts = [[json.dumps(v) for v in pair] for pair in pairs]
+    for k, slot, token in tokens:
+        texts[k][slot] = token
+    _, open_, pre, post, close = _SPACING[spacing]
+    items = [f"[{open_}{x}{pre},{post}{y}{close}]" for x, y in texts]
+    if pair_edit is not None:
+        k, edit = pair_edit
+        items[k] = _PAIR_EDITS[edit].format(x=texts[k][0], y=texts[k][1])
+    body = f"{pre},{post}".join(items)
+    return (_LIST_EDITS[list_edit] if list_edit else f"[{open_}{{body}}{close}]").format(body=body)
+
+
+def _file_text(blob, layout="default", spacing="default", doc_edit=None, **list_edits) -> str:
+    """``blob`` as ``json.dumps`` writes it in ``layout``, with its initial
+    amplitude list written by ``_amplitudes_text`` and one document edit."""
+    blob = deepcopy(blob)
+    pairs = blob["initial_state"]["amplitudes"]
+    blob["initial_state"]["amplitudes"] = "@amplitudes@"
+    detector = blob["detectors"][0]
+    if doc_edit == "c is NaN":
+        blob["c"] = math.nan
+    elif doc_edit in ("amplitudes in a detector", "amplitudes in an earlier detector"):
+        detector["amplitudes"] = [[0.0, 0.0], [0.5, 0.5]]
+        if doc_edit == "amplitudes in an earlier detector":
+            blob = {"detectors": blob.pop("detectors"), **blob}
+    elif doc_edit == "amplitudes in a label":
+        detector["label"] = '"amplitudes": [[1.0, 0.0]]'
+    elif doc_edit == "label amplitudes":
+        detector["label"] = "amplitudes"
+    elif doc_edit == "non-ASCII label":
+        detector["label"] = "D\u00e9"
+    elif doc_edit == "state in a list":
+        blob["initial_state"] = [blob["initial_state"]]
+    span = _amplitudes_text(pairs, spacing, **list_edits)
+    value = {"repeated, null": f'{span}, "amplitudes": null',
+             "repeated, NaN": f'{span}, "amplitudes": NaN',
+             "repeated, a list": f'{span}, "amplitudes": [[1.0, 0.0]]',
+             "repeated before": f'[[1.0, 0.0]], "amplitudes": {span}'}.get(doc_edit, span)
+    text = re.sub(r'"amplitudes":\s*"@amplitudes@"',
+                  lambda m: f'"amplitudes"{_SPACING[spacing][0]}{value}',
+                  json.dumps(blob, **_LAYOUTS[layout]))
+    if doc_edit == "document in a list":
+        return f"[{text}]"
+    if doc_edit == "BOM":
+        return "\ufeff" + text
+    if doc_edit == "trailing text":
+        return text + " x"
+    if doc_edit == "cut in the list":
+        return text[:text.index(span) + len(span) // 2]
+    return text
+
+
+def _dist(path):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["dist", "--scenario", str(path), "--json"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _readers_agree(path, text: str) -> bool:
+    """``dist`` on the file gives the same exit code, stdout and stderr
+    with the program's reader as with ``_oracles.read_scenario_whole``.
+    Where the fast pass reads the file, its document is the plain one and
+    its amplitudes have the bits of each number read by ``float``, sign of
+    zero included.  True if it read the file."""
+    path.write_text(text, encoding="utf-8")
+    fast = _dist(path)
+    with mock.patch.object(cli, "_read_scenario", _oracles.read_scenario_whole):
+        plain = _dist(path)
+    assert fast == plain
+    text = path.read_text(encoding="utf-8")  # as the program reads it, newlines translated
+    d = serialization._with_dense_amplitudes(text)
+    if d is None:
+        return False
+    whole = json.loads(text)
+    pairs = whole["initial_state"].pop("amplitudes")
+    amplitudes = d["initial_state"].pop("amplitudes")
+    assert amplitudes.shape == (len(pairs), 2)
+    assert amplitudes.tobytes() == np.array([float(v) for pair in pairs for v in pair]).tobytes()
+    assert d == whole
+    return True
+
+
+_GHZ = VALID[3]
+_CASES = [
+    *((f"layout {layout}", {"layout": layout, "spacing": layout}, True) for layout in _LAYOUTS),
+    ("loose whitespace", {"spacing": "loose"}, True),
+    *((f"token {t[:8]} in a zero pair", {"tokens": [(1, 0, t)]}, fast) for t, fast in _TOKENS.items()),
+    *((f"token {t[:8]} in a GHZ pair", {"tokens": [(0, 1, t)]}, fast) for t, fast in _TOKENS.items()),
+    *((f"pair {k} {edit}", {"pair_edit": (k, edit)}, False) for edit in _PAIR_EDITS for k in (0, -1)),
+    *((f"list {edit}", {"list_edit": edit}, False) for edit in _LIST_EDITS),
+    *((f"document {edit}", {"doc_edit": edit}, fast) for edit, fast in _DOC_EDITS.items()),
+]
+
+
+@pytest.mark.parametrize("edits, fast", [case[1:] for case in _CASES],
+                         ids=[case[0] for case in _CASES])
+def test_the_dense_amplitude_pass_agrees_with_the_plain_reader(path, edits, fast):
+    assert _readers_agree(path, _file_text(_GHZ, **edits)) == fast
+
+
+def test_a_byte_that_is_not_utf8_is_reported_as_before(path):
+    text = _file_text(_GHZ).encode("utf-8")
+    cut = text.index(b"[[") + 3
+    path.write_bytes(text[:cut] + b"\xff" + text[cut:])
+    fast = _dist(path)
+    with mock.patch.object(cli, "_read_scenario", _oracles.read_scenario_whole):
+        assert _dist(path) == fast
+    assert fast[0] == 1
+
+
+_TOKEN = st.sampled_from(sorted(_TOKENS)) | st.floats().map(json.dumps) | st.integers().map(str)
+
+
+@settings(max_examples=100, deadline=None)
+@given(which=st.sampled_from(range(len(VALID))), layout=st.sampled_from(sorted(_LAYOUTS)),
+       spacing=st.sampled_from(sorted(_SPACING)), data=st.data())
+def test_text_mutants_of_the_amplitude_list_read_as_the_plain_reader_reads_them(
+        path, which, layout, spacing, data):
+    blob = VALID[which]
+    n = len(blob["initial_state"]["amplitudes"])
+    pair = st.integers(0, n - 1)
+    edits = {
+        "tokens": data.draw(st.lists(st.tuples(pair, st.sampled_from((0, 1)), _TOKEN), max_size=3)),
+        "pair_edit": data.draw(st.none() | st.tuples(pair, st.sampled_from(sorted(_PAIR_EDITS)))),
+        "list_edit": data.draw(st.none() | st.sampled_from(sorted(_LIST_EDITS))),
+        "doc_edit": data.draw(st.none() | st.sampled_from(sorted(_DOC_EDITS))),
+    }
+    _readers_agree(path, _file_text(blob, layout, spacing, **edits))

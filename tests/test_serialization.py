@@ -1,11 +1,12 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from _oracles import states_close
-from psvsim import hilbert, scenarios, serialization as ser
+from psvsim import cli, hilbert, scenarios, serialization as ser
 from psvsim.engine import BranchState, DetectorEvent, Scenario, joint_distribution, run
 from psvsim.errors import ConfigurationError
 from psvsim.geometry import Event, Lcsh
@@ -82,16 +83,15 @@ def test_scenario_from_dict_validates():
         ser.scenario_from_dict(d)
 
 
-def test_dense_ghz5_file_amplitudes_match_the_nested_conversion(tmp_path):
-    """A dense GHZ-5 file (spins in a random state, one register each, 6^5
-    amplitudes) loads to the same bits through the flat conversion as
-    through ``_pairs_to_complex``."""
+def _ghz5() -> Scenario:
+    """GHZ-5 as a dense file holds it: spins in a random state with a third
+    of its amplitudes -0.0, one register each, 6^5 amplitudes."""
     rng = np.random.default_rng(5)
     spins = tuple(SubsystemSpec(f"s{k}", 2, SubsystemKind.SPIN) for k in range(5))
     regs = tuple(SubsystemSpec(f"R{k}", 3, SubsystemKind.REGISTER) for k in range(5))
     core = rng.normal(size=32) + 1j * rng.normal(size=32)
     core[::3] = -0.0
-    s = Scenario(
+    return Scenario(
         dim=1, c=1.0,
         initial=BranchState.split(hilbert.tensor(StateVector(spins, core / np.linalg.norm(core)),
                                                  hilbert.basis_state(regs))),
@@ -100,14 +100,42 @@ def test_dense_ghz5_file_amplitudes_match_the_nested_conversion(tmp_path):
                                       hilbert.spin_outcome_set(f"s{k}", X_AXIS), f"R{k}")
                         for k in range(5)),
     )
-    path = tmp_path / "ghz5.json"
-    path.write_text(json.dumps(ser.scenario_to_dict(s)))
-    blob = json.loads(path.read_text())
+
+
+def test_dense_ghz5_file_amplitudes_match_the_nested_conversion():
+    """A dense GHZ-5 file loads to the same bits through the flat
+    conversion as through ``_pairs_to_complex``, and so does each layout
+    ``json.dumps`` writes through ``scenario_from_json``, whose dense pass
+    reads them all."""
+    blob = ser.scenario_to_dict(_ghz5())
     pairs = blob["initial_state"]["amplitudes"]
     nested = ser._pairs_to_complex(pairs)
     assert len(pairs) == 6**5
     assert ser._amplitudes_to_complex(pairs).tobytes() == nested.tobytes()
     assert ser.scenario_from_dict(blob).initial.materialize().amplitudes.tobytes() == nested.tobytes()
+    for layout in ({}, {"indent": 2}, {"separators": (",", ":")}):
+        text = json.dumps(blob, **layout)
+        dense = ser._with_dense_amplitudes(text)["initial_state"]["amplitudes"]
+        assert ser._pairs_to_complex(dense).tobytes() == nested.tobytes()
+        s = ser.scenario_from_json(text)
+        assert s.initial.materialize().amplitudes.tobytes() == nested.tobytes()
+
+
+def test_dist_on_a_written_ghz5_file_takes_the_dense_pass(tmp_path, capsys):
+    """``dist`` reads a GHZ-5 file psvsim wrote through the dense pass: no
+    ``json.loads`` call sees the amplitude list, and the scenario is built
+    by one ``scenario_from_dict`` call, the one the benchmark's tracer
+    counts."""
+    path = tmp_path / "ghz5.json"
+    path.write_text(json.dumps(ser.scenario_to_dict(_ghz5())))
+    size = path.stat().st_size
+    with mock.patch.object(ser, "_with_dense_amplitudes", wraps=ser._with_dense_amplitudes) as fast, \
+            mock.patch.object(ser, "scenario_from_dict", wraps=ser.scenario_from_dict) as build, \
+            mock.patch.object(json, "loads", wraps=json.loads) as loads:
+        assert cli.main(["dist", "--scenario", str(path), "--json"]) == 0
+    assert fast.call_count == 1 and build.call_count == 1
+    assert loads.call_count == 2 and max(len(c.args[0]) for c in loads.call_args_list) < size / 10
+    assert json.loads(capsys.readouterr().out)["detectors"] == [f"D{k}" for k in range(5)]
 
 
 def test_run_record_and_distribution_roundtrip():
