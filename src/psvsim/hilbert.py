@@ -126,8 +126,11 @@ def tensor(*states: StateVector) -> StateVector:
 def phase_canonical(state: StateVector) -> StateVector:
     """Fix global phase: largest-magnitude amplitude real and positive.
     Moduli within a relative EPS_TIE of the largest count as tied and the
-    lowest index wins, so rounding cannot move the choice and the map is
-    idempotent.  Makes state equality testable."""
+    lowest index wins, so rounding cannot move the choice: a second call
+    picks the same index.  That amplitude is real and positive only up to
+    rounding, though, so a second call still moves each amplitude by an
+    ulp or two; the map is not idempotent bit for bit.  Makes state
+    equality testable."""
     amps = state.amplitudes
     mags = np.abs(amps)
     top = mags.max(initial=0.0)

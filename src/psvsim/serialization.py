@@ -44,6 +44,12 @@ _BYTE_CLASS = bytes(_SPACE if b in b" \t\n\r" else _STRUCT if b in b"[]," else
 #: The structural characters after the opening "[" of an n-pair list, four
 #: bytes per pair read as one native word: n - 1 times "[,]," then "[,]]".
 _PAIR, _LAST_PAIR = np.frombuffer(b"[,],[,]]", dtype=np.uint32)
+#: JSON whitespace, as ``str.strip`` takes it.
+_SPACES = " \t\n\r"
+#: The head of a dense list its record length is guessed from, and the
+#: fewest record lengths a repeating stretch must span to be cut: each cut
+#: costs a Python step, which a few records' checks do not repay.
+_PERIOD_SPAN, _MIN_COPIES = 4096, 16
 _NUMBER = (int, float)
 _TYPE_NAMES = {_NUMBER: "a number", int: "an integer", bool: "true or false", list: "a list", str: "a string"}
 
@@ -264,7 +270,7 @@ def _with_dense_amplitudes(text: str) -> dict | None:
     if m is None:
         return None
     start = m.end() - 1
-    read = _dense_pairs(text, start)
+    read = _dense_pairs_folded(text, start)
     if read is None:
         return None
     stop, pairs = read
@@ -279,6 +285,73 @@ def _with_dense_amplitudes(text: str) -> dict | None:
         return None
     state["amplitudes"] = pairs
     return d
+
+
+def _dense_pairs_folded(text: str, start: int) -> tuple[int, np.ndarray] | None:
+    """``_dense_pairs(text, start)``, with each run of identical records
+    checked once.  A record is a pair and the "," after it, amid
+    whitespace; ``json.dump`` writes a dense state's zero pairs as
+    byte-identical records.  ``_fold_records`` keeps the first copy of
+    each run and drops the rest, and ``_dense_pairs`` checks the shorter
+    text.  If it reads a list that holds every kept copy, the one "[" of
+    each copy opens a pair of that list (the list's own "[" is followed by
+    another), so the copy is one record of it.  Putting the dropped copies
+    back after it gives a valid list whose pairs are that pair repeated,
+    which is what ``_dense_pairs`` reads from ``text``.  Otherwise ``text``
+    is checked as it stands, so every accept, reject and value is the same."""
+    found = [i for i in (text.find('"', start), text.find("}", start)) if i >= 0]
+    region = text[start:min(found, default=len(text))]  # no valid list reaches '"' or '}'
+    folded = _fold_records(region) if region.isascii() else None
+    if folded is not None:
+        short, period, kept, copies = folded
+        read = _dense_pairs(short, 0)
+        if read is not None and kept[-1] + period <= read[0]:
+            stop, pairs = read
+            opens = np.flatnonzero(np.frombuffer(short.encode("ascii"), dtype=np.uint8) == ord("["))
+            counts = np.ones(len(pairs), dtype=np.intp)
+            counts[np.searchsorted(opens, kept) - 1] = copies  # the list's own "[" is first
+            return start + stop + len(region) - len(short), np.repeat(pairs, counts, axis=0)
+    return _dense_pairs(text, start)
+
+
+def _fold_records(region: str) -> tuple[str, int, list[int], list[int]] | None:
+    """``region``, the ASCII text from a dense list's "[" to the first '"'
+    or '}' (which no valid list reaches), with each run of whole copies of
+    one record cut to its first copy: the shorter text, the record length
+    P, the start of each kept copy in it and its number of copies, or None
+    if nothing was cut.  P is the commonest distance between "[" bytes in
+    the region's head, and one compare of the text with itself shifted by
+    P finds the stretches that repeat with period P.  A stretch at least
+    ``_MIN_COPIES`` P long is cut from its first "[" if the P bytes there
+    hold no other "[" and, after their first "]", one "," amid whitespace."""
+    b = np.frombuffer(region.encode("ascii"), dtype=np.uint8)
+    opens = np.flatnonzero(b[:_PERIOD_SPAN] == ord("["))
+    if opens.size < 2:
+        return None
+    period = int(np.bincount(np.diff(opens)).argmax())
+    same = np.zeros(b.size - period + 2, dtype=bool)  # False at both ends, so runs pair up
+    np.equal(b[period:], b[:-period], out=same[1:-1])
+    edges = np.flatnonzero(same[1:] != same[:-1])  # run i of b[j + P] == b[j] is [edges[2i], edges[2i+1])
+    firsts, lasts = edges[0::2], edges[1::2]
+    wide = lasts - firsts >= _MIN_COPIES * period
+    pieces, kept, copies = [], [], []
+    cut = dropped = 0  # where the text after the last dropped copy begins, and bytes dropped
+    for first, last in zip(firsts[wide].tolist(), lasts[wide].tolist()):
+        s = region.find("[", first, first + period)
+        record = region[s:s + period]
+        # One "[", and after the first "]" one "," amid whitespace (with no
+        # "]" the slice is the whole record, which starts with "[").
+        if s < 0 or record.count("[") != 1 or record[record.find("]") + 1:].strip(_SPACES) != ",":
+            continue
+        n = (last - s) // period + 1  # the copies at s, s + P, ... up to the stretch's end
+        pieces.append(region[cut:s + period])
+        kept.append(s - dropped)
+        copies.append(n)
+        cut, dropped = s + n * period, dropped + (n - 1) * period
+    if not kept:
+        return None
+    pieces.append(region[cut:])
+    return "".join(pieces), period, kept, copies
 
 
 def _dense_pairs(text: str, start: int) -> tuple[int, np.ndarray] | None:

@@ -110,6 +110,29 @@ def test_phase_canonical_is_idempotent_on_ties(a, b, rest, at):
     assert states_close(canon, st_.with_amplitudes(amps * np.exp(1j * b)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.booleans(), st.integers(0, 10_000))
+def test_phase_canonical_again_keeps_its_index_and_moves_amplitudes_by_ulps(n, ghz, seed):
+    """A second call picks the same tie-broken index and moves each
+    amplitude by at most a few ulp of its modulus; its bits may change."""
+    rng = np.random.default_rng(seed)
+    if ghz:  # two moduli that tie, at generic phases
+        amps = np.zeros(2**n, dtype=complex)
+        amps[[0, -1]] = np.exp(1j * rng.uniform(0.0, 2 * math.pi, 2)) / math.sqrt(2.0)
+    else:
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    spins = tuple(SubsystemSpec(f"s{i}", 2, SubsystemKind.SPIN) for i in range(n))
+    once = phase_canonical(StateVector(spins, amps)).amplitudes
+    twice = phase_canonical(StateVector(spins, once)).amplitudes
+
+    def index(a):
+        mags = np.abs(a)
+        return int(np.argmax(mags >= mags.max() * (1.0 - hilbert.EPS_TIE)))
+
+    assert index(amps) == index(once) == index(twice)
+    assert (np.abs(twice - once) <= 4 * np.spacing(np.abs(once))).all()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_unitary_preserves_norm(seed):

@@ -23,15 +23,15 @@ from psvsim.geometry import Event
 from psvsim.hilbert import Axis, StateVector, SubsystemKind, SubsystemSpec, X_AXIS, Z_AXIS
 
 
-def _ghz3() -> Scenario:
-    """GHZ-3 as a generated file holds it (spins s0..s2, one register each,
+def _ghz(n: int) -> Scenario:
+    """GHZ-n as a generated file holds it (spins s0.., one register each,
     detectors 6 apart), plus one interaction given as an explicit unitary
     before the detectors and one after them, so matrix mutations reach a
     unitary the engine applies and one it never does."""
-    spins = tuple(SubsystemSpec(f"s{k}", 2, SubsystemKind.SPIN) for k in range(3))
-    regs = tuple(SubsystemSpec(f"R{k}", 3, SubsystemKind.REGISTER) for k in range(3))
-    core = np.zeros(8, dtype=complex)
-    core[0], core[7] = 1 / math.sqrt(2.0), -1 / math.sqrt(2.0)
+    spins = tuple(SubsystemSpec(f"s{k}", 2, SubsystemKind.SPIN) for k in range(n))
+    regs = tuple(SubsystemSpec(f"R{k}", 3, SubsystemKind.REGISTER) for k in range(n))
+    core = np.zeros(2**n, dtype=complex)
+    core[0], core[-1] = 1 / math.sqrt(2.0), -1 / math.sqrt(2.0)
     rng = np.random.default_rng(3)
     u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
     return Scenario(
@@ -44,7 +44,7 @@ def _ghz3() -> Scenario:
         detectors=tuple(DetectorEvent(f"D{k}", Event(3.0, (6.0 * k,)),
                                       hilbert.spin_outcome_set(f"s{k}", Axis(0.4 * k, 0.3)),
                                       f"R{k}")
-                        for k in range(3)),
+                        for k in range(n)),
     )
 
 
@@ -53,7 +53,7 @@ VALID = [serialization.scenario_to_dict(s) for s in (
     scenarios.singlet(Z_AXIS, X_AXIS),
     scenarios.singlet(Z_AXIS, X_AXIS, with_copies=True),
     scenarios.ghz(),
-    _ghz3(),
+    _ghz(3),
 )]
 
 _NUMBERS = (st.integers(-3, 3) | st.just(2**40) | st.just(10**9)
@@ -345,3 +345,96 @@ def test_text_mutants_of_the_amplitude_list_read_as_the_plain_reader_reads_them(
         "doc_edit": data.draw(st.none() | st.sampled_from(sorted(_DOC_EDITS))),
     }
     _readers_agree(path, _file_text(blob, layout, spacing, **edits))
+
+
+# --- runs of identical records, checked once --------------------------------
+
+#: 1296 pairs: GHZ amplitudes at pairs 0 and 1215, zero runs of 1214 and 80 records.
+_GHZ4 = serialization.scenario_to_dict(_ghz(4))
+#: A pair in the middle of the long zero run.
+_MID = 600
+
+
+def _with_pair(text: str, k: int, pair: str) -> str:
+    """``text`` with pair k of its amplitude list written as ``pair``."""
+    at = re.search(serialization._AMPLITUDES_KEY, text).end()
+    for _ in range(k + 1):
+        at = text.index("[", at) + 1
+    return text[:at - 1] + pair + text[text.index("]", at) + 1:]
+
+
+def _ghz4_text(layout="default", **edits) -> str:
+    return _file_text(_GHZ4, layout, layout, **edits)
+
+
+def _with_list(list_text: str) -> str:
+    """The GHZ-4 file with ``list_text`` in place of its amplitude list."""
+    text = _ghz4_text()
+    start = re.search(serialization._AMPLITUDES_KEY, text).end() - 1
+    return text[:start] + list_text + text[text.index("]]", start) + 2:]
+
+
+def _distinct_ghz4_text() -> str:
+    blob = deepcopy(_GHZ4)
+    blob["initial_state"]["amplitudes"] = [[k / 2048, 0.0] for k in range(1296)]
+    return json.dumps(blob)
+
+
+#: Pair _MID of the long zero run as written, and whether the fast pass reads it.
+_RUN_PAIRS = {
+    "three numbers": ("[0.0, 0.0, 0.0]", False), "no comma": ("[0.0 0.0]", False),
+    "two commas": ("[0.0,, 0.0]", False), "two ]": ("[0.0, 0.0]]", False),
+    "two [": ("[[0.0, 0.0]", False), "-0.0": ("[-0.0, 0.0]", True), "0": ("[0, 0.0]", True),
+    "spaces": ("[ 0.0 ,  0.0 ]", True), "tab and newline": ("[0.0,\t\n0.0]", True),
+    "non-ASCII space": ("[0.0,\u00a00.0]", False),
+    "0.5, so the run ends inside a record": ("[0.0, 0.5]", True),
+}
+_RUN_CASES = {
+    **{f"pair {_MID} {name}": (lambda pair=pair: _with_pair(_ghz4_text(), _MID, pair), fast)
+       for name, (pair, fast) in _RUN_PAIRS.items()},
+    "run from the first pair": (lambda: _with_pair(_ghz4_text(), 0, "[0.0, 0.0]"), True),
+    **{f"run to the list's ]], layout {layout}": (lambda layout=layout: _ghz4_text(layout), True)
+       for layout in _LAYOUTS},
+    "records after the list": (
+        lambda: _ghz4_text().replace("]]}", "]]" + ", [0.0, 0.0]" * 100 + "}", 1), False),
+    "spaces after the list": (lambda: _ghz4_text().replace("]]}", "]]" + " " * 2000 + "}", 1), True),
+    "nonzero head, so the guessed record length is two zero records": (
+        lambda: _ghz4_text(tokens=[(k, 0, json.dumps(2.0**-13)) for k in range(250)]), True),
+    "all records distinct": (_distinct_ghz4_text, True),
+    "the list's own [ starts a run of two-[ text": (
+        lambda: _with_list("[[0.0, 0.0], " * 20 + "[0.0, 0.00], " * 300 + "[0.0, 0.0]]"), False),
+    "a run of [ and spaces": (lambda: _with_list("[" + "[   " * 1100 + "0.0, 0.0]]"), False),
+    "CRLF, indent 2": (lambda: _ghz4_text("indent").replace("\n", "\r\n"), True),
+    "0 and 0.0 in one run": (lambda: _ghz4_text(tokens=[(k, 0, "0") for k in range(3, 1200, 3)]), True),
+}
+
+
+@pytest.mark.parametrize("case", list(_RUN_CASES))
+def test_runs_of_identical_records_read_as_the_plain_reader_reads_them(path, case):
+    """``dist`` agrees with the plain reader, and the folded pass gives
+    ``_dense_pairs``'s answer on the text as written (before any newline
+    translation): the same stop and float bits, or None for both."""
+    make, fast = _RUN_CASES[case]
+    text = make()
+    assert _readers_agree(path, text) == fast
+    start = re.search(serialization._AMPLITUDES_KEY, text).end() - 1
+    folded, whole = serialization._dense_pairs_folded(text, start), serialization._dense_pairs(text, start)
+    assert (folded is None) == (whole is None)
+    if whole is not None:
+        assert folded[0] == whole[0] and folded[1].tobytes() == whole[1].tobytes()
+
+
+def test_dist_on_a_ghz6_file_checks_each_run_of_zero_records_once(tmp_path, capsys):
+    """On a GHZ-6 file psvsim wrote, ``_dense_pairs`` is handed no text
+    longer than a tenth of the file, and the scenario is still built by
+    one ``scenario_from_dict`` call, the one the benchmark's tracer counts."""
+    path = tmp_path / "ghz6.json"
+    path.write_text(json.dumps(serialization.scenario_to_dict(_ghz(6))))
+    size = path.stat().st_size
+    with mock.patch.object(serialization, "_dense_pairs", wraps=serialization._dense_pairs) as check, \
+            mock.patch.object(serialization, "scenario_from_dict",
+                              wraps=serialization.scenario_from_dict) as build:
+        assert cli.main(["dist", "--scenario", str(path), "--json"]) == 0
+    assert check.call_count and max(len(c.args[0]) for c in check.call_args_list) < size / 10
+    assert build.call_count == 1
+    assert json.loads(capsys.readouterr().out)["detectors"] == [f"D{k}" for k in range(6)]
