@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 
 from . import diagram, engine, hellwig_kraus, scenarios, serialization
@@ -317,18 +318,27 @@ def main(argv=None) -> int:
     """Run the subcommand in ``argv`` and return its exit code.
 
     With ``argv`` None this is the program (``python -m psvsim.cli``, the
-    ``psvsim`` console script): it reads ``sys.argv`` and first calls
-    ``gc.freeze()``, so that no later collection, the one at interpreter
-    exit included, walks again the objects its imports left.  An
-    in-process caller passes ``argv`` and is never frozen, since a
-    freeze would keep any cycle not yet collected for the life of its
-    process.
+    ``psvsim`` console script): it reads ``sys.argv``, runs the command,
+    flushes stdout and stderr and ends the process with ``os._exit`` and
+    the command's exit code, error codes included.  That skips interpreter
+    teardown (``atexit`` handlers, module cleanup, the collection at
+    exit), which would only free memory the process is about to give
+    back.  If a flush raises, ``main`` returns the code instead, and the
+    normal exit reports the error.  An in-process caller passes ``argv``
+    and ``main`` only returns.
     """
-    if argv is None:
-        gc.freeze()
-        argv = sys.argv[1:]
-    else:
-        argv = list(argv)
+    if argv is not None:
+        return _run(list(argv))
+    code = _run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError, AttributeError):  # a closed pipe or stream; no stream (None)
+        return code
+    os._exit(code)
+
+
+def _run(argv: list[str]) -> int:
     args = None
     try:
         args = build_parser().parse_args(argv)

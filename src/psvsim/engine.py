@@ -242,6 +242,13 @@ class Scenario(Record):
         """Spatial bounding box of all anchored events, padded."""
         return tuple((lo - pad, hi + pad) for lo, hi in self._support_box)
 
+    @cached_property
+    def _advances(self) -> dict[tuple[Lcsh, str], tuple[DetectorEvent, Lcsh, tuple]]:
+        """``step``'s advances, keyed by (surface, detector label) and filled
+        as it meets them.  Not a field: equality, hashing and repr ignore
+        it, and ``dataclasses.replace`` starts a copy with an empty one."""
+        return {}
+
 
 def _check_factors(state: BranchState) -> None:
     """What ``BranchState.split`` guarantees, checked for a state built by
@@ -454,10 +461,18 @@ def step(s: Scenario, surface: Lcsh, state: BranchState, detector: str) -> Branc
     caller: ``apply_detector`` on ``state_before`` gives the state on S_k+
     for a chosen outcome.
     """
-    det = s.detector(detector)
-    new_surface = geometry.adjoin_apex(surface, det.at)
-    due = _in_time_order(ev for ev in s.interactions
-                         if _future_of(ev.at, surface) and not _future_of(ev.at, new_surface))
+    # The new surface and the due interactions depend on the pair (surface,
+    # detector) alone, which every node of one tree level shares: each pair
+    # is worked out once per scenario.
+    key = (surface, detector)
+    advance = s._advances.get(key)
+    if advance is None:
+        det = s.detector(detector)
+        new_surface = geometry.adjoin_apex(surface, det.at)
+        due = tuple(_in_time_order(ev for ev in s.interactions if _future_of(ev.at, surface)
+                                   and not _future_of(ev.at, new_surface)))
+        advance = s._advances[key] = (det, new_surface, due)
+    det, new_surface, due = advance
     for ev in due:
         state = state.interact(ev)
     state = state.canonical()
@@ -582,7 +597,10 @@ class JointDistribution(Record):
 
 def joint_distribution(s: Scenario, order: tuple[str, ...]) -> JointDistribution:
     """Depth-first expansion of the whole branch tree, one ``step`` per
-    node; outcomes with probability <= EPS_PROB are pruned."""
+    node.  A child whose joint probability (the product of the step
+    probabilities on its path) is at most ``EPS_PROB`` is pruned, so a
+    listed leaf is possible under every valid order.  A leaf gets only
+    that product; no state is built for it."""
     _require_valid(s, order)
     branch_bound = math.prod(len(s.detector(l).outcomes.outcomes) for l in order)
     if branch_bound > MAX_BRANCHES:
@@ -596,10 +614,12 @@ def joint_distribution(s: Scenario, order: tuple[str, ...]) -> JointDistribution
             probs[tuple(by_det[l] for l in declared)] = acc_prob
             return
         node = step(s, surface, state, order[k])
+        last_level = k + 1 == len(order)
         for label, p in zip(node.detector.outcomes.labels, node.probabilities):
-            if p > hilbert.EPS_PROB:
-                descend(node.surface_after, apply_detector(node.state_before, node.detector, label),
-                        k + 1, acc_prob * p, chosen + (label,))
+            joint = acc_prob * p
+            if joint > hilbert.EPS_PROB:
+                child = None if last_level else apply_detector(node.state_before, node.detector, label)
+                descend(node.surface_after, child, k + 1, joint, chosen + (label,))
 
     descend(s.initial_surface(), s.initial, 0, 1.0, ())
     return JointDistribution(declared, probs)

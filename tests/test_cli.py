@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import os
 import subprocess
 import sys
 from copy import deepcopy
@@ -396,24 +397,75 @@ def test_failed_load_leaves_the_collector_as_it_was(enabled, tmp_path, capsys):
         (gc.enable if was else gc.disable)()
 
 
-def test_the_program_freezes_its_imports(capsys):
-    """Run as a program, ``main`` freezes what the imports left, so the
-    collector (the pass at exit included) does not walk it again; an
-    in-process call freezes nothing."""
-    child = ("import gc, sys\n"
-             "from psvsim import cli\n"
-             "sys.argv = ['psvsim', 'dist', '--scenario', 'split', '--json']\n"
-             "assert gc.get_freeze_count() == 0\n"
-             "code = cli.main()\n"
-             "sys.stderr.write(f'{code} {gc.get_freeze_count()}')\n")
-    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
-                          timeout=120, check=True)
-    code, frozen = map(int, proc.stderr.split())
-    assert code == 0 and frozen > 0
-    assert json.loads(proc.stdout)["detectors"] == ["A", "B", "C"]
-    before = gc.get_freeze_count()
-    assert run_cli(capsys, "dist", "--scenario", "split", "--json")[0] == 0
-    assert gc.get_freeze_count() == before
+#: ``cli.main`` as the program.
+_PROGRAM = "import sys\nfrom psvsim import cli\nsys.exit(cli.main())\n"
+#: The program after registering an ``atexit`` marker.
+_MARKED = "import atexit, sys\natexit.register(sys.stderr.write, 'atexit ran')\n" + _PROGRAM
+#: ``cli.main`` in process: it is given its arguments and only returns.
+_IN_PROCESS = "import sys\nfrom psvsim import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+
+
+def _env(buffered=True):
+    """This process's environment, with stdout and stderr buffered or not."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return env if buffered else {**env, "PYTHONUNBUFFERED": "1"}
+
+
+def _child(code, argv, stdout=subprocess.PIPE, env=None):
+    """A Python child running ``code`` with ``argv``, its stderr captured;
+    its streams are buffered unless ``env`` says otherwise."""
+    return subprocess.run([sys.executable, "-c", code, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env or _env(), timeout=120)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("dist", "--scenario", "split", "--json"), 0),
+    (("dist", "--scenario", "ghz", "--with-copies", "--json"), 1),
+    (("run", "--scenario", "singlet", "--axes", "i=z,j=z", "--outcomes", "A=+,B=+", "--json"), 2),
+    (("dist", "--scenario", "ghz", "--json", "--out", "/nonexistent-dir/x.json"), 3),
+], ids=["ok", "validation", "physics", "io"])
+def test_the_program_ends_with_the_commands_code_and_no_teardown(argv, code, capsys):
+    """Run as a program, ``main`` ends the process with the command's exit
+    code once the command returns: an ``atexit`` handler does not run, and
+    stdout and stderr hold what the in-process call writes (an error as
+    one JSON line)."""
+    proc = _child(_MARKED, argv)
+    assert proc.returncode == code
+    assert (proc.stdout.decode(), proc.stderr.decode()) == run_cli(capsys, *argv)[1:]
+    if code:
+        assert proc.stdout == b"" and proc.stderr.count(b"\n") == 1
+        assert json.loads(proc.stderr)["error"] == ("validation", "physics", "io")[code - 1]
+
+
+def test_a_run_larger_than_a_pipe_buffer_arrives_whole(capsys):
+    argv = ("run", "--scenario", "ghz", "--seed", "1", "--json")
+    proc = _child(_MARKED, argv)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert len(proc.stdout) > 65536
+    assert json.loads(proc.stdout) == json.loads(run_cli(capsys, *argv)[1])
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("dist", "--scenario", "split"),
+    ("run", "--scenario", "ghz", "--seed", "1", "--json"),
+], ids=["small", "large"])
+def test_a_closed_stdout_is_reported_as_the_in_process_path_reports_it(argv, buffered):
+    """With its reader gone before the command writes, the program exits
+    with the code and stderr of ``sys.exit(cli.main(sys.argv[1:]))``.  A
+    write that fails in the command is an I/O error (exit 3); a flush that
+    fails after it leaves the report to the interpreter's exit (code 120)."""
+    results = []
+    for code in (_PROGRAM, _IN_PROCESS):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _child(code, argv, stdout=write, env=_env(buffered))
+        finally:
+            os.close(write)
+        results.append((proc.returncode, proc.stderr))
+    assert results[0] == results[1]
+    assert results[0][0] in (3, 120)
 
 
 @pytest.fixture

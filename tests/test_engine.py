@@ -22,6 +22,7 @@ from psvsim.engine import (
     InteractionEvent,
     Scenario,
     UndefinedState,
+    apply_detector,
     enumerate_valid_orders,
     joint_distribution,
     run,
@@ -347,6 +348,44 @@ def test_joint_distribution_expands_each_node_once(monkeypatch):
     assert calls["born"] == 2 * len(nodes)
 
 
+def test_joint_distribution_builds_no_leaf_state_and_advances_each_level_once(monkeypatch):
+    """On a GHZ-5 file, 31 nodes over 5 levels and 32 leaves: one ``step``
+    and two Born probabilities per node, one ``apply_detector`` per inner
+    child and one ``adjoin_apex`` per level."""
+    calls = dict.fromkeys(["step", "apply_detector", "born", "adjoin"], 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    blob = serialization.scenario_to_dict(ghz_n([Axis(0.3 + 0.4 * k, 0.7 * k) for k in range(5)]))
+    s = serialization.scenario_from_json(json.dumps(blob))
+    monkeypatch.setattr(engine, "step", counted("step", engine.step))
+    monkeypatch.setattr(engine, "apply_detector", counted("apply_detector", engine.apply_detector))
+    monkeypatch.setattr(hilbert, "born_probability", counted("born", hilbert.born_probability))
+    monkeypatch.setattr(geometry, "adjoin_apex", counted("adjoin", geometry.adjoin_apex))
+    d = joint_distribution(s, ("D3", "D0", "D4", "D1", "D2"))
+    assert len(d.probabilities) == 32
+    assert calls == {"step": 31, "apply_detector": 30, "born": 62, "adjoin": 5}
+
+
+def test_step_advances_equal_surfaces_alike():
+    """Two ``step`` calls on equal surfaces (one a copy) with one detector
+    give equal surfaces and applied interactions, whatever the state; the
+    scenario's equality and repr do not see what ``step`` stored."""
+    s = scenarios.singlet(Z_AXIS, X_AXIS, with_copies=True)
+    fresh = replace(s)
+    first = step(s, s.initial_surface(), s.initial, "A")
+    node = step(s, first.surface_after, apply_detector(first.state_before, first.detector, "+"), "B")
+    again = step(s, replace(first.surface_after), s.initial, "B")
+    assert first.interactions_applied == ("AA1 copy",)
+    assert node.interactions_applied == again.interactions_applied == ("AA2 copy",)
+    assert node.surface_after == again.surface_after
+    assert s == fresh and repr(s) == repr(fresh)
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_joint_distribution_works_on_the_core_only(monkeypatch, n):
     sizes = {"born": [], "project": []}
@@ -364,7 +403,7 @@ def test_joint_distribution_works_on_the_core_only(monkeypatch, n):
     s = ghz_n([Axis(0.3 + 0.4 * k, 0.7 * k) for k in range(n)])
     joint_distribution(s, s.detector_labels)
     assert len(sizes["born"]) == 2 * (2 ** n - 1)
-    assert len(sizes["project"]) == 2 ** (n + 1) - 2
+    assert len(sizes["project"]) == 2 ** n - 2  # no leaf state is built
     assert set(sizes["born"]) == set(sizes["project"]) == {2 ** n}
 
 
@@ -481,9 +520,8 @@ def foliation_cases(draw):
                               with_copies=kind == "singlet with copies",
                               copy_basis=draw(axis_strategy))
     orders = enumerate_valid_orders(s)
-    leaves = joint_distribution(s, orders[0]).probabilities
-    leaf = draw(st.sampled_from(sorted(leaves)))
-    return s, orders, leaf, leaves[leaf]
+    leaf = draw(st.sampled_from(sorted(joint_distribution(s, orders[0]).probabilities)))
+    return s, orders, leaf
 
 
 @settings(max_examples=40, deadline=None)
@@ -491,22 +529,30 @@ def foliation_cases(draw):
 def test_fixed_outcomes_give_one_final_state_under_every_valid_order(case):
     """The paper's foliation independence for states: ``run`` with the
     same outcomes ends in the same state, up to a global phase, whatever
-    valid order the detectors reduce in.  An order may find the outcomes
-    impossible only where their joint probability is at most the
-    impossible-branch threshold: ``joint_distribution`` prunes by each
-    step's probability, so a leaf of probability 3e-22 can be listed under
-    one order and have a step below ``EPS_PROB`` under another."""
-    s, orders, leaf, probability = case
+    valid order the detectors reduce in."""
+    s, orders, leaf = case
     by_detector = dict(zip(s.detector_labels, leaf))
-    finals = []
-    for order in orders:
-        try:
-            finals.append(run(s, order, outcomes=tuple(by_detector[l] for l in order)).final_state)
-        except ImpossibleBranchError:
-            assert probability <= hilbert.EPS_PROB
+    finals = [run(s, order, outcomes=tuple(by_detector[l] for l in order)).final_state
+              for order in orders]
     for final in finals[1:]:
         assert final.subsystems == finals[0].subsystems
         assert 1.0 - abs(np.vdot(finals[0].amplitudes, final.amplitudes)) <= 1e-12
+
+
+def test_a_listed_leaf_runs_under_every_valid_order():
+    """``joint_distribution`` prunes by a leaf's joint probability, not by
+    one step's.  Under A, B, C the leaf ('+', '+', '--') has probability
+    about 3e-22 with every step above ``EPS_PROB``, and under B, C, A its
+    second step is below it, so ``run`` refuses it there: it is not listed."""
+    s = scenarios.singlet(Axis(0, 0), Axis(1e-5, 0), with_copies=True, copy_basis=Axis(0, 0))
+    leaves = joint_distribution(s, ("A", "B", "C")).probabilities
+    assert ("+", "+", "--") not in leaves
+    with pytest.raises(ImpossibleBranchError):
+        run(s, ("B", "C", "A"), outcomes=("+", "--", "+"))
+    for leaf in leaves:
+        by_detector = dict(zip(s.detector_labels, leaf))
+        for order in enumerate_valid_orders(s):
+            run(s, order, outcomes=tuple(by_detector[l] for l in order))
 
 
 def test_sample_counts_are_prefix_monotone():
