@@ -104,7 +104,7 @@ def build_scenario(args) -> engine.Scenario:
             axes=(axes.get("i", X_AXIS), axes.get("j", Y_AXIS), axes.get("k", Y_AXIS)),
         )
     try:
-        with open(name, encoding="utf-8") as fh:
+        with open(name, "rb") as fh:
             return _read_scenario(fh)
     except FileNotFoundError as exc:
         raise ConfigurationError(f"scenario file {name!r} not found") from exc
@@ -117,11 +117,14 @@ def build_scenario(args) -> engine.Scenario:
 
 
 def _read_scenario(fh) -> engine.Scenario:
-    """Parse and build a scenario file with the cyclic garbage collector
-    paused.  A dense file read by ``json.loads`` holds hundreds of
-    thousands of [re, im] lists, none of them garbage, which the collector
-    would otherwise rescan while they are built and again once it is back
-    on.  They are freed before it resumes."""
+    """Read a scenario file's bytes once, from ``fh`` opened in binary
+    mode, and parse and build it (``serialization.scenario_from_json``
+    reads them as UTF-8 text with universal newlines) with the cyclic
+    garbage collector paused.  A dense file that falls back to
+    ``json.loads`` holds hundreds of thousands of [re, im] lists, none of
+    them garbage, which the collector would otherwise rescan while they
+    are built and again once it is back on.  They are freed before it
+    resumes."""
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -144,24 +144,52 @@ class BranchState(Record):
 
     @classmethod
     def split(cls, state: StateVector) -> "BranchState":
-        """Factor every register out of a full state.  Each register must
-        sit in one basis state: every amplitude off the slice through the
-        largest one is at most ``EPS_OP``."""
-        psi = state.amplitudes.reshape(state.dims)
-        mags = np.abs(psi)
-        peak = np.unravel_index(int(np.argmax(mags)), psi.shape)
-        is_reg = [sub.kind is SubsystemKind.REGISTER for sub in state.subsystems]
-        index = tuple(int(k) if r else slice(None) for r, k in zip(is_reg, peak))
-        mags[index] = 0.0
-        if mags.max() > hilbert.EPS_OP:
-            off = np.unravel_index(int(np.argmax(mags)), psi.shape)
-            label = next(sub.label for sub, r, i, k in zip(state.subsystems, is_reg, off, peak)
-                         if r and i != k)
+        """Factor every register out of a full state: ``from_nonzero`` of
+        its entries that are not +0+0j, so the core is a copy that owns its
+        data, not a view of the full tensor."""
+        amps = state.amplitudes
+        index = hilbert.nonzero_bits(amps)
+        return cls.from_nonzero(state.subsystems, index, amps[index])
+
+    @classmethod
+    def from_nonzero(cls, subsystems: tuple[SubsystemSpec, ...], index: np.ndarray,
+                     values: np.ndarray) -> "BranchState":
+        """The factored state whose flat amplitude list over ``subsystems``
+        holds ``values`` at the increasing flat positions ``index`` and
+        +0+0j everywhere else; the list's length, the product of the dims,
+        is the caller's to check (``hilbert.check_layout``).  Each register
+        must sit in one basis state: every amplitude off the slice through
+        the largest one (the first of them, as ``np.argmax`` of the full
+        list picks it) is at most ``EPS_OP``, or the error names the first
+        register on which the largest amplitude off the slice differs."""
+        dims = tuple(sub.dim for sub in subsystems)
+        is_reg = [sub.kind is SubsystemKind.REGISTER for sub in subsystems]
+        mags = np.abs(values)
+        k = int(np.argmax(mags)) if mags.size else 0
+        peak = np.unravel_index(int(index[k]) if mags.size and mags[k] != 0 else 0, dims)
+        # One subsystem's coordinate of every entry at a time: whether it is
+        # on the slice, and its flat position in the core.
+        on, at = np.ones(index.size, dtype=bool), np.zeros(index.size, dtype=np.intp)
+        stride = math.prod(dims)
+        for r, dim, p in zip(is_reg, dims, peak):
+            stride //= dim
+            axis = index // stride % dim
+            if r:
+                on &= axis == p
+            else:
+                at = at * dim + axis
+        off = mags[~on]
+        if off.size and off.max() > hilbert.EPS_OP:
+            worst = np.unravel_index(int(index[~on][np.argmax(off)]), dims)
+            label = next(sub.label for sub, r, i, p in zip(subsystems, is_reg, worst, peak)
+                         if r and i != p)
             raise ConfigurationError(f"register {label!r} is not in a single basis state")
-        registers = {sub.label: hilbert.basis_state((sub,), {sub.label: int(k)})
-                     for sub, r, k in zip(state.subsystems, is_reg, peak) if r}
-        core = tuple(sub for sub, r in zip(state.subsystems, is_reg) if not r)
-        return cls(state.subsystems, StateVector(core, psi[index]), registers)
+        registers = {sub.label: hilbert.basis_state((sub,), {sub.label: int(p)})
+                     for sub, r, p in zip(subsystems, is_reg, peak) if r}
+        core = tuple(sub for sub, r in zip(subsystems, is_reg) if not r)
+        amps = np.zeros(math.prod(sub.dim for sub in core), dtype=complex)
+        amps[at[on]] = values[on]
+        return cls(subsystems, StateVector(core, amps), registers)
 
     def interact(self, ev: InteractionEvent) -> "BranchState":
         core = hilbert.apply_unitary(self.core, ev.unitary, ev.targets)

@@ -109,6 +109,16 @@ class Lcsh(Record):
         if len(dims) > 1:
             raise ConfigurationError(f"apexes have mixed dimensions {sorted(dims)}")
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """``Record``'s hash of the field values, worked out once: a
+        surface keys ``engine.step``'s advance cache, and hashing its tuple
+        of apex events anew on each lookup cost more than the lookup."""
+        return Record.__hash__(self)
+
     @property
     def dim(self) -> int | None:
         return self.apexes[0].dim if self.apexes else None

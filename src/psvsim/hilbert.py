@@ -62,20 +62,14 @@ class StateVector(Record):
 
     def __init__(self, subsystems: tuple[SubsystemSpec, ...], amplitudes: np.ndarray):
         self.__dict__["subsystems"] = subsystems
-        labels = [s.label for s in subsystems]
-        if len(set(labels)) != len(labels):
-            raise ConfigurationError(f"duplicate subsystem labels in {labels}")
+        _check_labels(subsystems)
         self.__dict__["amplitudes"] = self._checked(amplitudes)
 
     def _checked(self, amplitudes) -> np.ndarray:
         """``amplitudes`` as a read-only flat complex vector of this
         state's length."""
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        expected = math.prod(self.dims)
-        if amps.size != expected:
-            raise ConfigurationError(
-                f"amplitude length {amps.size} != product of dims {expected}"
-            )
+        _check_length(amps.size, self.dims)
         amps.flags.writeable = False
         return amps
 
@@ -104,6 +98,35 @@ class StateVector(Record):
         new.__dict__.update(subsystems=self.subsystems, dims=self.dims,
                             amplitudes=self._checked(amps))
         return new
+
+
+def _check_labels(subsystems: tuple[SubsystemSpec, ...]) -> None:
+    labels = [s.label for s in subsystems]
+    if len(set(labels)) != len(labels):
+        raise ConfigurationError(f"duplicate subsystem labels in {labels}")
+
+
+def _check_length(size: int, dims: tuple[int, ...]) -> None:
+    expected = math.prod(dims)
+    if size != expected:
+        raise ConfigurationError(f"amplitude length {size} != product of dims {expected}")
+
+
+def check_layout(subsystems: tuple[SubsystemSpec, ...], size: int) -> None:
+    """``StateVector``'s checks of a flat list of ``size`` amplitudes over
+    ``subsystems``, for a list held as its nonzero entries alone: the
+    labels are distinct, then ``size`` is the product of the dims."""
+    _check_labels(subsystems)
+    _check_length(size, tuple(s.dim for s in subsystems))
+
+
+def nonzero_bits(amps: np.ndarray) -> np.ndarray:
+    """The flat indices of the entries of a complex vector that are not
+    +0+0j bit for bit: a -0.0 part, like a NaN, counts as nonzero, so the
+    entries these indices name, with +0+0j everywhere else, give back the
+    vector's exact bits."""
+    words = np.ascontiguousarray(amps).view(np.uint64).reshape(-1, 2)
+    return np.flatnonzero(words[:, 0] | words[:, 1])  # not .any(axis=1), six times slower
 
 
 def basis_state(subsystems: tuple[SubsystemSpec, ...], indices: dict[str, int] | None = None) -> StateVector:

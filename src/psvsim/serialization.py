@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from . import scenarios
+from . import hilbert, scenarios
 from .engine import (
     BranchState,
     DetectorEvent,
@@ -33,7 +33,7 @@ from .hilbert import Axis, OutcomeSet, StateVector, SubsystemKind, SubsystemSpec
 MINUS_INFINITY_TOKEN = "minus_infinity"
 #: An "amplitudes" key and the "[" of its list; ``re`` compiles it on the
 #: first file read, not on import.
-_AMPLITUDES_KEY = r'"amplitudes"[ \t\n\r]*:[ \t\n\r]*\['
+_AMPLITUDES_KEY = rb'"amplitudes"[ \t\n\r]*:[ \t\n\r]*\['
 #: Byte classes of a dense amplitude list, as a ``bytes.translate`` table:
 #: JSON whitespace, its structural characters "[", "]" and ",", and the
 #: characters a JSON number is made of.  Any other byte (a quote, a letter,
@@ -44,12 +44,15 @@ _BYTE_CLASS = bytes(_SPACE if b in b" \t\n\r" else _STRUCT if b in b"[]," else
 #: The structural characters after the opening "[" of an n-pair list, four
 #: bytes per pair read as one native word: n - 1 times "[,]," then "[,]]".
 _PAIR, _LAST_PAIR = np.frombuffer(b"[,],[,]]", dtype=np.uint32)
-#: JSON whitespace, as ``str.strip`` takes it.
-_SPACES = " \t\n\r"
+#: JSON whitespace, as ``bytes.strip`` takes it.
+_SPACES = b" \t\n\r"
 #: The head of a dense list its record length is guessed from, and the
 #: fewest record lengths a repeating stretch must span to be cut: each cut
 #: costs a Python step, which a few records' checks do not repay.
 _PERIOD_SPAN, _MIN_COPIES = 4096, 16
+#: The bytes a dense list is compared with itself in at a time, so no
+#: temporary array grows with the file.
+_CHUNK = 1 << 16
 _NUMBER = (int, float)
 _TYPE_NAMES = {_NUMBER: "a number", int: "an integer", bool: "true or false", list: "a list", str: "a string"}
 
@@ -138,13 +141,6 @@ def _amplitudes_to_complex(pairs: Any) -> np.ndarray:
     return _pairs_to_complex(pairs)
 
 
-def state_from_dict(d: dict) -> StateVector:
-    return StateVector(
-        tuple(subsystem_from_dict(s) for s in d["subsystems"]),
-        _amplitudes_to_complex(d["amplitudes"]),
-    )
-
-
 def interaction_to_dict(ev: InteractionEvent) -> dict:
     d = {"name": ev.name, "at": event_to_dict(ev.at), "subsystems": list(ev.targets)}
     if ev.gate is not None:
@@ -221,22 +217,25 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def scenario_from_dict(d: dict) -> Scenario:
-    """Build a scenario, which validates it.  The top-level
-    ``"subsystems"`` must equal the initial state's in label, dim and kind;
-    the dense initial state must be finite, and ``BranchState.split``
-    factors its registers out.  A missing or ill-typed field raises
-    ConfigurationError, as every failed validation does."""
+    """Build a scenario, which validates it.  The initial state's
+    amplitude list is checked as ``StateVector`` checks one (distinct
+    labels, then its length), the top-level ``"subsystems"`` must equal its
+    subsystems in label, dim and kind, and its amplitudes must be finite;
+    ``BranchState.from_nonzero`` then factors its registers out of its
+    nonzero entries, so no dense 6^N tensor is built.  A missing or
+    ill-typed field raises ConfigurationError, as every failed validation
+    does."""
     try:
         t0 = d.get("initial_surface", {}).get("t0", MINUS_INFINITY_TOKEN)
-        initial = state_from_dict(d["initial_state"])
-        if tuple(subsystem_from_dict(s) for s in d["subsystems"]) != initial.subsystems:
+        subsystems, index, values = _initial_amplitudes(d["initial_state"])
+        if tuple(subsystem_from_dict(s) for s in d["subsystems"]) != subsystems:
             raise ConfigurationError("initial state subsystems do not match scenario subsystems")
-        if not np.isfinite(initial.amplitudes).all():
+        if not np.isfinite(values).all():
             raise ConfigurationError("initial state has a non-finite amplitude")
         return Scenario(
             dim=_typed(d["dim"], int, "dim"),
             c=_typed(d.get("c", 1.0), _NUMBER, "c"),
-            initial=BranchState.split(initial),
+            initial=BranchState.from_nonzero(subsystems, index, values),
             initial_t0=(-math.inf if t0 == MINUS_INFINITY_TOKEN
                         else float(_typed(t0, _NUMBER, "initial_surface t0"))),
             interactions=tuple(interaction_from_dict(ev) for ev in d.get("interactions", [])),
@@ -251,111 +250,189 @@ def scenario_from_dict(d: dict) -> Scenario:
         raise ConfigurationError(f"malformed scenario: {type(exc).__name__}: {exc}") from exc
 
 
-def scenario_from_json(text: str) -> Scenario:
-    """``scenario_from_dict(json.loads(text))``, with the initial state's
-    dense amplitude list read without a Python object per number where
-    ``_with_dense_amplitudes`` can.  Where it cannot, the text takes that
-    path as a whole, so every error is the one it raises."""
-    d = _with_dense_amplitudes(text)
-    return scenario_from_dict(json.loads(text) if d is None else d)
+class _Runs:
+    """A dense amplitude list as ``_with_dense_amplitudes`` reads it: an
+    (m, 2) float array of [re, im] pairs, and how many times in a row each
+    pair stands in the list."""
+
+    __slots__ = ("pairs", "counts")
+
+    def __init__(self, pairs: np.ndarray, counts: np.ndarray):
+        self.pairs, self.counts = pairs, counts
 
 
-def _with_dense_amplitudes(text: str) -> dict | None:
-    """The scenario document ``json.loads(text)`` would give, with
-    ``initial_state.amplitudes`` as an (n, 2) float array, or None.  The
-    list's text is replaced by a ``NaN`` before the rest is parsed; it must
-    be the document's one constant and land at that key, so a list
-    anywhere else, a repeated key or an error in the rest is None."""
-    m = re.search(_AMPLITUDES_KEY, text)
+def _initial_amplitudes(d: dict) -> tuple[tuple[SubsystemSpec, ...], np.ndarray, np.ndarray]:
+    """The initial state's subsystems, and the flat index and complex value
+    of each of its amplitudes that is not +0+0j bit for bit, the list
+    checked by ``hilbert.check_layout``.  A JSON list is converted as a
+    whole; a ``_Runs`` list is converted once per run, and only its
+    nonzero runs are spelled out."""
+    subsystems = tuple(subsystem_from_dict(s) for s in d["subsystems"])
+    amplitudes = d["amplitudes"]
+    if type(amplitudes) is not _Runs:
+        values = _amplitudes_to_complex(amplitudes).reshape(-1)
+        hilbert.check_layout(subsystems, values.size)
+        index = hilbert.nonzero_bits(values)
+        return subsystems, index, values[index]
+    values, counts = _pairs_to_complex(amplitudes.pairs), amplitudes.counts
+    ends = np.cumsum(counts)
+    hilbert.check_layout(subsystems, int(ends[-1]))
+    keep = hilbert.nonzero_bits(values)
+    reps = counts[keep]
+    # Run r of the kept ones starts at list position ends[r] - reps[r] and
+    # at output position sum(reps[:r]); each output position o is then
+    # (start - its output start) + o.
+    shift = (ends[keep] - reps) - (np.cumsum(reps) - reps)
+    index = np.repeat(shift, reps) + np.arange(int(reps.sum()))
+    return subsystems, index, np.repeat(values[keep], reps)
+
+
+def scenario_from_json(data: bytes) -> Scenario:
+    r"""``scenario_from_dict`` of a scenario file's bytes, read as
+    ``json.load`` reads the file opened as UTF-8 text: a byte that is not
+    UTF-8 raises ``UnicodeDecodeError``, and universal newlines make each
+    "\r\n" and lone "\r" one "\n", which a JSON error's line, column and
+    char count.  The initial state's dense amplitude list is read by
+    ``_with_dense_amplitudes`` where it can, as runs of identical pairs,
+    without a Python object per number or any array the size of the file.
+    Where it cannot, the text takes the plain path as a whole, so every
+    error is the one that path raises."""
+    d = _with_dense_amplitudes(data)
+    if d is None:
+        text = data.decode("utf-8")
+        d = json.loads(text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text)
+    return scenario_from_dict(d)
+
+
+def _with_dense_amplitudes(data: bytes) -> dict | None:
+    r"""The scenario document ``json.loads`` would give of ``data``, with
+    ``initial_state.amplitudes`` as ``_Runs``, or None.  The list's text is
+    replaced by a ``NaN`` before the rest is decoded and parsed; it must be
+    the document's one constant and land at that key, so a list anywhere
+    else, a repeated key, a byte that is not UTF-8 or an error in the rest
+    is None.  A "\r" the rest holds is JSON whitespace (a string cannot hold
+    one), so it parses as the "\n" newline translation would make it."""
+    m = re.search(_AMPLITUDES_KEY, data)
     if m is None:
         return None
     start = m.end() - 1
-    read = _dense_pairs_folded(text, start)
+    read = _dense_pairs_folded(data, start)
     if read is None:
         return None
-    stop, pairs = read
+    stop, pairs, counts = read
     marker, constants = object(), []
     try:
-        d = json.loads(text[:start] + "NaN" + text[stop:],
+        d = json.loads((data[:start] + b"NaN" + data[stop:]).decode("utf-8"),
                        parse_constant=lambda token: constants.append(token) or marker)
-    except (ValueError, RecursionError):
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
         return None
     state = d.get("initial_state") if type(d) is dict else None
     if len(constants) != 1 or type(state) is not dict or state.get("amplitudes") is not marker:
         return None
-    state["amplitudes"] = pairs
+    state["amplitudes"] = _Runs(pairs, counts)
     return d
 
 
-def _dense_pairs_folded(text: str, start: int) -> tuple[int, np.ndarray] | None:
-    """``_dense_pairs(text, start)``, with each run of identical records
-    checked once.  A record is a pair and the "," after it, amid
-    whitespace; ``json.dump`` writes a dense state's zero pairs as
-    byte-identical records.  ``_fold_records`` keeps the first copy of
-    each run and drops the rest, and ``_dense_pairs`` checks the shorter
-    text.  If it reads a list that holds every kept copy, the one "[" of
-    each copy opens a pair of that list (the list's own "[" is followed by
-    another), so the copy is one record of it.  Putting the dropped copies
-    back after it gives a valid list whose pairs are that pair repeated,
-    which is what ``_dense_pairs`` reads from ``text``.  Otherwise ``text``
-    is checked as it stands, so every accept, reject and value is the same."""
-    found = [i for i in (text.find('"', start), text.find("}", start)) if i >= 0]
-    region = text[start:min(found, default=len(text))]  # no valid list reaches '"' or '}'
-    folded = _fold_records(region) if region.isascii() else None
+def _dense_pairs_folded(data: bytes, start: int) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """``_dense_pairs(data, start)`` as runs: the index past the list's "]",
+    its pairs with each run of identical records given once, and each
+    pair's number of copies; or None.  A record is a pair and the ","
+    after it, amid whitespace; ``json.dump`` writes a dense state's zero
+    pairs as byte-identical records.  ``_fold_records`` keeps the first
+    copy of each run and drops the rest, and ``_dense_pairs`` checks the
+    shorter text.  If it reads a list that holds every kept copy, the one
+    "[" of each copy opens a pair of that list (the list's own "[" is
+    followed by another), so the copy is one record of it.  Putting the
+    dropped copies back after it gives a valid list whose pairs are that
+    pair repeated, which is what ``_dense_pairs`` reads from ``data``.
+    Otherwise ``data`` is checked as it stands, each pair one run, so
+    every accept, reject and value is the same."""
+    found = [i for i in (data.find(b'"', start), data.find(b"}", start)) if i >= 0]
+    end = min(found, default=len(data))  # no valid list reaches '"' or '}'
+    folded = _fold_records(data, start, end)
     if folded is not None:
         short, period, kept, copies = folded
         read = _dense_pairs(short, 0)
         if read is not None and kept[-1] + period <= read[0]:
             stop, pairs = read
-            opens = np.flatnonzero(np.frombuffer(short.encode("ascii"), dtype=np.uint8) == ord("["))
+            opens = np.flatnonzero(np.frombuffer(short, dtype=np.uint8) == ord("["))
             counts = np.ones(len(pairs), dtype=np.intp)
             counts[np.searchsorted(opens, kept) - 1] = copies  # the list's own "[" is first
-            return start + stop + len(region) - len(short), np.repeat(pairs, counts, axis=0)
-    return _dense_pairs(text, start)
+            return start + stop + (end - start) - len(short), pairs, counts
+    read = _dense_pairs(data, start)
+    return None if read is None else (*read, np.ones(len(read[1]), dtype=np.intp))
 
 
-def _fold_records(region: str) -> tuple[str, int, list[int], list[int]] | None:
-    """``region``, the ASCII text from a dense list's "[" to the first '"'
-    or '}' (which no valid list reaches), with each run of whole copies of
-    one record cut to its first copy: the shorter text, the record length
-    P, the start of each kept copy in it and its number of copies, or None
-    if nothing was cut.  P is the commonest distance between "[" bytes in
-    the region's head, and one compare of the text with itself shifted by
-    P finds the stretches that repeat with period P.  A stretch at least
-    ``_MIN_COPIES`` P long is cut from its first "[" if the P bytes there
-    hold no other "[" and, after their first "]", one "," amid whitespace."""
-    b = np.frombuffer(region.encode("ascii"), dtype=np.uint8)
-    opens = np.flatnonzero(b[:_PERIOD_SPAN] == ord("["))
+def _fold_records(data: bytes, start: int, end: int) -> tuple[bytes, int, list[int], list[int]] | None:
+    """``data[start:end]``, the text from a dense list's "[" to the first
+    '"' or '}' (which no valid list reaches), with each run of whole copies
+    of one record cut to its first copy: the shorter text, the record
+    length P, the start of each kept copy in it and its number of copies,
+    or None if nothing was cut.  P is the commonest distance between "["
+    bytes in the text's head, and ``_repeating_stretches`` finds where the
+    text repeats with period P.  A stretch at least ``_MIN_COPIES`` P long
+    is cut from its first "[" if the P bytes there hold no other "[" and,
+    after their first "]", one "," amid whitespace.  ``data`` is read in
+    place: only the shorter text is new."""
+    head = np.frombuffer(data, dtype=np.uint8, count=min(end - start, _PERIOD_SPAN), offset=start)
+    opens = np.flatnonzero(head == ord("["))
     if opens.size < 2:
         return None
     period = int(np.bincount(np.diff(opens)).argmax())
-    same = np.zeros(b.size - period + 2, dtype=bool)  # False at both ends, so runs pair up
-    np.equal(b[period:], b[:-period], out=same[1:-1])
-    edges = np.flatnonzero(same[1:] != same[:-1])  # run i of b[j + P] == b[j] is [edges[2i], edges[2i+1])
-    firsts, lasts = edges[0::2], edges[1::2]
-    wide = lasts - firsts >= _MIN_COPIES * period
     pieces, kept, copies = [], [], []
-    cut = dropped = 0  # where the text after the last dropped copy begins, and bytes dropped
-    for first, last in zip(firsts[wide].tolist(), lasts[wide].tolist()):
-        s = region.find("[", first, first + period)
-        record = region[s:s + period]
+    cut, dropped = start, 0  # where the text after the last dropped copy begins, and bytes dropped
+    for first, last in _repeating_stretches(data, start, end, period):
+        s = data.find(b"[", start + first, start + first + period)
+        record = data[s:s + period]
         # One "[", and after the first "]" one "," amid whitespace (with no
         # "]" the slice is the whole record, which starts with "[").
-        if s < 0 or record.count("[") != 1 or record[record.find("]") + 1:].strip(_SPACES) != ",":
+        if s < 0 or record.count(b"[") != 1 or record[record.find(b"]") + 1:].strip(_SPACES) != b",":
             continue
-        n = (last - s) // period + 1  # the copies at s, s + P, ... up to the stretch's end
-        pieces.append(region[cut:s + period])
-        kept.append(s - dropped)
+        n = (start + last - s) // period + 1  # the copies at s, s + P, ... up to the stretch's end
+        pieces.append(data[cut:s + period])
+        kept.append(s - start - dropped)
         copies.append(n)
         cut, dropped = s + n * period, dropped + (n - 1) * period
     if not kept:
         return None
-    pieces.append(region[cut:])
-    return "".join(pieces), period, kept, copies
+    pieces.append(data[cut:end])
+    return b"".join(pieces), period, kept, copies
 
 
-def _dense_pairs(text: str, start: int) -> tuple[int, np.ndarray] | None:
-    """The list of [re, im] number pairs whose "[" is at ``text[start]``:
+def _repeating_stretches(data: bytes, start: int, end: int, period: int) -> list[tuple[int, int]]:
+    """The maximal stretches [first, last) of j with b[j + period] == b[j],
+    for b = ``data[start:end]``, that are at least ``_MIN_COPIES`` periods
+    long.  b is compared with itself shifted one ``_CHUNK`` at a time.  A
+    chunk whose bytes all equal the shifted ones (one ``memcmp``) lies in a
+    stretch; any other is compared byte by byte, after the last answer of
+    the chunk before (False before the first), so a stretch's ends are
+    where an answer differs from the one before it."""
+    b = np.frombuffer(data, dtype=np.uint8, count=end - start, offset=start)
+    n = b.size - period
+    same = np.empty(_CHUNK + 1, dtype=bool)
+    edges, prev = [np.zeros(0, dtype=np.intp)], False
+    for lo in range(0, n, _CHUNK):
+        m = min(_CHUNK, n - lo)
+        at = start + lo
+        if data[at:at + m] == data[at + period:at + period + m]:
+            if not prev:
+                edges.append(np.array([lo]))
+            prev = True
+            continue
+        same[0] = prev
+        np.equal(b[lo + period:lo + period + m], b[lo:lo + m], out=same[1:m + 1])
+        edges.append(np.flatnonzero(same[1:m + 1] != same[:m]) + lo)
+        prev = same[m]
+    if prev:  # the last stretch runs to the end
+        edges.append(np.array([n]))
+    edges = np.concatenate(edges)
+    firsts, lasts = edges[0::2], edges[1::2]
+    wide = lasts - firsts >= _MIN_COPIES * period
+    return list(zip(firsts[wide].tolist(), lasts[wide].tolist()))
+
+
+def _dense_pairs(data: bytes, start: int) -> tuple[int, np.ndarray] | None:
+    """The list of [re, im] number pairs whose "[" is at ``data[start]``:
     the index past its "]" and its numbers as an (n, 2) float array, or
     None if it is not such a list.  Its structure is checked on its bytes
     in a few array passes: the structural characters come in the order
@@ -363,13 +440,11 @@ def _dense_pairs(text: str, start: int) -> tuple[int, np.ndarray] | None:
     two number slots of each pair, and each slot holds one token.  Tokens
     that are exactly 0 or 0.0 are +0.0; every other token is read by one
     ``json.loads`` of them all, which rejects what JSON does not allow."""
-    raw = text[start:].encode("utf-8", "surrogatepass")
-    classes = raw.translate(_BYTE_CLASS)
-    end = classes.find(_OTHER)
-    if end < 0:
-        end = len(classes)
-    buf = np.frombuffer(raw, dtype=np.uint8, count=end)
-    cls = np.frombuffer(classes, dtype=np.uint8, count=end)
+    classes = data.translate(_BYTE_CLASS)
+    end = classes.find(_OTHER, start)
+    count = (len(classes) if end < 0 else end) - start
+    buf = np.frombuffer(data, dtype=np.uint8, count=count, offset=start)
+    cls = np.frombuffer(classes, dtype=np.uint8, count=count, offset=start)
     struct = np.flatnonzero(cls == _STRUCT)
     closes = buf[struct] == ord("]")
     closing = np.flatnonzero(closes[:-1] & closes[1:])  # the first "]]" ends the list
@@ -399,10 +474,11 @@ def _dense_pairs(text: str, start: int) -> tuple[int, np.ndarray] | None:
     keep = np.flatnonzero(~zero)
     flat = np.zeros(2 * n)
     if keep.size:
-        tokens = ",".join(text[start + b:start + e]
-                          for b, e in zip(begins[keep].tolist(), ends[keep].tolist()))
+        tokens = b",".join(data[start + b:start + e]
+                           for b, e in zip(begins[keep].tolist(), ends[keep].tolist()))
         try:
-            flat[keep] = np.fromiter(json.loads(f"[{tokens}]"), dtype=float, count=keep.size)
+            flat[keep] = np.fromiter(json.loads(f"[{tokens.decode('ascii')}]"), dtype=float,
+                                     count=keep.size)
         except (ValueError, OverflowError):  # not JSON numbers, or an integer past float range
             return None
     return start + stop, flat.reshape(n, 2)

@@ -10,7 +10,8 @@ comparisons are the brute-force 64^d probe-grid evaluation that
 ``states_close``, ``schmidt_rank``, ``charge_expectation`` and
 ``achronality_violation`` are checks that only tests read; they are not part
 of the package.  ``read_scenario_whole`` is the scenario-file reader the
-program's fast amplitude pass must agree with.
+program's fast amplitude pass must agree with, and ``dense_split`` the
+dense-tensor register factoring its loaded states must equal.
 """
 
 import itertools
@@ -23,7 +24,8 @@ import numpy as np
 
 from psvsim import geometry, serialization
 from psvsim.geometry import EPS_GEOM, Region, _bounding_region, probe_points, surface_times
-from psvsim.hilbert import StateVector, phase_canonical
+from psvsim.errors import ConfigurationError
+from psvsim.hilbert import EPS_OP, StateVector, SubsystemKind, phase_canonical
 
 
 def embed(op: np.ndarray, positions: list[int], dims: list[int]) -> np.ndarray:
@@ -280,6 +282,30 @@ def achronality_violation(
 
 def read_scenario_whole(fh):
     """A scenario file read the plain way, a stand-in for
-    ``cli._read_scenario``: the whole text through ``json.load``, every
-    [re, im] pair a Python list, then ``serialization.scenario_from_dict``."""
-    return serialization.scenario_from_dict(json.load(fh))
+    ``cli._read_scenario``: the file opened again in text mode, the whole
+    text through ``json.load``, every [re, im] pair a Python list, then
+    ``serialization.scenario_from_dict``."""
+    with open(fh.name, encoding="utf-8") as text:
+        return serialization.scenario_from_dict(json.load(text))
+
+
+def dense_split(state: StateVector) -> tuple[np.ndarray, dict[str, int]]:
+    """Every register factored out of a full state on its dense tensor:
+    the core amplitudes (a view of the tensor) and each register's basis
+    index.  Each register must sit in one basis state: every amplitude off
+    the slice through the largest one is at most ``EPS_OP``, or
+    ``ConfigurationError`` names the first register on which the largest
+    amplitude off the slice differs."""
+    psi = state.amplitudes.reshape(state.dims)
+    mags = np.abs(psi)
+    peak = np.unravel_index(int(np.argmax(mags)), psi.shape)
+    is_reg = [sub.kind is SubsystemKind.REGISTER for sub in state.subsystems]
+    index = tuple(int(k) if r else slice(None) for r, k in zip(is_reg, peak))
+    mags[index] = 0.0
+    if mags.max() > EPS_OP:
+        off = np.unravel_index(int(np.argmax(mags)), psi.shape)
+        label = next(sub.label for sub, r, i, k in zip(state.subsystems, is_reg, off, peak)
+                     if r and i != k)
+        raise ConfigurationError(f"register {label!r} is not in a single basis state")
+    registers = {sub.label: int(k) for sub, r, k in zip(state.subsystems, is_reg, peak) if r}
+    return psi[index].reshape(-1), registers

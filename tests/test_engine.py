@@ -177,6 +177,53 @@ def test_validate_scenario_keeps_registers_unentangled(name):
         build()
 
 
+def _random_state(rng) -> StateVector:
+    """A state over one to four spins and registers: a basis state, a full
+    superposition, a sparse list of -0.0, tiny, large, tied and non-finite
+    entries, a list of signed zeros, an all-zero list, or two tied peaks."""
+    subsystems = tuple(SubsystemSpec(f"q{k}", 2, SubsystemKind.SPIN) if rng.random() < 0.5
+                       else SubsystemSpec(f"q{k}", int(rng.integers(2, 4)), SubsystemKind.REGISTER)
+                       for k in range(rng.integers(1, 5)))
+    size = math.prod(sub.dim for sub in subsystems)
+    amps = np.zeros(size, dtype=complex)
+    kind = rng.integers(6)
+    if kind == 0:
+        amps[rng.integers(size)] = 1.0
+    elif kind == 1:
+        amps[:] = rng.normal(size=size) + 1j * rng.normal(size=size)
+    elif kind == 2:
+        at = rng.choice(size, rng.integers(size + 1), replace=False)
+        amps[at] = (rng.choice([1.0, -0.0, 1e-13, 2e-12, 0.5, np.nan, np.inf, -1.0], size=at.size)
+                    + 1j * rng.choice([0.0, -0.0, 1.0, 1e-13], size=at.size))
+    elif kind == 3:
+        amps.real[rng.random(size) < 0.5] = -0.0
+        amps.imag[rng.random(size) < 0.5] = -0.0
+        amps[rng.integers(size)] = 0.7
+    elif kind == 5:
+        amps[rng.integers(size, size=2)] = 1.0
+    return StateVector(subsystems, amps)
+
+
+def test_split_factors_states_as_the_dense_oracle_does():
+    """``BranchState.split`` gives ``_oracles.dense_split``'s core bytes,
+    signed zeros included, and register indices, or its error, and its
+    core is a contiguous array."""
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        state = _random_state(rng)
+        try:
+            core, registers = _oracles.dense_split(state)
+        except ConfigurationError as exc:
+            with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
+                BranchState.split(state)
+            continue
+        split = BranchState.split(state)
+        assert split.core.amplitudes.tobytes() == core.tobytes()
+        assert split.core.amplitudes.flags.c_contiguous
+        assert {label: int(np.flatnonzero(factor.amplitudes)[0])
+                for label, factor in split.registers.items()} == registers
+
+
 def test_reduction_order_spacelike_unconstrained():
     s = two_detector_scenario(Event(3, (-4,)), Event(3, (4,)))
     assert validate_reduction_order(s, ("A", "B")) == []
@@ -361,7 +408,7 @@ def test_joint_distribution_builds_no_leaf_state_and_advances_each_level_once(mo
         return wrapper
 
     blob = serialization.scenario_to_dict(ghz_n([Axis(0.3 + 0.4 * k, 0.7 * k) for k in range(5)]))
-    s = serialization.scenario_from_json(json.dumps(blob))
+    s = serialization.scenario_from_json(json.dumps(blob).encode())
     monkeypatch.setattr(engine, "step", counted("step", engine.step))
     monkeypatch.setattr(engine, "apply_detector", counted("apply_detector", engine.apply_detector))
     monkeypatch.setattr(hilbert, "born_probability", counted("born", hilbert.born_probability))
@@ -384,6 +431,22 @@ def test_step_advances_equal_surfaces_alike():
     assert node.interactions_applied == again.interactions_applied == ("AA2 copy",)
     assert node.surface_after == again.surface_after
     assert s == fresh and repr(s) == repr(fresh)
+
+
+def test_equal_surfaces_built_apart_hash_alike_and_share_one_advance():
+    """A surface keeps its hash once worked out, and that is the hash of
+    its field values: two equal surfaces built apart hash alike, and
+    ``step`` from each of them fills one entry of the advance cache."""
+    s = scenarios.singlet(Z_AXIS, X_AXIS, with_copies=True)
+    first = step(s, s.initial_surface(), s.initial, "A").surface_after
+    built = Lcsh(t0=first.t0, apexes=tuple(Event(a.t, tuple(a.x)) for a in first.apexes), c=first.c)
+    assert built is not first and built.apexes[0] is not first.apexes[0] and built == first
+    assert hash(built) == hash(first) == hash((first.t0, first.apexes, first.c))
+    assert first.__dict__["_hash"] == hash(first)
+    entries = len(s._advances)
+    step(s, first, s.initial, "B")
+    step(s, built, s.initial, "B")
+    assert len(s._advances) == entries + 1
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -514,7 +577,7 @@ def foliation_cases(draw):
         coordinate = lambda lo, hi: draw(st.floats(lo, hi).map(lambda v: round(v, 3)))
         for det in blob["detectors"]:
             det["at"] = {"t": coordinate(0.0, 6.0), "x": [coordinate(-8.0, 8.0)]}
-        s = serialization.scenario_from_json(json.dumps(blob))
+        s = serialization.scenario_from_json(json.dumps(blob).encode())
     else:
         s = scenarios.singlet(draw(axis_strategy), draw(axis_strategy),
                               with_copies=kind == "singlet with copies",

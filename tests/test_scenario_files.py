@@ -3,10 +3,14 @@ either loads and gives a distribution that sums to 1, or is a validation
 error (exit 1) reported as one JSON object on stderr: never a traceback,
 a warning (pytest turns warnings into errors) or another exit code."""
 
+import functools
+import gc
 import io
+import itertools
 import json
 import math
 import re
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from copy import deepcopy
 from unittest import mock
@@ -278,21 +282,22 @@ def _dist(path):
 def _readers_agree(path, text: str) -> bool:
     """``dist`` on the file gives the same exit code, stdout and stderr
     with the program's reader as with ``_oracles.read_scenario_whole``.
-    Where the fast pass reads the file, its document is the plain one and
-    its amplitudes have the bits of each number read by ``float``, sign of
-    zero included.  True if it read the file."""
+    Where the fast pass reads the file's bytes, its document is the plain
+    one (read as text, newlines translated), and its runs, spelled out,
+    have the bits of each number read by ``float``, sign of zero included.
+    True if it read the file."""
     path.write_text(text, encoding="utf-8")
     fast = _dist(path)
     with mock.patch.object(cli, "_read_scenario", _oracles.read_scenario_whole):
         plain = _dist(path)
     assert fast == plain
-    text = path.read_text(encoding="utf-8")  # as the program reads it, newlines translated
-    d = serialization._with_dense_amplitudes(text)
+    d = serialization._with_dense_amplitudes(path.read_bytes())  # the bytes the program reads
     if d is None:
         return False
-    whole = json.loads(text)
+    whole = json.loads(path.read_text(encoding="utf-8"))
     pairs = whole["initial_state"].pop("amplitudes")
-    amplitudes = d["initial_state"].pop("amplitudes")
+    runs = d["initial_state"].pop("amplitudes")
+    amplitudes = np.repeat(runs.pairs, runs.counts, axis=0)
     assert amplitudes.shape == (len(pairs), 2)
     assert amplitudes.tobytes() == np.array([float(v) for pair in pairs for v in pair]).tobytes()
     assert d == whole
@@ -317,14 +322,24 @@ def test_the_dense_amplitude_pass_agrees_with_the_plain_reader(path, edits, fast
     assert _readers_agree(path, _file_text(_GHZ, **edits)) == fast
 
 
-def test_a_byte_that_is_not_utf8_is_reported_as_before(path):
+def _not_utf8_reported_as_before(path, cut_after: bytes, offset: int):
     text = _file_text(_GHZ).encode("utf-8")
-    cut = text.index(b"[[") + 3
+    cut = text.index(cut_after) + offset
     path.write_bytes(text[:cut] + b"\xff" + text[cut:])
     fast = _dist(path)
     with mock.patch.object(cli, "_read_scenario", _oracles.read_scenario_whole):
         assert _dist(path) == fast
     assert fast[0] == 1
+
+
+def test_a_byte_that_is_not_utf8_is_reported_as_before(path):
+    _not_utf8_reported_as_before(path, b"[[", 3)
+
+
+def test_a_byte_that_is_not_utf8_after_the_amplitude_list_is_reported_as_before(path):
+    """The rest of the document is decoded strictly too: the fast pass
+    gives up and the plain path raises the decoding error."""
+    _not_utf8_reported_as_before(path, b'"detectors"', 2)
 
 
 _TOKEN = st.sampled_from(sorted(_TOKENS)) | st.floats().map(json.dumps) | st.integers().map(str)
@@ -355,9 +370,14 @@ _GHZ4 = serialization.scenario_to_dict(_ghz(4))
 _MID = 600
 
 
+def _list_start(text: str) -> int:
+    """Where the amplitude list of ASCII ``text`` opens."""
+    return re.search(serialization._AMPLITUDES_KEY.decode(), text).end() - 1
+
+
 def _with_pair(text: str, k: int, pair: str) -> str:
     """``text`` with pair k of its amplitude list written as ``pair``."""
-    at = re.search(serialization._AMPLITUDES_KEY, text).end()
+    at = _list_start(text) + 1
     for _ in range(k + 1):
         at = text.index("[", at) + 1
     return text[:at - 1] + pair + text[text.index("]", at) + 1:]
@@ -370,7 +390,7 @@ def _ghz4_text(layout="default", **edits) -> str:
 def _with_list(list_text: str) -> str:
     """The GHZ-4 file with ``list_text`` in place of its amplitude list."""
     text = _ghz4_text()
-    start = re.search(serialization._AMPLITUDES_KEY, text).end() - 1
+    start = _list_start(text)
     return text[:start] + list_text + text[text.index("]]", start) + 2:]
 
 
@@ -405,6 +425,10 @@ _RUN_CASES = {
         lambda: _with_list("[[0.0, 0.0], " * 20 + "[0.0, 0.00], " * 300 + "[0.0, 0.0]]"), False),
     "a run of [ and spaces": (lambda: _with_list("[" + "[   " * 1100 + "0.0, 0.0]]"), False),
     "CRLF, indent 2": (lambda: _ghz4_text("indent").replace("\n", "\r\n"), True),
+    "CRLF, indent 2, an error after the list": (
+        lambda: _ghz4_text("indent").replace("\n", "\r\n").replace('"D1"', '"D1" x'), False),
+    "lone CR, indent 2, an error after the list": (
+        lambda: _ghz4_text("indent").replace("\n", "\r").replace('"D1"', '"D1" x'), False),
     "0 and 0.0 in one run": (lambda: _ghz4_text(tokens=[(k, 0, "0") for k in range(3, 1200, 3)]), True),
 }
 
@@ -412,16 +436,45 @@ _RUN_CASES = {
 @pytest.mark.parametrize("case", list(_RUN_CASES))
 def test_runs_of_identical_records_read_as_the_plain_reader_reads_them(path, case):
     """``dist`` agrees with the plain reader, and the folded pass gives
-    ``_dense_pairs``'s answer on the text as written (before any newline
-    translation): the same stop and float bits, or None for both."""
+    ``_dense_pairs``'s answer on the bytes as written (before any newline
+    translation): the same stop and, its runs spelled out, the same float
+    bits, or None for both."""
     make, fast = _RUN_CASES[case]
     text = make()
     assert _readers_agree(path, text) == fast
-    start = re.search(serialization._AMPLITUDES_KEY, text).end() - 1
-    folded, whole = serialization._dense_pairs_folded(text, start), serialization._dense_pairs(text, start)
+    data = text.encode("utf-8")
+    start = re.search(serialization._AMPLITUDES_KEY, data).end() - 1
+    folded, whole = serialization._dense_pairs_folded(data, start), serialization._dense_pairs(data, start)
     assert (folded is None) == (whole is None)
     if whole is not None:
-        assert folded[0] == whole[0] and folded[1].tobytes() == whole[1].tobytes()
+        stop, pairs, counts = folded
+        assert stop == whole[0] and np.repeat(pairs, counts, axis=0).tobytes() == whole[1].tobytes()
+
+
+def _stretches_in_one_pass(b: np.ndarray, period: int) -> list[tuple[int, int]]:
+    """``serialization._repeating_stretches`` as one compare of the whole
+    text with itself shifted, padded with False at both ends so the ends
+    of each stretch pair up."""
+    same = np.zeros(b.size - period + 2, dtype=bool)
+    np.equal(b[period:], b[:-period], out=same[1:-1])
+    edges = np.flatnonzero(same[1:] != same[:-1])
+    firsts, lasts = edges[0::2], edges[1::2]
+    wide = lasts - firsts >= serialization._MIN_COPIES * period
+    return list(zip(firsts[wide].tolist(), lasts[wide].tolist()))
+
+
+@pytest.mark.parametrize("offset", [-13, -1, 0, 1, 12])
+def test_the_chunked_scan_finds_the_stretches_one_pass_finds(offset):
+    """Random bytes with two stretches of period 12: the first starts at
+    ``offset`` from a chunk boundary and ends as far from the next one, so
+    a whole chunk lies inside it; the second runs to the text's end."""
+    chunk, period = serialization._CHUNK, 12
+    b = np.random.default_rng(offset + 99).integers(0, 256, size=3 * chunk + 500, dtype=np.uint8)
+    for lo, hi in ((chunk + offset, 2 * chunk + period + offset), (2 * chunk + 5 * period + offset, b.size)):
+        b[lo:hi] = np.resize(b[lo:lo + period], hi - lo)
+    data = b"ab" + b.tobytes() + b"}"
+    stretches = serialization._repeating_stretches(data, 2, len(data) - 1, period)
+    assert stretches == _stretches_in_one_pass(b, period) and len(stretches) == 2
 
 
 def test_dist_on_a_ghz6_file_checks_each_run_of_zero_records_once(tmp_path, capsys):
@@ -438,3 +491,188 @@ def test_dist_on_a_ghz6_file_checks_each_run_of_zero_records_once(tmp_path, caps
     assert check.call_count and max(len(c.args[0]) for c in check.call_args_list) < size / 10
     assert build.call_count == 1
     assert json.loads(capsys.readouterr().out)["detectors"] == [f"D{k}" for k in range(6)]
+
+
+# --- the loaded state against the dense register factoring -----------------
+
+def _loads_as_dense_split(path):
+    """The program's reader loads the file's initial state as
+    ``_oracles.dense_split`` factors the plain reader's dense list: the
+    same core bytes and register indices.  Returns the loaded scenario."""
+    with open(path, "rb") as fh:
+        s = cli._read_scenario(fh)
+    with open(path, encoding="utf-8") as fh:
+        state = json.load(fh)["initial_state"]
+    pairs = np.array(state["amplitudes"], dtype=float)
+    subsystems = tuple(SubsystemSpec(sub["label"], sub["dim"], SubsystemKind(sub["kind"]))
+                       for sub in state["subsystems"])
+    # re + 1j * im, the conversion every psvsim version has made, signed zeros included
+    core, registers = _oracles.dense_split(StateVector(subsystems, pairs[:, 0] + 1j * pairs[:, 1]))
+    assert s.initial.core.amplitudes.tobytes() == core.tobytes()
+    assert {label: int(np.flatnonzero(factor.amplitudes)[0])
+            for label, factor in s.initial.registers.items()} == registers
+    return s
+
+
+@functools.lru_cache(maxsize=1)
+def _ghz_blob(n: int) -> dict:
+    return serialization.scenario_to_dict(_ghz(n))
+
+
+def _zeros_spelled_0(blob):
+    """``blob`` with every third amplitude 0.0 spelled 0, as CI writes it."""
+    zeros = itertools.count()
+    state = {**blob["initial_state"], "amplitudes": [
+        [0 if repr(v) == "0.0" and next(zeros) % 3 == 2 else v for v in pair]
+        for pair in blob["initial_state"]["amplitudes"]]}
+    return {**blob, "initial_state": state}
+
+
+#: The layouts CI's console-script step writes a GHZ file in.
+_CI_LAYOUTS = {
+    **{layout: functools.partial(json.dumps, **kwargs) for layout, kwargs in _LAYOUTS.items()},
+    "CRLF": lambda blob: json.dumps(blob, indent=2).replace("\n", "\r\n"),
+    "zeros spelled 0": lambda blob: json.dumps(_zeros_spelled_0(blob)),
+}
+
+
+@pytest.mark.parametrize("n, layout", [(n, layout) for n in range(3, 8) for layout in _CI_LAYOUTS],
+                         ids=lambda v: f"GHZ-{v}" if isinstance(v, int) else v)
+def test_a_ghz_file_loads_to_the_dense_split_of_its_list(tmp_path, n, layout):
+    path = tmp_path / "ghz.json"
+    path.write_bytes(_CI_LAYOUTS[layout](_ghz_blob(n)).encode())
+    s = _loads_as_dense_split(path)
+    assert s.initial.core.amplitudes.size == 2**n and len(s.initial.registers) == n
+
+
+def _register_at(blob, label: str, k: int):
+    """``blob`` with register ``label`` of its initial state moved from
+    index 0 to index k."""
+    state = blob["initial_state"]
+    dims = [sub["dim"] for sub in state["subsystems"]]
+    axis = [sub["label"] for sub in state["subsystems"]].index(label)
+    psi = np.roll(np.array(state["amplitudes"]).reshape(dims + [2]), k, axis=axis)
+    return {**blob, "initial_state": {**state, "amplitudes": psi.reshape(-1, 2).tolist()}}
+
+
+def _uniform(n: int):
+    """GHZ-n's file with its registers listed before its spins and the
+    spins in the uniform superposition: the list opens with 2^n copies of
+    one nonzero record."""
+    blob = serialization.scenario_to_dict(_ghz(n))
+    subsystems = blob["subsystems"][n:] + blob["subsystems"][:n]
+    amplitudes = [[2 ** (-n / 2), 0.0]] * 2**n + [[0.0, 0.0]] * (6**n - 2**n)
+    return {**blob, "subsystems": subsystems,
+            "initial_state": {"subsystems": subsystems, "amplitudes": amplitudes}}
+
+
+#: GHZ-4 pair 81 is on the slice (core index 1, every register 0); pair
+#: _MID is off it.
+_EDGE_CASES = {
+    "-0.0 on the slice": lambda: _with_pair(_ghz4_text(), 81, "[-0.0, -0.0]"),
+    "-0.0 off the slice": lambda: _with_pair(_ghz4_text(), _MID, "[-0.0, -0.0]"),
+    "a register at a nonzero index": lambda: json.dumps(_register_at(_GHZ4, "R2", 2)),
+    "a uniform spin superposition": lambda: json.dumps(_uniform(7)),
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_CASES))
+def test_an_edge_case_file_loads_to_the_dense_split_of_its_list(path, case):
+    assert _readers_agree(path, _EDGE_CASES[case]())
+    core = _loads_as_dense_split(path).initial.core.amplitudes
+    if case == "-0.0 on the slice":
+        assert np.signbit(core[1].real) and not np.signbit(core[1].imag)
+
+
+#: Each edit of the GHZ-4 file and the exit code and stderr psvsim has
+#: always given for it (the last version with a dense tensor gave these).
+_ERROR_PINS = {
+    "off-slice 0.5 in the zero run": (lambda: _with_pair(_ghz4_text(), _MID, "[0.5, 0.0]"),
+                                      "register 'R0' is not in a single basis state"),
+    "off-slice -0.5i in the zero run, at pair 573": (
+        lambda: _with_pair(_ghz4_text(), 573, "[0.0, -0.5]"),
+        "register 'R2' is not in a single basis state"),
+    "off-slice 2e-12 in the short zero run": (lambda: _with_pair(_ghz4_text(), 1250, "[0.0, 2e-12]"),
+                                              "register 'R0' is not in a single basis state"),
+    "one record short": (lambda: _with_pair(_ghz4_text(), _MID, "@").replace("@, ", "", 1),
+                         "amplitude length 1295 != product of dims 1296"),
+    "one record long": (lambda: _with_pair(_ghz4_text(), _MID, "[0.0, 0.0], [0.0, 0.0]"),
+                        "amplitude length 1297 != product of dims 1296"),
+    "NaN in the zero run": (lambda: _with_pair(_ghz4_text(), _MID, "[NaN, 0.0]"),
+                            "initial state has a non-finite amplitude"),
+    "Infinity in the zero run": (lambda: _with_pair(_ghz4_text(), _MID, "[0.0, Infinity]"),
+                                 "initial state has a non-finite amplitude"),
+    "-Infinity in the zero run": (lambda: _with_pair(_ghz4_text(), _MID, "[-Infinity, 0.0]"),
+                                  "initial state has a non-finite amplitude"),
+    "1e400 in the zero run": (lambda: _with_pair(_ghz4_text(), _MID, "[1e400, 0.0]"),
+                              "initial state has a non-finite amplitude"),
+    "all zero": (lambda: _with_pair(_with_pair(_ghz4_text(), 0, "[0.0, 0.0]"), 1215, "[0.0, 0.0]"),
+                 "initial state norm 0.0 != 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(_ERROR_PINS))
+def test_a_bad_amplitude_list_is_reported_as_it_always_was(path, case):
+    make, message = _ERROR_PINS[case]
+    _readers_agree(path, make())
+    code, out, err = _dist(path)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "validation", "message": message}
+
+
+def test_an_off_slice_amplitude_below_the_tolerance_is_accepted(path):
+    assert _readers_agree(path, _with_pair(_ghz4_text(), _MID, "[1e-12, 0.0]"))
+    assert _dist(path)[0] == 0
+
+
+def test_loading_a_ghz7_file_holds_no_array_the_size_of_the_file(tmp_path):
+    """Through the CLI reader, a GHZ-7 file (3.4 MB, 6^7 pairs) loads with
+    its bytes as its one file-sized allocation: the traced peak stays
+    within 1.5 times the file's size, and the scenario keeps under
+    0.25 MB, its 2^7 core a copy, not a view of a 6^7 tensor."""
+    path = tmp_path / "ghz7.json"
+    path.write_bytes(json.dumps(_ghz_blob(7)).encode())
+    size = path.stat().st_size
+    with open(path, "rb") as fh:  # a first load compiles the key pattern, which stays cached
+        cli._read_scenario(fh)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as fh:
+            s = cli._read_scenario(fh)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * size
+    assert kept <= 0.25e6
+    assert s.initial.core.amplitudes.size == 2**7
+
+
+def test_split_copies_the_core_out_of_a_dense_state():
+    """``BranchState.split`` gives a C-contiguous core that owns its
+    memory, shared with nothing of the dense state."""
+    spins = tuple(SubsystemSpec(f"s{k}", 2, SubsystemKind.SPIN) for k in range(3))
+    regs = tuple(SubsystemSpec(f"R{k}", 3, SubsystemKind.REGISTER) for k in range(3))
+    dense = hilbert.tensor(StateVector(spins, np.full(8, 8**-0.5)), hilbert.basis_state(regs))
+    amps = BranchState.split(dense).core.amplitudes
+    owner = amps if amps.base is None else amps.base
+    assert amps.flags.c_contiguous and owner.flags.owndata and owner.nbytes == amps.nbytes
+    assert not np.shares_memory(amps, dense.amplitudes)
+
+
+def test_a_file_of_no_subsystems_is_validated_as_any_other(path):
+    """A state of no subsystems is one amplitude.  Its file used to stop
+    on an internal TypeError of the dense register factoring; now it is
+    read as any other: with no detectors its one outcome is certain, and
+    a detector on it is told the subsystem it lacks."""
+    blob = {"dim": 1, "c": 1.0, "subsystems": [],
+            "initial_state": {"subsystems": [], "amplitudes": [[1.0, 0.0]]}, "detectors": []}
+    path.write_text(json.dumps(blob))
+    code, out, err = _dist(path)
+    assert (code, err) == (0, "") and json.loads(out) == {
+        "detectors": [], "entries": [{"outcomes": [], "probability": 1.0}]}
+    blob["detectors"] = [serialization.scenario_to_dict(_ghz(3))["detectors"][0]]
+    path.write_text(json.dumps(blob))
+    code, out, err = _dist(path)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == "detector 'D0' references unknown subsystem 's0'"
