@@ -204,11 +204,9 @@ class BranchState(Record):
         amplitudes keep their order and a canonical core phase stays
         canonical."""
         psi = np.zeros(tuple(sub.dim for sub in self.subsystems), dtype=complex)
-        index = tuple(
-            int(np.argmax(np.abs(self.registers[sub.label].amplitudes)))
-            if sub.label in self.registers else slice(None)
-            for sub in self.subsystems
-        )
+        registers = self.registers
+        index = tuple(registers[sub.label].basis_index if sub.label in registers else slice(None)
+                      for sub in self.subsystems)
         psi[index] = self.core.amplitudes.reshape(self.core.dims)
         return StateVector(self.subsystems, psi.reshape(-1))
 

@@ -141,12 +141,31 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def surface_time(s: Lcsh, x: tuple[float, ...]) -> float:
-    """Height of the envelope at spatial point x (may be -inf): the
-    one-point case of ``surface_times``.  Raises ``ConfigurationError`` for
-    a point whose dimension is not the apexes'."""
-    if s.apexes and len(x) != s.dim:
+    """Height of the envelope at spatial point x (may be -inf): the value
+    ``surface_times`` gives at that one point, bit for bit, worked out in
+    plain floats with ``_cone_times``'s operations in its order.  Python
+    float arithmetic overflows to inf without a warning, as ``_cone_times``
+    does under its ``errstate``.  Only the sign of a zero height depends on
+    which of two tied zeros numpy's max keeps, so a zero is taken from
+    ``surface_times`` itself.  Raises ``ConfigurationError`` for a point
+    whose dimension is not the apexes'."""
+    if not s.apexes:
+        return float(s.t0)
+    if len(x) != s.dim:
         raise ConfigurationError(f"query point dimension {len(x)} != apex dimension {s.dim}")
-    return float(surface_times(s, x)[0])
+    x = [float(v) for v in x]
+    c = s.c
+    top = -math.inf
+    for a in s.apexes:
+        r2 = 0.0
+        for v, w in zip(x, a.x):
+            d = v - w
+            r2 += d * d
+        t = a.t - math.sqrt(r2) / c
+        if not t <= top:  # np.max's NaN propagation, for a NaN point
+            top = t
+    t = float(s.t0) if s.t0 > top else top
+    return t if t != 0.0 else float(surface_times(s, x)[0])
 
 
 def surface_times(s: Lcsh, xs: np.ndarray) -> np.ndarray:
@@ -154,7 +173,7 @@ def surface_times(s: Lcsh, xs: np.ndarray) -> np.ndarray:
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     t = np.full(xs.shape[0], s.t0)
     if s.apexes:
-        t = np.maximum(t, _cone_times(s, xs).max(axis=1))
+        t = np.maximum(t, np.maximum.reduce(_cone_times(s, xs), axis=1))  # .max, without its frame
     return t
 
 
@@ -163,7 +182,7 @@ def _cone_times(s: Lcsh, xs: np.ndarray) -> np.ndarray:
     float array of points, shape (n, m)."""
     with np.errstate(over="ignore"):  # a distance past the float range: the cone is at -inf
         d = xs[:, None, :] - s.apex_points
-        r = np.sqrt(np.multiply(d, d, out=d).sum(axis=2))  # np.linalg.norm, without its copies
+        r = np.sqrt(np.add.reduce(np.multiply(d, d, out=d), axis=2))  # np.linalg.norm, without its copies
         return s.apex_times - r / s.c
 
 
@@ -248,13 +267,14 @@ def _covers_screened(s1: Lcsh, s0: Lcsh, region: Region) -> bool:
     if s1.apexes:
         lo, hi = np.array(region).T
         a = s1.apex_points
-        far = np.where(np.abs(lo - a) > np.abs(hi - a), lo, hi)
-        if np.any(s1.apex_times - np.linalg.norm(far - a, axis=1) / s1.c >= floor):
+        d = np.where(np.abs(lo - a) > np.abs(hi - a), lo, hi) - a
+        r = np.sqrt(np.add.reduce(d * d, axis=1))  # np.linalg.norm(d, axis=1)'s arithmetic
+        if (s1.apex_times - r / s1.c >= floor).any():
             return True
     xs = probe_points((s1, s0), region)
     for start in range(0, len(xs), GRID_SLAB):
         slab = xs[start:start + GRID_SLAB]
-        if not np.all(surface_times(s1, slab) >= surface_times(s0, slab) - EPS_GEOM):
+        if not (surface_times(s1, slab) >= surface_times(s0, slab) - EPS_GEOM).all():
             return False
     return True
 
@@ -307,17 +327,22 @@ def compare_chain(
         region = _bounding_region((q, last))
     xs = probe_points((q, last), region, 2)
     tq = surface_times(q, xs)
+    tq_low = tq - EPS_GEOM
     if last.apexes:
-        cones = np.maximum.accumulate(_cone_times(last, xs), axis=1)
+        # Column m - 1: the heights of the chain surface with m cones.
+        levels = np.maximum(np.maximum.accumulate(_cone_times(last, xs), axis=1), last.t0)
+        levels_low = levels - EPS_GEOM
     screen = len(xs) - len(last.apexes)  # the corners and q's apexes
     out = []
     for s in chain:
         m = len(s.apexes)
-        t1, t0 = tq[:screen + m], np.full(screen + m, s.t0)
+        n = screen + m
         if m:
-            t0 = np.maximum(t0, cones[:screen + m, m - 1])
-        up = not np.any(t1 < t0 - EPS_GEOM) and _covers_screened(q, s, region)
-        down = not np.any(t0 < t1 - EPS_GEOM) and _covers_screened(s, q, region)
+            t0, t0_low = levels[:n, m - 1], levels_low[:n, m - 1]
+        else:
+            t0, t0_low = s.t0, s.t0 - EPS_GEOM
+        up = not (tq[:n] < t0_low).any() and _covers_screened(q, s, region)
+        down = not (t0 < tq_low[:n]).any() and _covers_screened(s, q, region)
         out.append((up, down))
     return out
 

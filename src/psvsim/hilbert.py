@@ -3,6 +3,12 @@
 States are normalized complex amplitude tensors over an ordered list of
 labelled subsystems (spins, occupation modes, detector registers).  All
 operations return new states; nothing here mutates shared data.
+
+Trust rule: an amplitude array from a caller is checked (``StateVector``,
+``with_amplitudes``): it is made a flat complex vector and its length must
+be the product of the dims.  An array this module has just computed from a
+checked state is already one, so its results are built by ``_built``,
+which only marks the array read-only.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -77,15 +83,19 @@ class StateVector(Record):
     def dims(self) -> tuple[int, ...]:
         return tuple(s.dim for s in self.subsystems)
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
         return tuple(s.label for s in self.subsystems)
 
+    @cached_property
+    def basis_index(self) -> int:
+        """The flat index of the first largest-modulus amplitude: which basis
+        state a basis state is.  Found once per state, so a register factor
+        that many branch states share is read once."""
+        return int(np.abs(self.amplitudes).argmax())
+
     def axis_of(self, label: str) -> int:
-        for i, s in enumerate(self.subsystems):
-            if s.label == label:
-                return i
-        raise ConfigurationError(f"unknown subsystem label {label!r}")
+        return _axis(self.labels, label)
 
     @property
     def norm(self) -> float:
@@ -94,10 +104,24 @@ class StateVector(Record):
     def with_amplitudes(self, amps: np.ndarray) -> "StateVector":
         """The same subsystems with new amplitudes.  The labels were
         checked when this state was built, so only the amplitudes are."""
-        new = object.__new__(StateVector)
-        new.__dict__.update(subsystems=self.subsystems, dims=self.dims,
-                            amplitudes=self._checked(amps))
-        return new
+        return _built(self, self._checked(amps))
+
+
+def _axis(labels: tuple[str, ...], label: str) -> int:
+    if label not in labels:
+        raise ConfigurationError(f"unknown subsystem label {label!r}")
+    return labels.index(label)
+
+
+def _built(like: StateVector, amps: np.ndarray) -> StateVector:
+    """A state over ``like``'s subsystems with amplitudes this module just
+    computed from ``like``'s: already a flat complex vector of its length,
+    so it is only made read-only, not re-checked."""
+    amps.flags.writeable = False
+    new = object.__new__(StateVector)
+    new.__dict__.update(subsystems=like.subsystems, dims=like.dims, labels=like.labels,
+                        amplitudes=amps)
+    return new
 
 
 def _check_labels(subsystems: tuple[SubsystemSpec, ...]) -> None:
@@ -156,12 +180,30 @@ def phase_canonical(state: StateVector) -> StateVector:
     equality testable."""
     amps = state.amplitudes
     mags = np.abs(amps)
-    top = mags.max(initial=0.0)
+    top = np.maximum.reduce(mags, initial=0.0)  # mags.max(initial=0.0), without its Python frame
     if top == 0.0:
         return state
-    k = int(np.argmax(mags >= top * (1.0 - EPS_TIE)))
+    k = int((mags >= top * (1.0 - EPS_TIE)).argmax())
     mag = abs(amps[k])
-    return state.with_amplitudes(amps * (mag / amps[k]))
+    return _built(state, amps * (mag / amps[k]))
+
+
+@cache
+def _layout(subsystems: tuple[str, ...], dims: tuple[int, ...], targets: tuple[str, ...]) -> tuple:
+    """How ``_apply_matrix`` maps the amplitudes of a state over the labels
+    ``subsystems`` with ``dims`` for ``targets``, worked out once per
+    layout and target tuple the process meets: ``(shape, None, None)``
+    when the targets are adjacent and in order, so that they form the
+    middle axis of a (pre, block, post) view; otherwise ``(dims, perm,
+    back)``, where ``perm`` moves the targets together at the front
+    (``np.moveaxis``'s order) and ``back`` is its inverse."""
+    axes = [_axis(subsystems, l) for l in targets]
+    block = math.prod(dims[a] for a in axes)
+    first, last = axes[0], axes[-1] + 1
+    if axes == list(range(first, last)):
+        return (math.prod(dims[:first]), block, math.prod(dims[last:])), None, None
+    perm = axes + [a for a in range(len(dims)) if a not in axes]
+    return dims, tuple(perm), tuple(np.argsort(perm).tolist())
 
 
 def _apply_matrix(state: StateVector, matrix: np.ndarray, labels: tuple[str, ...]) -> StateVector:
@@ -170,21 +212,15 @@ def _apply_matrix(state: StateVector, matrix: np.ndarray, labels: tuple[str, ...
 
     Targets that are adjacent and in order form the middle axis of a
     (pre, block, post) view, which one broadcast matmul maps; other target
-    sets are first moved together at the front."""
-    axes = [state.axis_of(l) for l in labels]
-    dims = state.dims
-    tdims = tuple(dims[a] for a in axes)
-    block = math.prod(tdims)
-    first, last = axes[0], axes[-1] + 1
-    if axes == list(range(first, last)):
-        psi = state.amplitudes.reshape(math.prod(dims[:first]), block, math.prod(dims[last:]))
-        return state.with_amplitudes(matrix @ psi)
-    psi = state.amplitudes.reshape(dims)
-    psi = np.moveaxis(psi, axes, range(len(axes)))
-    rest = psi.shape[len(axes):]
-    psi = matrix @ psi.reshape(block, -1)
-    psi = np.moveaxis(psi.reshape(tdims + rest), range(len(axes)), axes)
-    return state.with_amplitudes(psi)
+    sets are first moved together at the front (see ``_layout``)."""
+    shape, perm, back = _layout(state.labels, state.dims, labels)
+    psi = state.amplitudes.reshape(shape)
+    if perm is None:
+        return _built(state, (matrix @ psi).reshape(-1))
+    psi = psi.transpose(perm)
+    moved = psi.shape
+    psi = matrix @ psi.reshape(len(matrix), -1)
+    return _built(state, psi.reshape(moved).transpose(back).reshape(-1))
 
 
 def apply_unitary(state: StateVector, matrix: np.ndarray, labels: tuple[str, ...]) -> StateVector:
@@ -321,10 +357,11 @@ def born_probability(state: StateVector, outcome_set: OutcomeSet, label: str) ->
 
 
 def project_and_normalize(state: StateVector, outcome_set: OutcomeSet, label: str) -> StateVector:
-    projected = _apply_matrix(state, outcome_set.projector(label), outcome_set.targets)
-    nrm = float(np.linalg.norm(projected.amplitudes))
+    amps = _apply_matrix(state, outcome_set.projector(label), outcome_set.targets).amplitudes
+    re, im = amps.real, amps.imag
+    nrm = math.sqrt(re.dot(re) + im.dot(im))  # np.linalg.norm's arithmetic, without its checks
     if nrm * nrm <= EPS_PROB:
         raise ImpossibleBranchError(
             f"outcome {label!r} on {outcome_set.targets} has zero probability"
         )
-    return phase_canonical(projected.with_amplitudes(projected.amplitudes / nrm))
+    return phase_canonical(_built(state, amps / nrm))

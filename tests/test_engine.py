@@ -602,6 +602,96 @@ def test_fixed_outcomes_give_one_final_state_under_every_valid_order(case):
         assert 1.0 - abs(np.vdot(finals[0].amplitudes, final.amplitudes)) <= 1e-12
 
 
+@st.composite
+def foliation_queries(draw):
+    """A ``foliation_cases`` case and query surfaces over it: cone
+    envelopes over subsets of its detector and interaction events, each
+    apex moved in time by up to 1/2 or left on its event, and flat planes
+    from below every event to above them."""
+    s, orders, leaf = draw(foliation_cases())
+    events = s.events
+    jitter = st.just(0.0) | st.floats(-0.5, 0.5)
+    queries = []
+    for _ in range(draw(st.integers(4, 8))):
+        subset = draw(st.lists(st.sampled_from(events), min_size=1, max_size=len(events),
+                               unique_by=id))
+        queries.append(Lcsh(s.initial_t0, tuple(Event(ev.t + draw(jitter), ev.x) for ev in subset),
+                            s.c))
+    ts = [ev.t for ev in events]
+    queries += draw(st.lists(st.floats(min(ts) - 2.0, max(ts) + 2.0), min_size=2, max_size=4))
+    return s, orders, leaf, queries
+
+
+def _shifted(query: Lcsh, dt: float) -> Lcsh:
+    """``query`` moved by ``dt`` in time, floor and apexes alike."""
+    return Lcsh(query.t0 + dt, tuple(Event(a.t + dt, a.x) for a in query.apexes), query.c)
+
+
+#: How far a query must stay from a reduction surface to be strictly off
+#: it: well above ``geometry.EPS_GEOM``, well below any gap a drawn
+#: coordinate makes.
+OFF = 1e-6
+
+
+def _strictly_off(query: Lcsh, r: Lcsh, region) -> bool:
+    """The query moved down by ``OFF`` still covers r, or moved up by
+    ``OFF`` is still covered by it (``geometry.compare`` over ``region``)."""
+    return (geometry.compare(_shifted(query, -OFF), r, region)[0]
+            or geometry.compare(_shifted(query, OFF), r, region)[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(foliation_queries())
+def test_a_query_strictly_off_the_reduction_surfaces_gets_one_state_under_every_order(case):
+    """The paper's foliation independence for the state history (ROADMAP
+    item 12): with the same outcomes, every valid order whose record has
+    the query strictly off each of its reduction surfaces defines the
+    state there, and all of them give the same state, within 1e-12 up to
+    a global phase.  Left out are the records whose query crosses a
+    reduction surface (the state is undefined there, and whether it is
+    depends on the order: see the next test), equals one (the S_k-
+    convention gives that step's minus-side state, which depends on the
+    order) or touches one, as a query with an apex on a detector's event
+    touches that detector's cone."""
+    s, orders, leaf, queries = case
+    by_detector = dict(zip(s.detector_labels, leaf))
+    records = [run(s, order, outcomes=tuple(by_detector[l] for l in order)) for order in orders]
+    region = s.support_region()
+    for query in queries:
+        surface = query if isinstance(query, Lcsh) else Lcsh(t0=query, c=s.c)
+        off = {}  # by reduction surface as a set of cones: orders share them
+        states = []
+        for order, rec in zip(orders, records):
+            reductions = [st_.surface_after for st_ in rec.steps if st_.reduction]
+            for r in reductions:
+                key = (r.t0, frozenset(r.apexes))
+                if key not in off:
+                    off[key] = _strictly_off(surface, r, region)
+            if all(off[r.t0, frozenset(r.apexes)] for r in reductions):
+                answer = state_on_hyperplane(rec, query)
+                assert not isinstance(answer, UndefinedState), (query, order)
+                states.append((order, answer))
+        for order, answer in states[1:]:
+            assert states_close(states[0][1], answer, tol=1e-12), (query, states[0][0], order)
+
+
+def test_whether_a_query_has_a_state_depends_on_the_order():
+    """A surface just below A's cone crosses the cones of B and C, which
+    are spacelike to A.  Orders that reduce A first define the state there
+    (no reduction has applied yet); orders that reduce B or C first have it
+    cross their first reduction surface, so the state is undefined."""
+    s = scenarios.ghz((Axis(0.3, 0.1), Axis(1.0, 0.5), Axis(2.0, 1.0)))
+    a = s.detector("A").at
+    query = Lcsh(apexes=(Event(a.t - 0.5, a.x),), c=s.c)
+    for order in enumerate_valid_orders(s):
+        answer = state_on_hyperplane(run(s, order, outcomes=("+",) * 3), query)
+        if order[0] == "A":
+            assert states_close(answer, s.initial.materialize(), tol=1e-15)
+        else:
+            assert answer == UndefinedState(
+                f"query surface crosses reduction surface of detector {order[0]!r}")
+
+
 def test_a_listed_leaf_runs_under_every_valid_order():
     """``joint_distribution`` prunes by a leaf's joint probability, not by
     one step's.  Under A, B, C the leaf ('+', '+', '--') has probability

@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -95,6 +96,54 @@ def test_surface_times_equals_the_per_apex_envelope_exactly(d, c, t0, apexes, po
     expected = _oracles.surface_times_by_apex(s, xs)
     assert np.array_equal(surface_times(s, xs), expected)
     assert [surface_time(s, tuple(x)) for x in xs] == expected.tolist()
+
+
+#: Coordinates that put a point exactly on an apex or a cone, so that
+#: heights of +0.0 and -0.0 tie; coordinates at full precision, where the
+#: order of the squared-distance sum shows in the last bit; and points far
+#: enough out that the squared distance to an apex overflows.
+exact = st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.0, 3.0))
+fine = st.floats(-1e3, 1e3, allow_subnormal=False)
+far = st.sampled_from((1e155, -1e200, 1.7e308, -1.7e308))
+point3 = st.lists(exact | coord | fine | far, min_size=3, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((1, 2, 3)), st.sampled_from((0.5, 1.0, 3.0, 1e-3)),
+       st.sampled_from((-math.inf, -1.5, 0.0, -0.0)),
+       st.lists(st.tuples(exact | coord | fine, st.lists(exact | coord | fine, min_size=3,
+                                                        max_size=3)), max_size=5),
+       st.lists(point3, min_size=1, max_size=8), st.integers(0, 2**32 - 1))
+def test_surface_time_is_surface_times_at_one_point_bit_for_bit(d, c, t0, apexes, points, seed):
+    """``surface_time`` works in plain floats and must give ``surface_times``'s
+    value to the bit, the sign of a zero included, at the drawn points, at
+    every apex and at 32 uniform points around the apexes; a point whose
+    squared distance overflows gives no RuntimeWarning (warnings are
+    errors)."""
+    s = Lcsh(t0=t0, apexes=tuple(Event(t, x[:d]) for t, x in apexes), c=c)
+    uniform = np.random.default_rng(seed).uniform(-60.0, 60.0, (32, d)).tolist()
+    for x in [tuple(p[:d]) for p in points] + [a.x for a in s.apexes] + uniform:
+        assert struct.pack("<d", surface_time(s, x)) == struct.pack("<d", surface_times(s, [x])[0])
+
+
+@pytest.mark.parametrize("t0", (-math.inf, 0.0, -0.0))
+@pytest.mark.parametrize("times", itertools.product((0.0, -0.0), repeat=3))
+def test_surface_time_gives_a_zero_height_the_sign_surface_times_gives(t0, times):
+    """Cones whose apexes share one point tie there at +0.0 or -0.0, as
+    their times are signed; which zero wins is numpy's choice."""
+    for d in (1, 2, 3):
+        for k in (1, 2, 3):
+            s = Lcsh(t0=t0, apexes=tuple(Event(t, (0.5,) * d) for t in times[:k]))
+            x = (0.5,) * d
+            assert struct.pack("<d", surface_time(s, x)) == struct.pack("<d", surface_times(s, [x])[0])
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_surface_time_is_minus_infinity_where_the_squared_distance_overflows(d):
+    s = Lcsh(apexes=(Event(1.0, (0.0,) * d), Event(2.0, (3.0,) * d)), c=2.0)
+    for x in (1e155, -1e200, 1.7e308):
+        point = (x,) + (0.0,) * (d - 1)
+        assert surface_time(s, point) == surface_times(s, [point])[0] == -math.inf
 
 
 def test_event_side_of_surface():

@@ -173,6 +173,72 @@ def test_apply_matrix_matches_the_kron_oracle(case):
     assert np.abs(out.amplitudes - expect).max() <= 1e-12 * max(1.0, np.abs(expect).max())
 
 
+def _well_formed(state, subsystems):
+    """A returned state is over ``subsystems`` and holds a flat, complex,
+    read-only vector of the product of their dims."""
+    amps = state.amplitudes
+    assert state.subsystems == subsystems and state.dims == tuple(s.dim for s in subsystems)
+    assert state.labels == tuple(s.label for s in subsystems)
+    assert amps.ndim == 1 and amps.dtype == complex and not amps.flags.writeable
+    assert amps.size == math.prod(state.dims)
+
+
+def _check_layout(layout, seed):
+    """Every primitive on a random state over a fresh subsystem tuple with
+    ``layout``'s (label, dim) pairs matches the kron oracle.  Nothing here
+    outlives the call, so the next call's tuple may reuse this one's id."""
+    rng = np.random.default_rng(seed)
+    subsystems = tuple(SubsystemSpec(l, d, SubsystemKind.SPIN if d == 2 else SubsystemKind.REGISTER)
+                       for l, d in layout)
+    labels = [l for l, _ in layout]
+    dims = [d for _, d in layout]
+    state = random_state(subsystems, seed)
+    for targets in (("a",), ("a", "c"), ("c", "a"), ("b", "c"), ("a", "b", "c")):
+        if not set(targets) <= set(labels):
+            continue
+        positions = [labels.index(t) for t in targets]
+        block = math.prod(dims[p] for p in positions)
+        u = random_unitary(block, seed)
+        out = apply_unitary(state, u, targets)
+        _well_formed(out, subsystems)
+        expect = _oracles.kron_embed(u, positions, dims) @ state.amplitudes
+        assert np.abs(out.amplitudes - expect).max() <= 1e-12
+        v = rng.normal(size=block) + 1j * rng.normal(size=block)
+        p = np.outer(v, v.conj()) / np.vdot(v, v).real
+        outcomes = OutcomeSet(targets, (("v", p), ("rest", np.eye(block) - p)))
+        projected = _oracles.kron_embed(p, positions, dims) @ state.amplitudes
+        prob = np.vdot(projected, projected).real
+        assert born_probability(state, outcomes, "v") == pytest.approx(prob, abs=1e-12)
+        after = project_and_normalize(state, outcomes, "v")
+        _well_formed(after, subsystems)
+        assert states_close(after, StateVector(subsystems, projected / math.sqrt(prob)), tol=1e-12)
+        _well_formed(phase_canonical(after), subsystems)
+
+
+def test_layouts_are_keyed_by_value_when_labels_are_reused():
+    """``_apply_matrix`` caches one layout per (labels, dims, targets).
+    Subsystem tuples built afresh in one process reuse the labels a, b, c
+    with other dims and in other orders, and a freed tuple's id is
+    recycled by the next one of its length; each must still map like the
+    kron oracle."""
+    layouts = ((("a", 2), ("b", 3), ("c", 2)), (("a", 3), ("b", 2), ("c", 2)),
+               (("c", 2), ("a", 2), ("b", 3)), (("b", 2), ("c", 3), ("a", 2)),
+               (("a", 2), ("c", 2)), (("c", 3), ("a", 2)), (("a", 2), ("c", 3)))
+    for seed, layout in enumerate(layouts * 2):
+        _check_layout(layout, seed)
+
+
+def test_every_state_hilbert_returns_is_flat_complex_and_read_only():
+    st_ = random_state((SPIN, REG), 2)
+    _well_formed(basis_state((SPIN, REG), {"R": 1}), (SPIN, REG))
+    _well_formed(tensor(basis_state((SPIN,)), basis_state((REG,))), (SPIN, REG))
+    _well_formed(st_.with_amplitudes(np.arange(6).reshape(2, 3)), (SPIN, REG))
+    _well_formed(phase_canonical(st_), (SPIN, REG))
+    _well_formed(apply_unitary(st_, random_unitary(3, 1), ("R",)), (SPIN, REG))
+    _well_formed(apply_unitary(st_, random_unitary(6, 1), ("R", "s")), (SPIN, REG))
+    _well_formed(project_and_normalize(st_, spin_outcome_set("s", X_AXIS), "+"), (SPIN, REG))
+
+
 def test_with_amplitudes_keeps_the_amplitude_checks():
     st_ = random_state((SPIN, REG), 4)
     out = st_.with_amplitudes(np.ones(6))
