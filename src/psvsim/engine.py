@@ -44,7 +44,9 @@ SAMPLE_CHUNK = 1 << 16
 
 @dataclass(init=False, repr=False, eq=False)
 class InteractionEvent(Record):
-    """A unitary anchored at a spacetime point, e.g. an AA copy gate."""
+    """A unitary anchored at a spacetime point, e.g. an AA copy gate.  Its
+    name is a non-empty string, and ``validate_scenario`` holds it unique
+    within a scenario: records name the interactions they applied."""
 
     name: str
     at: Event
@@ -54,6 +56,8 @@ class InteractionEvent(Record):
 
     def __init__(self, name: str, at: Event, targets: tuple[str, ...], unitary: np.ndarray,
                  gate: dict | None = None):
+        if not (isinstance(name, str) and name):
+            raise ConfigurationError(f"interaction name must be a non-empty string, got {name!r}")
         if type(targets) is not tuple or not targets or len(set(targets)) < len(targets):
             raise ConfigurationError(f"interaction {name!r} targets must be a non-empty "
                                      f"tuple of distinct labels, got {targets!r}")
@@ -311,7 +315,11 @@ def validate_scenario(s: Scenario) -> None:
     if len(specs) != len(s.subsystems):
         raise ConfigurationError(f"duplicate subsystem labels in {[sub.label for sub in s.subsystems]}")
     _check_factors(s.initial)
+    seen = set()
     for ev in s.interactions:
+        if ev.name in seen:
+            raise ConfigurationError(f"duplicate interaction name {ev.name!r}")
+        seen.add(ev.name)
         for t in ev.targets:
             if t not in specs:
                 raise ConfigurationError(f"interaction {ev.name!r} targets unknown subsystem {t!r}")
@@ -720,13 +728,16 @@ def state_on_hyperplane(
     below it over the scenario's ``support_region()``.  One
     ``geometry.compare_chain`` decides this for every reduction surface,
     since a run's step surfaces are nested.  The test is region-local: far
-    outside the region the envelopes may still cross.  Reductions whose
-    surface lies below the query apply.  A query equal to a reduction
-    surface S_k gets the S_k- state of the step that produced it: that
-    reduction does not apply, so the answer depends on the order.  On the
-    singlet's S_AB (the cones of A and B), order (A, B) gives the state
-    with A's pointer set and order (B, A) the one with B's, and the two
-    are orthogonal.  Local pieces (interaction unitaries, non-reduction
+    outside the region the envelopes may still cross.  A reduction
+    applies when the query covers its surface: lies on or above it and is
+    not equal to it.  A query equal to a reduction surface S_k gets the
+    S_k- state of the step that produced it: that reduction does not
+    apply, so the answer depends on the order.  On the singlet's S_AB (the
+    cones of A and B), order (A, B) gives the state with A's pointer set
+    and order (B, A) the one with B's, and the two are orthogonal.  A query
+    that touches a reduction surface without covering it depends on the
+    order too, since a reduction surface holds the cones of every detector
+    reduced before it.  Local pieces (interaction unitaries, non-reduction
     measurements) apply whenever their anchoring event is in the query's
     past.  Raises ``ConfigurationError`` for a query whose apexes have
     another spatial dimension or speed of light than the scenario.

@@ -4,8 +4,8 @@ States are normalized complex amplitude tensors over an ordered list of
 labelled subsystems (spins, occupation modes, detector registers).  All
 operations return new states; nothing here mutates shared data.
 
-Trust rule: an amplitude array from a caller is checked (``StateVector``,
-``with_amplitudes``): it is made a flat complex vector and its length must
+Trust rule: an amplitude array from a caller is checked by
+``StateVector(...)``: it is made a flat complex vector and its length must
 be the product of the dims.  An array this module has just computed from a
 checked state is already one, so its results are built by ``_built``,
 which only marks the array read-only.
@@ -69,15 +69,10 @@ class StateVector(Record):
     def __init__(self, subsystems: tuple[SubsystemSpec, ...], amplitudes: np.ndarray):
         self.__dict__["subsystems"] = subsystems
         _check_labels(subsystems)
-        self.__dict__["amplitudes"] = self._checked(amplitudes)
-
-    def _checked(self, amplitudes) -> np.ndarray:
-        """``amplitudes`` as a read-only flat complex vector of this
-        state's length."""
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         _check_length(amps.size, self.dims)
         amps.flags.writeable = False
-        return amps
+        self.__dict__["amplitudes"] = amps
 
     @cached_property
     def dims(self) -> tuple[int, ...]:
@@ -100,11 +95,6 @@ class StateVector(Record):
     @property
     def norm(self) -> float:
         return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def with_amplitudes(self, amps: np.ndarray) -> "StateVector":
-        """The same subsystems with new amplitudes.  The labels were
-        checked when this state was built, so only the amplitudes are."""
-        return _built(self, self._checked(amps))
 
 
 def _axis(labels: tuple[str, ...], label: str) -> int:

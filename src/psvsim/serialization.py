@@ -34,16 +34,6 @@ MINUS_INFINITY_TOKEN = "minus_infinity"
 #: An "amplitudes" key and the "[" of its list; ``re`` compiles it on the
 #: first file read, not on import.
 _AMPLITUDES_KEY = rb'"amplitudes"[ \t\n\r]*:[ \t\n\r]*\['
-#: Byte classes of a dense amplitude list, as a ``bytes.translate`` table:
-#: JSON whitespace, its structural characters "[", "]" and ",", and the
-#: characters a JSON number is made of.  Any other byte (a quote, a letter,
-#: non-ASCII) ends the list's text.
-_OTHER, _SPACE, _STRUCT, _DIGIT = range(4)
-_BYTE_CLASS = bytes(_SPACE if b in b" \t\n\r" else _STRUCT if b in b"[]," else
-                    _DIGIT if b in b"0123456789+-.eE" else _OTHER for b in range(256))
-#: The structural characters after the opening "[" of an n-pair list, four
-#: bytes per pair read as one native word: n - 1 times "[,]," then "[,]]".
-_PAIR, _LAST_PAIR = np.frombuffer(b"[,],[,]]", dtype=np.uint32)
 #: JSON whitespace, as ``bytes.strip`` takes it.
 _SPACES = b" \t\n\r"
 #: The head of a dense list its record length is guessed from, and the
@@ -84,7 +74,8 @@ def axis_to_dict(a: Axis) -> dict:
 
 
 def axis_from_dict(d: dict) -> Axis:
-    return Axis(theta=d["theta"], phi=d.get("phi", 0.0))
+    return Axis(theta=_typed(d["theta"], _NUMBER, "axis theta"),
+                phi=_typed(d.get("phi", 0.0), _NUMBER, "axis phi"))
 
 
 def _complex_to_pairs(a: np.ndarray) -> list:
@@ -293,8 +284,9 @@ def scenario_from_json(data: bytes) -> Scenario:
     UTF-8 raises ``UnicodeDecodeError``, and universal newlines make each
     "\r\n" and lone "\r" one "\n", which a JSON error's line, column and
     char count.  The initial state's dense amplitude list is read by
-    ``_with_dense_amplitudes`` where it can, as runs of identical pairs,
-    without a Python object per number or any array the size of the file.
+    ``_with_dense_amplitudes`` where its records fold, as runs of identical
+    pairs: one copy of each run is decoded, and no array the size of the
+    file is built.
     Where it cannot, the text takes the plain path as a whole, so every
     error is the one that path raises."""
     d = _with_dense_amplitudes(data)
@@ -306,61 +298,49 @@ def scenario_from_json(data: bytes) -> Scenario:
 
 def _with_dense_amplitudes(data: bytes) -> dict | None:
     r"""The scenario document ``json.loads`` would give of ``data``, with
-    ``initial_state.amplitudes`` as ``_Runs``, or None.  The list's text is
-    replaced by a ``NaN`` before the rest is decoded and parsed; it must be
-    the document's one constant and land at that key, so a list anywhere
-    else, a repeated key, a byte that is not UTF-8 or an error in the rest
-    is None.  A "\r" the rest holds is JSON whitespace (a string cannot hold
-    one), so it parses as the "\n" newline translation would make it."""
+    ``initial_state.amplitudes`` as ``_Runs``, or None.  The list's text, up
+    to the first '"' or '}' (which no valid list reaches), is folded by
+    ``_fold_records``; a list that does not fold is None.  The plain
+    reader's scanner decodes the folded text and finds the list's end.  Its
+    elements must all be pairs of JSON numbers, so each "[" after the list's
+    own opens one, and each kept copy, which holds one "[" and, after its
+    first "]", a ",", is one element and its separator: putting the dropped
+    copies back gives the list as written.  The list's text is then replaced
+    by a ``NaN`` before the rest is decoded and parsed; it must be the
+    document's one constant and land at that key, so a list anywhere else, a
+    repeated key, a byte that is not UTF-8 or an error in the rest is None.
+    A "\r" the rest holds is JSON whitespace (a string cannot hold one), so
+    it parses as the "\n" newline translation would make it."""
     m = re.search(_AMPLITUDES_KEY, data)
     if m is None:
         return None
     start = m.end() - 1
-    read = _dense_pairs_folded(data, start)
-    if read is None:
+    found = [i for i in (data.find(b'"', start), data.find(b"}", start)) if i >= 0]
+    end = min(found, default=len(data))
+    folded = _fold_records(data, start, end)
+    if folded is None:
         return None
-    stop, pairs, counts = read
+    short, period, kept, copies = folded
     marker, constants = object(), []
+    decoder = json.JSONDecoder(parse_constant=lambda token: constants.append(token) or marker)
     try:
-        d = json.loads((data[:start] + b"NaN" + data[stop:]).decode("utf-8"),
-                       parse_constant=lambda token: constants.append(token) or marker)
-    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+        pairs, stop = decoder.raw_decode(short.decode("utf-8"))
+        if kept[-1] + period > stop or {*map(type, pairs)} != {list} or {*map(len, pairs)} != {2} \
+                or not {*map(type, itertools.chain.from_iterable(pairs))} <= {int, float}:
+            return None
+        values = np.array(pairs, dtype=float)
+        # The check above puts every dropped copy before the list's end.
+        d = decoder.decode((data[:start] + b"NaN" + data[stop + end - len(short):]).decode("utf-8"))
+    except (ValueError, OverflowError, RecursionError):  # UnicodeDecodeError is a ValueError
         return None
     state = d.get("initial_state") if type(d) is dict else None
     if len(constants) != 1 or type(state) is not dict or state.get("amplitudes") is not marker:
         return None
-    state["amplitudes"] = _Runs(pairs, counts)
+    opens = np.flatnonzero(np.frombuffer(short, dtype=np.uint8) == ord("["))
+    counts = np.ones(len(pairs), dtype=np.intp)
+    counts[np.searchsorted(opens, kept) - 1] = copies  # the list's own "[" is first
+    state["amplitudes"] = _Runs(values, counts)
     return d
-
-
-def _dense_pairs_folded(data: bytes, start: int) -> tuple[int, np.ndarray, np.ndarray] | None:
-    """``_dense_pairs(data, start)`` as runs: the index past the list's "]",
-    its pairs with each run of identical records given once, and each
-    pair's number of copies; or None.  A record is a pair and the ","
-    after it, amid whitespace; ``json.dump`` writes a dense state's zero
-    pairs as byte-identical records.  ``_fold_records`` keeps the first
-    copy of each run and drops the rest, and ``_dense_pairs`` checks the
-    shorter text.  If it reads a list that holds every kept copy, the one
-    "[" of each copy opens a pair of that list (the list's own "[" is
-    followed by another), so the copy is one record of it.  Putting the
-    dropped copies back after it gives a valid list whose pairs are that
-    pair repeated, which is what ``_dense_pairs`` reads from ``data``.
-    Otherwise ``data`` is checked as it stands, each pair one run, so
-    every accept, reject and value is the same."""
-    found = [i for i in (data.find(b'"', start), data.find(b"}", start)) if i >= 0]
-    end = min(found, default=len(data))  # no valid list reaches '"' or '}'
-    folded = _fold_records(data, start, end)
-    if folded is not None:
-        short, period, kept, copies = folded
-        read = _dense_pairs(short, 0)
-        if read is not None and kept[-1] + period <= read[0]:
-            stop, pairs = read
-            opens = np.flatnonzero(np.frombuffer(short, dtype=np.uint8) == ord("["))
-            counts = np.ones(len(pairs), dtype=np.intp)
-            counts[np.searchsorted(opens, kept) - 1] = copies  # the list's own "[" is first
-            return start + stop + (end - start) - len(short), pairs, counts
-    read = _dense_pairs(data, start)
-    return None if read is None else (*read, np.ones(len(read[1]), dtype=np.intp))
 
 
 def _fold_records(data: bytes, start: int, end: int) -> tuple[bytes, int, list[int], list[int]] | None:
@@ -429,59 +409,6 @@ def _repeating_stretches(data: bytes, start: int, end: int, period: int) -> list
     firsts, lasts = edges[0::2], edges[1::2]
     wide = lasts - firsts >= _MIN_COPIES * period
     return list(zip(firsts[wide].tolist(), lasts[wide].tolist()))
-
-
-def _dense_pairs(data: bytes, start: int) -> tuple[int, np.ndarray] | None:
-    """The list of [re, im] number pairs whose "[" is at ``data[start]``:
-    the index past its "]" and its numbers as an (n, 2) float array, or
-    None if it is not such a list.  Its structure is checked on its bytes
-    in a few array passes: the structural characters come in the order
-    "[[,],[,],...[,]]", whitespace alone sits between them except in the
-    two number slots of each pair, and each slot holds one token.  Tokens
-    that are exactly 0 or 0.0 are +0.0; every other token is read by one
-    ``json.loads`` of them all, which rejects what JSON does not allow."""
-    classes = data.translate(_BYTE_CLASS)
-    end = classes.find(_OTHER, start)
-    count = (len(classes) if end < 0 else end) - start
-    buf = np.frombuffer(data, dtype=np.uint8, count=count, offset=start)
-    cls = np.frombuffer(classes, dtype=np.uint8, count=count, offset=start)
-    struct = np.flatnonzero(cls == _STRUCT)
-    closes = buf[struct] == ord("]")
-    closing = np.flatnonzero(closes[:-1] & closes[1:])  # the first "]]" ends the list
-    if not closing.size:
-        return None
-    struct = struct[:closing[0] + 2]
-    n, rem = divmod(len(struct) - 1, 4)
-    if rem:
-        return None
-    marks = buf[struct[1:]].view(np.uint32)  # each pair's four marks as one word
-    if (marks[:-1] != _PAIR).any() or marks[-1] != _LAST_PAIR:
-        return None
-    stop = int(struct[-1]) + 1
-    digit = cls[:stop] == _DIGIT
-    edges = np.flatnonzero(digit[1:] != digit[:-1]) + 1
-    if len(edges) != 4 * n:
-        return None
-    # Per pair: the begin and end of each token, and the "[", ",", "]" round them.
-    tok, mark = edges.reshape(n, 4), struct[1:].reshape(n, 4)
-    if (tok[:, 0] <= mark[:, 0]).any() or (tok[:, 1] > mark[:, 1]).any() \
-            or (tok[:, 2] <= mark[:, 1]).any() or (tok[:, 3] > mark[:, 2]).any():
-        return None
-    begins, ends = tok[:, 0::2].ravel(), tok[:, 1::2].ravel()
-    size = ends - begins
-    zero = (buf[begins] == ord("0")) & ((size == 1) | (
-        (size == 3) & (buf[begins + 1] == ord(".")) & (buf[begins + 2] == ord("0"))))
-    keep = np.flatnonzero(~zero)
-    flat = np.zeros(2 * n)
-    if keep.size:
-        tokens = b",".join(data[start + b:start + e]
-                           for b, e in zip(begins[keep].tolist(), ends[keep].tolist()))
-        try:
-            flat[keep] = np.fromiter(json.loads(f"[{tokens.decode('ascii')}]"), dtype=float,
-                                     count=keep.size)
-        except (ValueError, OverflowError):  # not JSON numbers, or an integer past float range
-            return None
-    return start + stop, flat.reshape(n, 2)
 
 
 def step_to_dict(st: StepRecord) -> dict:

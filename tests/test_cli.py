@@ -9,7 +9,7 @@ from copy import deepcopy
 import numpy as np
 import pytest
 
-from psvsim import engine, scenarios, serialization
+from psvsim import engine, hilbert, scenarios, serialization
 from psvsim.cli import main, parse_axis
 from psvsim.errors import ConfigurationError
 
@@ -203,6 +203,15 @@ def _malformed_scenarios():
     detector_labels = {case: deepcopy(ghz) for case in ("not-a-string", "empty")}
     detector_labels["not-a-string"]["detectors"][0]["label"] = 5
     detector_labels["empty"]["detectors"][0]["label"] = ""
+    # the singlet's copy gates, both at t = 0.8: a sort by (time, name) compares their names
+    copies = serialization.scenario_to_dict(
+        scenarios.singlet(hilbert.Z_AXIS, hilbert.X_AXIS, with_copies=True))
+    interaction_names = {case: deepcopy(copies) for case in ("not-a-string", "empty", "repeated")}
+    interaction_names["not-a-string"]["interactions"][0]["name"] = 5
+    interaction_names["empty"]["interactions"][0]["name"] = ""
+    interaction_names["repeated"]["interactions"][0]["name"] = "AA2 copy"
+    copy_theta = deepcopy(copies)
+    copy_theta["interactions"][0]["gate"]["basis"]["theta"] = True
     int_outcome_label = deepcopy(ghz)
     int_outcome_label["detectors"][0]["projectors"][0]["label"] = 7
     # the top-level list disagrees with the initial state's on RA's dim or a's kind
@@ -303,6 +312,13 @@ def _malformed_scenarios():
                for case, blob in pointers.items()},
             **{f"detector-label-{case}": (blob, "detector label must be a non-empty string")
                for case, blob in detector_labels.items()},
+            **{f"interaction-name-{case}": (interaction_names[case],
+                                             "interaction name must be a non-empty string")
+               for case in ("not-a-string", "empty")},
+            "interaction-name-repeated": (interaction_names["repeated"],
+                                          "duplicate interaction name 'AA2 copy'"),
+            "copy-basis-theta-a-bool": (copy_theta,
+                                        type_error + "axis theta must be a number, got True"),
             "outcome-label-not-a-string": (int_outcome_label, "outcome labels must be strings"),
             **{f"subsystem-{case}-mismatch": (
                 blob, "initial state subsystems do not match scenario subsystems")

@@ -357,7 +357,7 @@ def test_asymmetric_split_probabilities():
     s = scenarios.split_particle()
     amps = np.zeros((2, 2, 2, 2), dtype=complex)
     amps[1, 0, 0, 0], amps[0, 1, 0, 0] = 0.6, 0.8
-    s = replace(s, initial=replace(s.initial, core=s.initial.core.with_amplitudes(amps.reshape(-1))))
+    s = replace(s, initial=replace(s.initial, core=StateVector(s.initial.core.subsystems, amps)))
     d = joint_distribution(s, ("A", "B", "C"))
     assert d.probability(("hit", "none", "c1")) == pytest.approx(0.36, abs=1e-12)
     assert d.probability(("none", "hit", "c2")) == pytest.approx(0.64, abs=1e-12)
@@ -690,6 +690,28 @@ def test_whether_a_query_has_a_state_depends_on_the_order():
         else:
             assert answer == UndefinedState(
                 f"query surface crosses reduction surface of detector {order[0]!r}")
+
+
+def test_a_reduction_applies_where_the_query_covers_its_surface():
+    """On the singlet with copies (copy basis along B's axis), take the
+    envelope over the events of A, C and the first copy and over B's event
+    moved down by 1/2.  Under (A, C, B) it covers A's reduction surface, A's
+    cone, so A's reduction applies.  Under (C, B, A) that surface also
+    holds B's cone, and the query lies on or below it, so it does not.  On
+    every leaf both states are defined, and they are orthogonal."""
+    s = scenarios.singlet(Z_AXIS, X_AXIS, with_copies=True, copy_basis=X_AXIS)
+    b = s.detector("B").at
+    query = Lcsh(apexes=(s.detector("A").at, s.detector("C").at, s.interactions[0].at,
+                         Event(b.t - 0.5, b.x)), c=s.c)
+    leaves = joint_distribution(s, ("A", "B", "C")).probabilities
+    assert len(leaves) == 8
+    for leaf in leaves:
+        by_detector = dict(zip(s.detector_labels, leaf))
+        first, second = (
+            state_on_hyperplane(run(s, order, outcomes=tuple(by_detector[l] for l in order)), query)
+            for order in (("A", "C", "B"), ("C", "B", "A")))
+        assert isinstance(first, StateVector) and isinstance(second, StateVector)
+        assert np.vdot(first.amplitudes, second.amplitudes) == 0
 
 
 def test_a_listed_leaf_runs_under_every_valid_order():

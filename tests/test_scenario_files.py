@@ -420,7 +420,7 @@ _RUN_CASES = {
     "spaces after the list": (lambda: _ghz4_text().replace("]]}", "]]" + " " * 2000 + "}", 1), True),
     "nonzero head, so the guessed record length is two zero records": (
         lambda: _ghz4_text(tokens=[(k, 0, json.dumps(2.0**-13)) for k in range(250)]), True),
-    "all records distinct": (_distinct_ghz4_text, True),
+    "all records distinct": (_distinct_ghz4_text, False),
     "the list's own [ starts a run of two-[ text": (
         lambda: _with_list("[[0.0, 0.0], " * 20 + "[0.0, 0.00], " * 300 + "[0.0, 0.0]]"), False),
     "a run of [ and spaces": (lambda: _with_list("[" + "[   " * 1100 + "0.0, 0.0]]"), False),
@@ -435,20 +435,35 @@ _RUN_CASES = {
 
 @pytest.mark.parametrize("case", list(_RUN_CASES))
 def test_runs_of_identical_records_read_as_the_plain_reader_reads_them(path, case):
-    """``dist`` agrees with the plain reader, and the folded pass gives
-    ``_dense_pairs``'s answer on the bytes as written (before any newline
-    translation): the same stop and, its runs spelled out, the same float
-    bits, or None for both."""
+    """``dist`` agrees with the plain reader, and the folded pass reads the
+    file exactly where ``fast`` says."""
     make, fast = _RUN_CASES[case]
-    text = make()
-    assert _readers_agree(path, text) == fast
-    data = text.encode("utf-8")
-    start = re.search(serialization._AMPLITUDES_KEY, data).end() - 1
-    folded, whole = serialization._dense_pairs_folded(data, start), serialization._dense_pairs(data, start)
-    assert (folded is None) == (whole is None)
-    if whole is not None:
-        stop, pairs, counts = folded
-        assert stop == whole[0] and np.repeat(pairs, counts, axis=0).tobytes() == whole[1].tobytes()
+    assert _readers_agree(path, make()) == fast
+
+
+#: The records the fold-boundary lists are made of: zero spelled three
+#: ways, a nonzero pair, and GHZ-4's first amplitude.
+_FOLD_RECORDS = ([0.0, 0.0], [0, 0.0], [-0.0, 0.0], [0.0, 0.5], _GHZ4["initial_state"]["amplitudes"][0])
+
+
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_runs_of_mixed_records_read_as_the_plain_reader_reads_them(path, layout, data):
+    """GHZ-4's list of 1296 pairs written as runs of 1-60 copies of one
+    record, each run's record another than the one before: the list opens
+    and closes with a run, and runs of every two records meet.  The drawn
+    runs repeat until they fill the list."""
+    runs = data.draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 60)), min_size=1))
+    pairs, k = [], 0
+    for step, n in itertools.cycle(runs):
+        if len(pairs) >= 1296:
+            break
+        k = (k + step) % len(_FOLD_RECORDS)
+        pairs += [_FOLD_RECORDS[k]] * n
+    blob = deepcopy(_GHZ4)
+    blob["initial_state"]["amplitudes"] = pairs[:1296]
+    _readers_agree(path, _file_text(blob, layout, layout))
 
 
 def _stretches_in_one_pass(b: np.ndarray, period: int) -> list[tuple[int, int]]:
@@ -478,17 +493,19 @@ def test_the_chunked_scan_finds_the_stretches_one_pass_finds(offset):
 
 
 def test_dist_on_a_ghz6_file_checks_each_run_of_zero_records_once(tmp_path, capsys):
-    """On a GHZ-6 file psvsim wrote, ``_dense_pairs`` is handed no text
-    longer than a tenth of the file, and the scenario is still built by
+    """On a GHZ-6 file psvsim wrote, no JSON decoder is handed text longer
+    than a tenth of the file (``json.loads`` and the folded pass both decode
+    through ``JSONDecoder.raw_decode``), and the scenario is still built by
     one ``scenario_from_dict`` call, the one the benchmark's tracer counts."""
     path = tmp_path / "ghz6.json"
     path.write_text(json.dumps(serialization.scenario_to_dict(_ghz(6))))
     size = path.stat().st_size
-    with mock.patch.object(serialization, "_dense_pairs", wraps=serialization._dense_pairs) as check, \
+    with mock.patch.object(json.JSONDecoder, "raw_decode", autospec=True,
+                           side_effect=json.JSONDecoder.raw_decode) as decode, \
             mock.patch.object(serialization, "scenario_from_dict",
                               wraps=serialization.scenario_from_dict) as build:
         assert cli.main(["dist", "--scenario", str(path), "--json"]) == 0
-    assert check.call_count and max(len(c.args[0]) for c in check.call_args_list) < size / 10
+    assert decode.call_count == 2 and max(len(c.args[1]) for c in decode.call_args_list) < size / 10
     assert build.call_count == 1
     assert json.loads(capsys.readouterr().out)["detectors"] == [f"D{k}" for k in range(6)]
 

@@ -124,18 +124,20 @@ def test_dense_ghz5_file_amplitudes_match_the_nested_conversion():
 
 def test_dist_on_a_written_ghz5_file_takes_the_dense_pass(tmp_path, capsys):
     """``dist`` reads a GHZ-5 file psvsim wrote through the dense pass: no
-    ``json.loads`` call sees the amplitude list, and the scenario is built
-    by one ``scenario_from_dict`` call, the one the benchmark's tracer
-    counts."""
+    JSON decoder sees more than a tenth of the file (``json.loads`` and
+    the folded list both decode through ``JSONDecoder.raw_decode``), and
+    the scenario is built by one ``scenario_from_dict`` call, the one the
+    benchmark's tracer counts."""
     path = tmp_path / "ghz5.json"
     path.write_text(json.dumps(ser.scenario_to_dict(_ghz5())))
     size = path.stat().st_size
     with mock.patch.object(ser, "_with_dense_amplitudes", wraps=ser._with_dense_amplitudes) as fast, \
             mock.patch.object(ser, "scenario_from_dict", wraps=ser.scenario_from_dict) as build, \
-            mock.patch.object(json, "loads", wraps=json.loads) as loads:
+            mock.patch.object(json.JSONDecoder, "raw_decode", autospec=True,
+                              side_effect=json.JSONDecoder.raw_decode) as decode:
         assert cli.main(["dist", "--scenario", str(path), "--json"]) == 0
     assert fast.call_count == 1 and build.call_count == 1
-    assert loads.call_count == 2 and max(len(c.args[0]) for c in loads.call_args_list) < size / 10
+    assert decode.call_count == 2 and max(len(c.args[1]) for c in decode.call_args_list) < size / 10
     assert json.loads(capsys.readouterr().out)["detectors"] == [f"D{k}" for k in range(5)]
 
 
