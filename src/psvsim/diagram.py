@@ -26,6 +26,13 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _text(cls: str, x: str | int, y: str | int, size: int, text: str, fill: str = "") -> str:
+    """A text element; ``text`` is escaped as SVG character data."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    fill = f' fill="{fill}"' if fill else ""
+    return f'<text class="{cls}" x="{x}" y="{y}" font-size="{size}"{fill}>{text}</text>'
+
+
 class _Frame:
     def __init__(self, x_range, t_range):
         self.x0, self.x1 = x_range
@@ -91,9 +98,8 @@ def render_svg(record: RunRecord) -> str:
         f'<rect class="background" x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         f'<rect class="frame" x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
         f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="#202020"/>',
-        f'<text class="axis-label" x="{WIDTH - MARGIN + 6}" y="{HEIGHT - MARGIN + 14}" '
-        f'font-size="12">x</text>',
-        f'<text class="axis-label" x="{MARGIN - 18}" y="{MARGIN - 8}" font-size="12">t</text>',
+        _text("axis-label", WIDTH - MARGIN + 6, HEIGHT - MARGIN + 14, 12, "x"),
+        _text("axis-label", MARGIN - 18, MARGIN - 8, 12, "t"),
     ]
 
     if math.isfinite(scenario.initial_t0):
@@ -102,10 +108,8 @@ def render_svg(record: RunRecord) -> str:
             f'<line class="initial-surface" x1="{_fmt(frame.px(frame.x0))}" y1="{y}" '
             f'x2="{_fmt(frame.px(frame.x1))}" y2="{y}" stroke="#707070" stroke-dasharray="2,3"/>'
         )
-        parts.append(
-            f'<text class="surface-label" x="{MARGIN + 4}" y="{_fmt(frame.py(scenario.initial_t0) - 4)}" '
-            f'font-size="11" fill="#707070">S0</text>'
-        )
+        parts.append(_text("surface-label", MARGIN + 4, _fmt(frame.py(scenario.initial_t0) - 4), 11,
+                           "S0", "#707070"))
 
     for k, step in enumerate(record.steps):
         color = _SURFACE_COLORS[k % len(_SURFACE_COLORS)]
@@ -122,15 +126,9 @@ def render_svg(record: RunRecord) -> str:
             f'stroke-width="1.5"/>'
         )
         apex = step.surface_after.apexes[-1]
-        label_x = _fmt(frame.px(apex.x[0]) + 6)
-        parts.append(
-            f'<text class="surface-label" x="{label_x}" y="{_fmt(frame.py(apex.t) + 14)}" '
-            f'font-size="11" fill="{color}">S{k + 1}-</text>'
-        )
-        parts.append(
-            f'<text class="surface-label" x="{label_x}" y="{_fmt(frame.py(apex.t) - 8)}" '
-            f'font-size="11" fill="{color}">S{k + 1}+</text>'
-        )
+        label_x, y = _fmt(frame.px(apex.x[0]) + 6), frame.py(apex.t)
+        parts.append(_text("surface-label", label_x, _fmt(y + 14), 11, f"S{k + 1}-", color))
+        parts.append(_text("surface-label", label_x, _fmt(y - 8), 11, f"S{k + 1}+", color))
 
     for label, line in scenario.worldlines:
         pts = " ".join(frame.point(p.x[0], p.t) for p in line)
@@ -139,10 +137,8 @@ def render_svg(record: RunRecord) -> str:
             f'stroke-dasharray="5,3"/>'
         )
         end = line[-1]
-        parts.append(
-            f'<text class="worldline-label" x="{_fmt(frame.px(end.x[0]) - 14)}" '
-            f'y="{_fmt(frame.py(end.t) + 4)}" font-size="10" fill="#404040">{label}</text>'
-        )
+        parts.append(_text("worldline-label", _fmt(frame.px(end.x[0]) - 14),
+                           _fmt(frame.py(end.t) + 4), 10, label, "#404040"))
 
     for ev in scenario.interactions:
         x, y = frame.px(ev.at.x[0]), frame.py(ev.at.t)
@@ -150,10 +146,7 @@ def render_svg(record: RunRecord) -> str:
             f'<rect class="interaction" x="{_fmt(x - 4)}" y="{_fmt(y - 4)}" width="8" height="8" '
             f'fill="#d68910" stroke="#202020"/>'
         )
-        parts.append(
-            f'<text class="interaction-label" x="{_fmt(x + 7)}" y="{_fmt(y + 4)}" '
-            f'font-size="10">{ev.name}</text>'
-        )
+        parts.append(_text("interaction-label", _fmt(x + 7), _fmt(y + 4), 10, ev.name))
 
     outcome_by_det = {s.detector: s.outcome for s in record.steps}
     for det in scenario.detectors:
@@ -165,10 +158,7 @@ def render_svg(record: RunRecord) -> str:
         text = det.label
         if det.label in outcome_by_det:
             text += f": {outcome_by_det[det.label]}"
-        parts.append(
-            f'<text class="detector-label" x="{_fmt(x + 8)}" y="{_fmt(y - 6)}" '
-            f'font-size="11">{text}</text>'
-        )
+        parts.append(_text("detector-label", _fmt(x + 8), _fmt(y - 6), 11, text))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

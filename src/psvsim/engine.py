@@ -311,6 +311,9 @@ def validate_scenario(s: Scenario) -> None:
             raise ConfigurationError(f"event {ev} has dimension {ev.dim}, expected {s.dim}")
         if geometry.event_side_of_surface(ev, surface) is not SurfaceSide.FUTURE:
             raise ConfigurationError(f"event {ev} is not in the future of the initial surface")
+    for label, line in s.worldlines:
+        if not line or any(p.dim != s.dim for p in line):
+            raise ConfigurationError(f"worldline {label!r} must have points of dimension {s.dim}")
     specs = {sub.label: sub for sub in s.subsystems}
     if len(specs) != len(s.subsystems):
         raise ConfigurationError(f"duplicate subsystem labels in {[sub.label for sub in s.subsystems]}")

@@ -212,7 +212,7 @@ def event_side_of_surface(e: Event, s: Lcsh) -> SurfaceSide:
 
 def _bounding_region(surfaces: tuple[Lcsh, ...]) -> Region:
     """Default comparison region: the bounding box of all apex positions,
-    padded by 1 + c * (apex time span); ((-1, 1),) * d without apexes."""
+    padded by 1 + c * (apex time span); the 1-d ((-1, 1),) without apexes."""
     shaped = [s for s in surfaces if s.apexes]
     if not shaped:
         return ((-1.0, 1.0),)

@@ -233,7 +233,8 @@ def scenario_from_dict(d: dict) -> Scenario:
             detectors=tuple(detector_from_dict(det) for det in d["detectors"]),
             charged_modes=_labels(d.get("charged_modes", []), "charged_modes"),
             worldlines=tuple(
-                (w["label"], tuple(event_from_dict(p) for p in w["points"]))
+                (_typed(w["label"], str, "worldline label"),
+                 tuple(event_from_dict(p) for p in w["points"]))
                 for w in d.get("worldlines", [])
             ),
         )

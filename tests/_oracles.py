@@ -1,11 +1,12 @@
-"""Independent dense-matrix oracles used by the test suite.
+"""Independent oracles used by the test suite.
 
-Everything here works on explicit Kronecker-product matrices with
-hand-rolled subsystem embedding (by basis index, or as a sum of
-``np.kron`` products), so it shares no tensor-manipulation code with the
-package under test.  Surface
+The closed-form distributions are those of ``perfbench/reference.py``
+(numpy only), loaded by file path as ``reference``.  Everything else here
+works on explicit Kronecker-product matrices with hand-rolled subsystem
+embedding (by basis index, or as a sum of ``np.kron`` products), so it
+shares no tensor-manipulation code with the package under test.  Surface
 comparisons are the brute-force 64^d probe-grid evaluation that
-``geometry.compare`` must reproduce.
+``geometry.compare`` must reproduce, on a grid built here.
 
 ``states_close``, ``schmidt_rank``, ``charge_expectation`` and
 ``achronality_violation`` are checks that only tests read; they are not part
@@ -14,18 +15,27 @@ program's fast amplitude pass must agree with, and ``dense_split`` the
 dense-tensor register factoring its loaded states must equal.
 """
 
+import importlib.util
 import itertools
 import json
 import math
 from functools import reduce
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 
 from psvsim import geometry, serialization
-from psvsim.geometry import EPS_GEOM, Region, _bounding_region, probe_points, surface_times
+from psvsim.geometry import EPS_GEOM, Region
 from psvsim.errors import ConfigurationError
-from psvsim.hilbert import EPS_OP, StateVector, SubsystemKind, phase_canonical
+from psvsim.hilbert import EPS_OP, StateVector, SubsystemKind
+
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py")
+#: ``perfbench/reference.py``, whose closed forms take each axis as (theta, phi).
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
 
 
 def embed(op: np.ndarray, positions: list[int], dims: list[int]) -> np.ndarray:
@@ -57,86 +67,6 @@ def kron_embed(op: np.ndarray, positions: list[int], dims: list[int]) -> np.ndar
             factors[p][ik, jk] = 1.0
         full += op[a, b] * reduce(np.kron, factors)
     return full
-
-
-def spinor(theta: float, phi: float, sign: int) -> np.ndarray:
-    half = theta / 2.0
-    if sign > 0:
-        return np.array([math.cos(half), np.exp(1j * phi) * math.sin(half)])
-    return np.array([-np.exp(-1j * phi) * math.sin(half), math.cos(half)])
-
-
-def proj(theta: float, phi: float, sign: int) -> np.ndarray:
-    v = spinor(theta, phi, sign)
-    return np.outer(v, v.conj())
-
-
-def singlet_vector(theta: float = 0.0, phi: float = 0.0) -> np.ndarray:
-    """(|k- k+> - |k+ k->)/sqrt(2) as a 4-vector."""
-    plus = spinor(theta, phi, +1)
-    minus = spinor(theta, phi, -1)
-    return (np.kron(minus, plus) - np.kron(plus, minus)) / math.sqrt(2.0)
-
-
-def copy_gate(theta: float, phi: float) -> np.ndarray:
-    """Controlled flip in the rotated basis: |k s>|k+> -> |k s>|k s>."""
-    r = np.column_stack([spinor(theta, phi, +1), spinor(theta, phi, -1)])
-    cnot = np.eye(4, dtype=complex)
-    cnot[[2, 3]] = cnot[[3, 2]]
-    rr = np.kron(r, r)
-    return rr @ cnot @ rr.conj().T
-
-
-def singlet_joint(axis_a, axis_b) -> dict[tuple[str, str], float]:
-    """Sequential-projection joint distribution for the bare singlet."""
-    psi = singlet_vector()
-    dims = [2, 2]
-    out = {}
-    for sa, siga in (("+", +1), ("-", -1)):
-        pa = embed(proj(axis_a.theta, axis_a.phi, siga), [0], dims)
-        for sb, sigb in (("+", +1), ("-", -1)):
-            pb = embed(proj(axis_b.theta, axis_b.phi, sigb), [1], dims)
-            v = pb @ pa @ psi
-            p = float(np.vdot(v, v).real)
-            if p > 1e-15:
-                out[(sa, sb)] = p
-    return out
-
-
-def singlet_copies_conditional(axis_a, axis_b, copy_basis) -> float:
-    """P(C = '--' | A = +, B = +) on the singlet with copy devices,
-    final detector axes (axis_b on c1, axis_a on c2)."""
-    dims = [2, 2, 2, 2]  # a, b, c1, c2
-    ready = spinor(copy_basis.theta, copy_basis.phi, +1)
-    psi = np.kron(np.kron(singlet_vector(copy_basis.theta, copy_basis.phi), ready), ready)
-    u = copy_gate(copy_basis.theta, copy_basis.phi)
-    psi = embed(u, [0, 2], dims) @ psi
-    psi = embed(u, [1, 3], dims) @ psi
-    pa = embed(proj(axis_a.theta, axis_a.phi, +1), [0], dims)
-    pb = embed(proj(axis_b.theta, axis_b.phi, +1), [1], dims)
-    v = pb @ pa @ psi
-    denom = float(np.vdot(v, v).real)
-    pc = embed(proj(axis_b.theta, axis_b.phi, -1), [2], dims) @ \
-        embed(proj(axis_a.theta, axis_a.phi, -1), [3], dims)
-    w = pc @ v
-    return float(np.vdot(w, w).real) / denom
-
-
-def ghz_joint(axes) -> dict[tuple[str, str, str], float]:
-    dims = [2, 2, 2]
-    psi = np.zeros(8, dtype=complex)
-    psi[0] = 1 / math.sqrt(2.0)
-    psi[7] = -1 / math.sqrt(2.0)
-    out = {}
-    for combo in itertools.product(("+", "-"), repeat=3):
-        v = psi
-        for k, s in enumerate(combo):
-            v = embed(proj(axes[k].theta, axes[k].phi, +1 if s == "+" else -1),
-                      [k], dims) @ v
-        p = float(np.vdot(v, v).real)
-        if p > 1e-15:
-            out[combo] = p
-    return out
 
 
 def replay(psi: np.ndarray, steps, final_ops=()):
@@ -173,43 +103,52 @@ def surface_times_by_apex(s, xs):
     return t
 
 
+def default_region(surfaces) -> Region:
+    """``compare``'s default region, as its docstring defines it: the box
+    around every apex position, padded by 1 + c * (apex time span), c the
+    largest speed of light; the 1-d (-1, 1) without apexes."""
+    apexes = [a for s in surfaces for a in s.apexes]
+    if not apexes:
+        return ((-1.0, 1.0),)
+    pad = 1.0 + (max(a.t for a in apexes) - min(a.t for a in apexes)) * max(s.c for s in surfaces)
+    return tuple((min(x) - pad, max(x) + pad) for x in zip(*(a.x for a in apexes)))
+
+
 def _grid(s1, s0, region):
     """The 64^d probe grid plus apex projections of the pair, over
     ``region`` or, if None, the pair's default region."""
-    return probe_points((s0, s1), _bounding_region((s0, s1)) if region is None else region, 64)
+    region = default_region((s0, s1)) if region is None else region
+    axes = np.meshgrid(*(np.linspace(lo, hi, 64) for lo, hi in region), indexing="ij")
+    apexes = [a.x for s in (s0, s1) for a in s.apexes]
+    return np.concatenate([np.stack(axes, axis=-1).reshape(-1, len(region)),
+                           np.array(apexes, dtype=float).reshape(-1, len(region))])
 
 
 def grid_covers(s1, s0, region=None):
     """s1 >= s0 - EPS_GEOM at every point of the 64^d probe grid (plus apex
     projections) of the pair."""
-    xs = _grid(s1, s0, region)
-    return bool(np.all(surface_times(s1, xs) >= surface_times(s0, xs) - EPS_GEOM))
+    return grid_compare(s1, s0, region)[0]
 
 
 def grid_compare(s1, s0, region=None):
-    """The two-way comparison on the probe grid: (grid_covers(s1, s0),
-    grid_covers(s0, s1)), from one evaluation of each surface (both
-    directions probe the same points)."""
+    """The two-way comparison on the probe grid, (s1 covers s0, s0 covers
+    s1), from one evaluation of each surface."""
     xs = _grid(s1, s0, region)
-    t1, t0 = surface_times(s1, xs), surface_times(s0, xs)
+    t1, t0 = surface_times_by_apex(s1, xs), surface_times_by_apex(s0, xs)
     return bool(np.all(t1 >= t0 - EPS_GEOM)), bool(np.all(t0 >= t1 - EPS_GEOM))
 
 
 def grid_is_future_of(s1, s0, region=None):
     """s1 >= s0 at every probe-grid point and s1 > s0 at one, within
-    EPS_GEOM."""
-    xs = _grid(s1, s0, region)
-    t1 = surface_times(s1, xs)
-    t0 = surface_times(s0, xs)
-    if not np.all(t1 >= t0 - EPS_GEOM):
-        return False
-    return bool(np.any(t1 > t0 + EPS_GEOM))
+    EPS_GEOM: s1 covers s0 and not the other way."""
+    up, down = grid_compare(s1, s0, region)
+    return up and not down
 
 
 def probe_grid_sizes(fn, *args):
     """fn(*args) and the points_per_axis of every ``geometry.probe_points``
     call it made."""
-    sizes = []
+    sizes, probe_points = [], geometry.probe_points
 
     def spy(surfaces, region, points_per_axis=64):
         sizes.append(points_per_axis)
@@ -243,32 +182,26 @@ def schmidt_rank(state: StateVector, labels: tuple[str, ...], tol: float = 1e-9)
 
 
 def states_close(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:
-    """Equality up to global phase (after canonicalization)."""
+    """Equality up to a global phase: each state is turned so that its
+    amplitude at a's largest modulus is real and positive."""
     if a.labels != b.labels or a.dims != b.dims:
         return False
-    pa = phase_canonical(a).amplitudes
-    pb = phase_canonical(b).amplitudes
+    k = int(np.argmax(np.abs(a.amplitudes)))
+    pa, pb = (v.amplitudes * (abs(v.amplitudes[k]) / v.amplitudes[k] if v.amplitudes[k] else 1.0)
+              for v in (a, b))
     return bool(np.abs(pa - pb).max() <= tol)
 
 
-def achronality_violation(
-    s: geometry.Lcsh,
-    rng: np.random.Generator,
-    n_pairs: int = 10_000,
-    region: Region | None = None,
-) -> float:
-    """Max interval over random point pairs sampled on the surface.
+def achronality_violation(s: geometry.Lcsh, rng: np.random.Generator, n_pairs: int = 10_000) -> float:
+    """Max interval over random point pairs sampled on the surface, over
+    its default region.
 
     Points where the surface is still at t0 = -inf are excluded: the
     formal limit surface is flat there and trivially achronal.
     """
-    dim = s.dim or 1
-    if region is None:
-        region = _bounding_region((s,))
-    lo = np.array([r[0] for r in region])
-    hi = np.array([r[1] for r in region])
-    xs = lo + rng.random((2 * n_pairs, dim)) * (hi - lo)
-    ts = surface_times(s, xs)
+    lo, hi = np.array(default_region((s,))).T
+    xs = lo + rng.random((2 * n_pairs, len(lo))) * (hi - lo)
+    ts = surface_times_by_apex(s, xs)
     finite = np.isfinite(ts)
     xs, ts = xs[finite], ts[finite]
     half = len(xs) // 2

@@ -1,6 +1,7 @@
 """Acceptance suite: ten end-to-end criteria, one test (and one printed
 pass line) each.  Tolerances are pinned in-line; oracle values come from
-the independent dense-matrix helpers in _oracles.py."""
+the independent helpers in _oracles.py and the closed forms of
+perfbench/reference.py that it loads."""
 
 import math
 
@@ -9,8 +10,8 @@ import numpy as np
 from _oracles import (
     achronality_violation,
     charge_expectation,
+    reference,
     schmidt_rank,
-    singlet_copies_conditional,
     states_close,
 )
 from psvsim import geometry, hellwig_kraus, hilbert, scenarios
@@ -123,7 +124,7 @@ def test_criterion_05_hk_inconsistency():
         r = hellwig_kraus.hk_copy_inconsistency(axis_a, axis_b)
         assert r.hk_conditional == 1.0  # exactly
         assert r.psv_conditional < 1.0 - 1e-6
-        oracle = singlet_copies_conditional(axis_a, axis_b, Z_AXIS)
+        oracle = reference.hk_psv_conditional(*[(a.theta, a.phi) for a in (axis_a, axis_b, Z_AXIS)])
         assert abs(r.psv_conditional - oracle) <= 1e-12
     aligned = hellwig_kraus.hk_copy_inconsistency(Z_AXIS, Axis(math.pi))
     assert abs(aligned.hk_conditional - 1.0) <= 1e-12

@@ -278,12 +278,19 @@ def _malformed_scenarios():
             "interaction subsystems must be a list, got 'ab'"),
         "charged-modes-a-string": (lambda blob: blob.__setitem__("charged_modes", "a"),
                                    "charged_modes must be a list, got 'a'"),
+        "worldline-label-not-a-string": (lambda blob: blob["worldlines"][0].__setitem__("label", 5),
+                                         "worldline label must be a string, got 5"),
     }
+    worldlines = {"without-points": lambda blob: blob["worldlines"][0].__setitem__("points", []),
+                  "point-of-another-dimension":
+                      lambda blob: blob["worldlines"][0]["points"][1].__setitem__("x", [-4.0, 0.0])}
     malformed = "malformed scenario"
     return {"missing-keys": ({"dim": 1}, malformed),
             "detector-without-projectors": (no_projectors, malformed),
             **{name: (edited(edit), message) for name, (edit, message) in shapes.items()},
             **{name: (edited(edit), message) for name, (edit, message) in targets.items()},
+            **{f"worldline-{case}": (edited(edit), "worldline 'a' must have points of dimension 1")
+               for case, edit in worldlines.items()},
             **{name: (edited(edit), type_error + message)
                for name, (edit, message) in field_types.items()},
             "top-level-list": ([1, 2], malformed),
@@ -330,7 +337,7 @@ def test_malformed_scenario_file_is_a_validation_error(name, tmp_path, capsys):
     scenario, message = _malformed_scenarios()[name]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(scenario))
-    for command in ("dist", "run", "orders", "sample"):
+    for command in ("dist", "run", "orders", "sample", "diagram"):
         code, out, err = run_cli(capsys, command, "--scenario", str(path), "--json")
         assert (code, out) == (1, "")
         blob = json.loads(err)

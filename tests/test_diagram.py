@@ -1,8 +1,9 @@
 import math
+import xml.etree.ElementTree as ET
 
 import pytest
 
-from psvsim import hilbert, scenarios
+from psvsim import hilbert, scenarios, serialization
 from psvsim.diagram import render_ascii, render_svg
 from psvsim.engine import BranchState, DetectorEvent, Scenario, run
 from psvsim.errors import ConfigurationError
@@ -32,6 +33,18 @@ def test_svg_structure():
     assert ">S1-<" in svg and ">S1+<" in svg
     # detector outcome annotations
     assert ">C: c1<" in svg and ">A: hit<" in svg
+
+
+def test_svg_escapes_labels():
+    mark = '<&>"\''
+    d = serialization.scenario_to_dict(scenarios.split_particle())
+    d["detectors"][0]["label"], d["detectors"][0]["projectors"][1]["label"] = "A" + mark, "hit" + mark
+    d["interactions"][0]["name"], d["worldlines"][0]["label"] = "copy" + mark, "a" + mark
+    record = run(serialization.scenario_from_dict(d), ("A" + mark, "B", "C"),
+                 outcomes=("hit" + mark, "none", "c1"))
+    root = ET.fromstring(render_svg(record))
+    texts = {el.text for el in root.iter() if el.tag.endswith("text")}
+    assert {f"A{mark}: hit{mark}", "copy" + mark, "a" + mark} <= texts
 
 
 def test_svg_rejects_higher_dimensions():

@@ -914,7 +914,10 @@ def surface_queries(draw):
 
 
 def _with_grid_covers(fn, *args):
-    with mock.patch.object(geometry, "compare", _oracles.grid_compare):
+    """fn(*args) with ``compare_chain``, which ``state_on_hyperplane`` calls,
+    made on the probe grid surface by surface."""
+    grid_chain = lambda q, chain, region: [_oracles.grid_compare(q, s, region) for s in chain]
+    with mock.patch.object(geometry, "compare_chain", grid_chain):
         return fn(*args)
 
 

@@ -239,7 +239,7 @@ def test_covers_and_is_future_of_match_the_probe_grid(pair):
 @given(surface_pairs())
 def test_compare_matches_the_probe_grid_both_ways(pair):
     s1, s0, region = pair
-    box = region or geometry._bounding_region((s1, s0))  # compare's default region
+    box = region or _oracles.default_region((s1, s0))  # compare's default region
     up, down = _oracles.grid_compare(s1, s0, box)
     assert compare(s1, s0, region) == (up, down)
     # Nested chains, each surface checked on its own grid: s1 against s0 cut

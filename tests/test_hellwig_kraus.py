@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import singlet_copies_conditional
+from _oracles import reference
 from psvsim import hellwig_kraus as hk
 from psvsim import hilbert, scenarios
 from psvsim.errors import AmbiguousRegionError, ConfigurationError, PhysicsError
@@ -112,7 +112,7 @@ def test_psv_conditional_matches_dense_oracle():
     ]
     for axis_a, axis_b, basis in cases:
         r = hk.hk_copy_inconsistency(axis_a, axis_b, basis)
-        oracle = singlet_copies_conditional(axis_a, axis_b, basis)
+        oracle = reference.hk_psv_conditional(*[(a.theta, a.phi) for a in (axis_a, axis_b, basis)])
         assert r.psv_conditional == pytest.approx(oracle, abs=1e-12)
 
 

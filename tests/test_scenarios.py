@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from _oracles import charge_expectation, ghz_joint, singlet_joint, states_close
+from _oracles import charge_expectation, reference, states_close
 from psvsim import hilbert, scenarios
 from psvsim.engine import enumerate_valid_orders, joint_distribution
-from psvsim.hilbert import Axis, X_AXIS, Y_AXIS, Z_AXIS
+from psvsim.hilbert import EPS_PROB, Axis, X_AXIS, Y_AXIS, Z_AXIS
 from psvsim.scenarios import (
     GHZ_GEOMETRY,
     SINGLET_GEOMETRY,
@@ -76,7 +76,7 @@ def test_singlet_distribution_matches_oracle():
                            (Axis(1.0, 0.5), Axis(2.0, -0.4))):
         s = singlet(axis_a, axis_b)
         d = joint_distribution(s, ("A", "B"))
-        oracle = singlet_joint(axis_a, axis_b)
+        oracle = reference.singlet_distribution(*[(a.theta, a.phi) for a in (axis_a, axis_b)])
         for key, p in oracle.items():
             assert d.probability(key) == pytest.approx(p, abs=1e-12)
 
@@ -93,8 +93,8 @@ def test_singlet_with_copies_structure():
 def test_ghz_distribution_matches_oracle():
     axes = (X_AXIS, Y_AXIS, Y_AXIS)
     d = joint_distribution(ghz(axes), ("A", "B", "C"))
-    oracle = ghz_joint(axes)
-    assert set(d.probabilities) == set(oracle)
+    oracle = reference.ghz_distribution([(a.theta, a.phi) for a in axes])
+    assert set(d.probabilities) == {key for key, p in oracle.items() if p > EPS_PROB}
     for key, p in oracle.items():
         assert d.probability(key) == pytest.approx(p, abs=1e-12)
 
