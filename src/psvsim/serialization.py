@@ -83,12 +83,29 @@ def _complex_to_pairs(a: np.ndarray) -> list:
     return stacked.tolist()
 
 
-def _pairs_to_complex(pairs: Any) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
-    if arr.shape[-1:] != (2,):
-        raise ValueError(f"complex entries must be [re, im] pairs, got shape {arr.shape}")
+def _float_pairs(v: Any, what: str) -> np.ndarray:
+    """The [re, im] pairs nested in the lists ``v`` as a float array of
+    shape (..., 2), read a nesting level at a time: lists of one length,
+    or the numbers.  A number is a JSON number, as ``_typed`` takes one,
+    never a bool or a string, though numpy reads either as a float."""
+    shape, level = [], [v]
+    while (kinds := {*map(type, level)}) == {list}:
+        lengths = {*map(len, level)}
+        if len(lengths) != 1:
+            raise ValueError(f"complex entries must be [re, im] pairs, got lists of lengths {sorted(lengths)}")
+        shape.append(lengths.pop())
+        level = [*itertools.chain.from_iterable(level)]
+    if not kinds <= {int, float}:
+        for x in level:
+            _typed(x, _NUMBER, f"{what} entry")
+    if shape[-1:] != [2]:
+        raise ValueError(f"complex entries must be [re, im] pairs, got shape {tuple(shape)}")
+    return np.fromiter(level, dtype=float, count=len(level)).reshape(shape)
+
+
+def _complex(pairs: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # 1j * inf is a NaN, which the finiteness checks reject
-        return arr[..., 0] + 1j * arr[..., 1]
+        return pairs[..., 0] + 1j * pairs[..., 1]
 
 
 def surface_to_dict(s: Lcsh) -> dict:
@@ -104,7 +121,8 @@ def subsystem_to_dict(s: SubsystemSpec) -> dict:
 
 
 def subsystem_from_dict(d: dict) -> SubsystemSpec:
-    return SubsystemSpec(d["label"], _typed(d["dim"], int, "subsystem dim"), SubsystemKind(d["kind"]))
+    return SubsystemSpec(_typed(d["label"], str, "subsystem label"),
+                         _typed(d["dim"], int, "subsystem dim"), SubsystemKind(d["kind"]))
 
 
 def state_to_dict(state: StateVector) -> dict:
@@ -112,24 +130,6 @@ def state_to_dict(state: StateVector) -> dict:
         "subsystems": [subsystem_to_dict(s) for s in state.subsystems],
         "amplitudes": _complex_to_pairs(state.amplitudes),
     }
-
-
-def _amplitudes_to_complex(pairs: Any) -> np.ndarray:
-    """``_pairs_to_complex`` of a flat amplitude list in one pass: a
-    non-empty list of [re, im] lists is read by one ``np.fromiter`` over
-    the chained pairs, without the nested shape discovery of
-    ``np.asarray``.  Anything else, or a pair ``fromiter`` cannot read,
-    goes through ``_pairs_to_complex`` and raises its errors."""
-    if type(pairs) is list and pairs and {*map(type, pairs)} == {list} \
-            and {*map(len, pairs)} == {2}:
-        try:
-            flat = np.fromiter(itertools.chain.from_iterable(pairs), dtype=float,
-                               count=2 * len(pairs))
-        except (TypeError, ValueError):
-            pass
-        else:
-            return _pairs_to_complex(flat.reshape(-1, 2))
-    return _pairs_to_complex(pairs)
 
 
 def interaction_to_dict(ev: InteractionEvent) -> dict:
@@ -154,9 +154,10 @@ def interaction_from_dict(d: dict) -> InteractionEvent:
     gate = d.get("gate")
     if gate is not None:
         unitary = _gate_unitary(gate)
-        targets = (gate["source"], gate["target"])
+        targets = (_typed(gate["source"], str, "copy gate source"),
+                   _typed(gate["target"], str, "copy gate target"))
     else:
-        unitary = _pairs_to_complex(d["unitary"])
+        unitary = _complex(_float_pairs(d["unitary"], "unitary"))
         targets = _labels(d["subsystems"], "interaction subsystems")
     return InteractionEvent(d["name"], event_from_dict(d["at"]), targets, unitary, gate=gate)
 
@@ -179,10 +180,12 @@ def detector_from_dict(d: dict) -> DetectorEvent:
     entries = d["projectors"]
     outcomes = OutcomeSet(
         targets=_labels(d["targets"], "detector targets"),
-        outcomes=tuple((e["label"], _pairs_to_complex(e["matrix"])) for e in entries),
+        outcomes=tuple((e["label"], _complex(_float_pairs(e["matrix"], "projector matrix")))
+                       for e in entries),
     )
     return DetectorEvent(
-        d["label"], event_from_dict(d["at"]), outcomes, d["register"],
+        d["label"], event_from_dict(d["at"]), outcomes,
+        _typed(d["register"], str, "detector register"),
         absorbing=_typed(d.get("absorbing", False), bool, "detector absorbing"),
         pointers=tuple(e.get("pointer", i + 1) for i, e in enumerate(entries)),
     )
@@ -243,9 +246,8 @@ def scenario_from_dict(d: dict) -> Scenario:
 
 
 class _Runs:
-    """A dense amplitude list as ``_with_dense_amplitudes`` reads it: an
-    (m, 2) float array of [re, im] pairs, and how many times in a row each
-    pair stands in the list."""
+    """An amplitude list as runs: an (m, 2) float array of [re, im] pairs,
+    and how many times in a row each pair stands in the list."""
 
     __slots__ = ("pairs", "counts")
 
@@ -256,17 +258,15 @@ class _Runs:
 def _initial_amplitudes(d: dict) -> tuple[tuple[SubsystemSpec, ...], np.ndarray, np.ndarray]:
     """The initial state's subsystems, and the flat index and complex value
     of each of its amplitudes that is not +0+0j bit for bit, the list
-    checked by ``hilbert.check_layout``.  A JSON list is converted as a
-    whole; a ``_Runs`` list is converted once per run, and only its
-    nonzero runs are spelled out."""
+    checked by ``hilbert.check_layout``.  A JSON list is read as runs of
+    one pair each; each run is converted once, and only its nonzero runs
+    are spelled out."""
     subsystems = tuple(subsystem_from_dict(s) for s in d["subsystems"])
-    amplitudes = d["amplitudes"]
-    if type(amplitudes) is not _Runs:
-        values = _amplitudes_to_complex(amplitudes).reshape(-1)
-        hilbert.check_layout(subsystems, values.size)
-        index = hilbert.nonzero_bits(values)
-        return subsystems, index, values[index]
-    values, counts = _pairs_to_complex(amplitudes.pairs), amplitudes.counts
+    runs = d["amplitudes"]
+    if type(runs) is not _Runs:
+        pairs = _float_pairs(runs, "initial amplitude").reshape(-1, 2)
+        runs = _Runs(pairs, np.ones(len(pairs), dtype=np.intp))
+    values, counts = _complex(runs.pairs), runs.counts
     ends = np.cumsum(counts)
     hilbert.check_layout(subsystems, int(ends[-1]))
     keep = hilbert.nonzero_bits(values)
@@ -302,11 +302,11 @@ def _with_dense_amplitudes(data: bytes) -> dict | None:
     ``initial_state.amplitudes`` as ``_Runs``, or None.  The list's text, up
     to the first '"' or '}' (which no valid list reaches), is folded by
     ``_fold_records``; a list that does not fold is None.  The plain
-    reader's scanner decodes the folded text and finds the list's end.  Its
-    elements must all be pairs of JSON numbers, so each "[" after the list's
-    own opens one, and each kept copy, which holds one "[" and, after its
-    first "]", a ",", is one element and its separator: putting the dropped
-    copies back gives the list as written.  The list's text is then replaced
+    reader's scanner decodes the folded text and finds the list's end, and
+    the plain path's converter must read it as a flat list of pairs, so
+    each "[" after the list's own opens one, and each kept copy, which holds
+    one "[" and, after its first "]", a ",", is one element and its
+    separator: putting the dropped copies back gives the list as written.  The list's text is then replaced
     by a ``NaN`` before the rest is decoded and parsed; it must be the
     document's one constant and land at that key, so a list anywhere else, a
     repeated key, a byte that is not UTF-8 or an error in the rest is None.
@@ -326,13 +326,12 @@ def _with_dense_amplitudes(data: bytes) -> dict | None:
     decoder = json.JSONDecoder(parse_constant=lambda token: constants.append(token) or marker)
     try:
         pairs, stop = decoder.raw_decode(short.decode("utf-8"))
-        if kept[-1] + period > stop or {*map(type, pairs)} != {list} or {*map(len, pairs)} != {2} \
-                or not {*map(type, itertools.chain.from_iterable(pairs))} <= {int, float}:
+        values = _float_pairs(pairs, "initial amplitude")
+        if kept[-1] + period > stop or values.shape != (len(pairs), 2):
             return None
-        values = np.array(pairs, dtype=float)
         # The check above puts every dropped copy before the list's end.
         d = decoder.decode((data[:start] + b"NaN" + data[stop + end - len(short):]).decode("utf-8"))
-    except (ValueError, OverflowError, RecursionError):  # UnicodeDecodeError is a ValueError
+    except (TypeError, ValueError, OverflowError, RecursionError):  # UnicodeDecodeError is a ValueError
         return None
     state = d.get("initial_state") if type(d) is dict else None
     if len(constants) != 1 or type(state) is not dict or state.get("amplitudes") is not marker:

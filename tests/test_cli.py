@@ -212,6 +212,8 @@ def _malformed_scenarios():
     interaction_names["repeated"]["interactions"][0]["name"] = "AA2 copy"
     copy_theta = deepcopy(copies)
     copy_theta["interactions"][0]["gate"]["basis"]["theta"] = True
+    copy_source = deepcopy(copies)
+    copy_source["interactions"][0]["gate"]["source"] = 5
     int_outcome_label = deepcopy(ghz)
     int_outcome_label["detectors"][0]["projectors"][0]["label"] = 7
     # the top-level list disagrees with the initial state's on RA's dim or a's kind
@@ -231,6 +233,15 @@ def _malformed_scenarios():
 
     def detector_a(key, value):
         return lambda blob: blob["detectors"][0].__setitem__(key, value)
+
+    def projector_entry(row, col, part, value):  # of A's "+" projector
+        return lambda blob: blob["detectors"][0]["projectors"][0]["matrix"][row][col].__setitem__(
+            part, value)
+
+    def register_7(blob):  # RA, and the detector that writes it
+        for subsystems in (blob["subsystems"], blob["initial_state"]["subsystems"]):
+            subsystems[3]["label"] = 7
+        blob["detectors"][0]["register"] = 7
 
     shapes = {
         # after the detectors (t = 3), where dist, orders and sample never apply it
@@ -280,6 +291,25 @@ def _malformed_scenarios():
                                    "charged_modes must be a list, got 'a'"),
         "worldline-label-not-a-string": (lambda blob: blob["worldlines"][0].__setitem__("label", 5),
                                          "worldline label must be a string, got 5"),
+        # each of these loads if a bool is read as 0 or 1, a numeric string as its number
+        "amplitude-true": (
+            lambda blob: blob["initial_state"].__setitem__("amplitudes", [[True, 0.0]] + [[0.0, 0.0]] * 215),
+            "initial amplitude entry must be a number, got True"),
+        "amplitude-numeric-string": (
+            lambda blob: blob["initial_state"]["amplitudes"].__setitem__(0, ["0.7071067811865475", 0]),
+            "initial amplitude entry must be a number, got '0.7071067811865475'"),
+        "projector-entry-a-string": (projector_entry(1, 0, 0, "0.5"),
+                                     "projector matrix entry must be a number, got '0.5'"),
+        "projector-entry-false": (projector_entry(0, 1, 1, False),
+                                  "projector matrix entry must be a number, got False"),
+        "unitary-entry-false": (
+            lambda blob: blob.__setitem__("interactions", [
+                {"name": "kick", "at": {"t": 1, "x": [0]}, "subsystems": ["a"],
+                 "unitary": [[[1.0, 0.0], [False, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}]),
+            "unitary entry must be a number, got False"),
+        "register-label-an-integer": (register_7, "subsystem label must be a string, got 7"),
+        "detector-register-not-a-string": (detector_a("register", 7),
+                                           "detector register must be a string, got 7"),
     }
     worldlines = {"without-points": lambda blob: blob["worldlines"][0].__setitem__("points", []),
                   "point-of-another-dimension":
@@ -326,6 +356,8 @@ def _malformed_scenarios():
                                           "duplicate interaction name 'AA2 copy'"),
             "copy-basis-theta-a-bool": (copy_theta,
                                         type_error + "axis theta must be a number, got True"),
+            "copy-gate-source-not-a-string": (copy_source,
+                                              type_error + "copy gate source must be a string, got 5"),
             "outcome-label-not-a-string": (int_outcome_label, "outcome labels must be strings"),
             **{f"subsystem-{case}-mismatch": (
                 blob, "initial state subsystems do not match scenario subsystems")

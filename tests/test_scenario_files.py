@@ -180,6 +180,47 @@ def test_a_mutated_scenario_file_gives_a_distribution_or_one_json_error(path, wh
         assert abs(total - 1.0) <= 1e-12
 
 
+def _number_paths(node, path=()):
+    """The path to every number in ``node``: a JSON number, never a bool."""
+    if type(node) in (int, float):
+        yield path
+    elif isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _number_paths(value, path + (key,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(which=st.sampled_from(range(len(VALID))),
+       stand_in=st.sampled_from(["true", "false", "null", "numeric string", "[]"]), data=st.data())
+def test_a_number_replaced_by_a_non_number_fails_alike_in_both_readers(path, which, stand_in, data):
+    """One number anywhere in a valid file, with a finite floor t0 so that
+    t0 is one, becomes true, false, null, the string of that number or [].
+    A field is drawn first (its path without list indices), then one of its
+    numbers, so a scalar like c is as likely a target as an amplitude.
+    ``dist`` exits 1 with one validation error, the same bytes through the
+    program's reader and through ``_oracles.read_scenario_whole``."""
+    blob = deepcopy(VALID[which])
+    blob["initial_surface"] = {"t0": -1e3}
+    path.write_text(json.dumps(blob))
+    assert _dist(path)[0] == 0
+    fields = {}
+    for p in _number_paths(blob):
+        fields.setdefault(tuple(k for k in p if isinstance(k, str)), []).append(p)
+    *parents, key = data.draw(st.sampled_from(fields[data.draw(st.sampled_from(sorted(fields)))]))
+    parent = blob
+    for k in parents:
+        parent = parent[k]
+    parent[key] = {"true": True, "false": False, "null": None, "[]": [],
+                   "numeric string": json.dumps(parent[key])}[stand_in]
+    path.write_text(json.dumps(blob))
+    fast = _dist(path)
+    with mock.patch.object(cli, "_read_scenario", _oracles.read_scenario_whole):
+        assert _dist(path) == fast
+    code, out, err = fast
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "validation"
+
+
 
 # --- the dense amplitude pass against the plain reader ----------------------
 

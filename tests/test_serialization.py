@@ -40,7 +40,8 @@ def test_state_roundtrip_preserves_complex_amplitudes():
     st = s.initial.materialize()
     d = json.loads(json.dumps(ser.state_to_dict(st)))
     assert tuple(ser.subsystem_from_dict(sub) for sub in d["subsystems"]) == st.subsystems
-    assert np.abs(ser._pairs_to_complex(d["amplitudes"]) - st.amplitudes).max() < 1e-15
+    amplitudes = ser._complex(ser._float_pairs(d["amplitudes"], "amplitude"))
+    assert np.abs(amplitudes - st.amplitudes).max() < 1e-15
 
 
 @pytest.mark.parametrize("build", [
@@ -102,24 +103,25 @@ def _ghz5() -> Scenario:
     )
 
 
-def test_dense_ghz5_file_amplitudes_match_the_nested_conversion():
-    """A dense GHZ-5 file loads to the same bits through the flat
-    conversion as through ``_pairs_to_complex``, and so does each layout
-    ``json.dumps`` writes through ``scenario_from_json``, whose dense pass
-    reads them all."""
+def test_dense_ghz5_file_amplitudes_match_the_float_of_each_number():
+    """The converter reads a dense GHZ-5 list to the bits ``float`` gives
+    each of its numbers, sign of zero included, and so does the dense pass
+    on each layout ``json.dumps`` writes; a scenario built from the list,
+    or through ``scenario_from_json``, holds the amplitudes of those bits."""
     blob = ser.scenario_to_dict(_ghz5())
     pairs = blob["initial_state"]["amplitudes"]
-    nested = ser._pairs_to_complex(pairs)
-    assert len(pairs) == 6**5
-    assert ser._amplitudes_to_complex(pairs).tobytes() == nested.tobytes()
-    assert ser.scenario_from_dict(blob).initial.materialize().amplitudes.tobytes() == nested.tobytes()
+    pairs[1], pairs[2] = [-0.0, 0.0], [0.0, -0.0]  # zeros whose sign only the bits show
+    floats = np.array([[float(v) for v in pair] for pair in pairs])
+    assert floats.shape == (6**5, 2)
+    assert ser._float_pairs(pairs, "amplitude").tobytes() == floats.tobytes()
+    amplitudes = ser._complex(floats).tobytes()
+    assert ser.scenario_from_dict(blob).initial.materialize().amplitudes.tobytes() == amplitudes
     for layout in ({}, {"indent": 2}, {"separators": (",", ":")}):
         data = json.dumps(blob, **layout).encode()
         runs = ser._with_dense_amplitudes(data)["initial_state"]["amplitudes"]
-        dense = np.repeat(runs.pairs, runs.counts, axis=0)
-        assert ser._pairs_to_complex(dense).tobytes() == nested.tobytes()
+        assert np.repeat(runs.pairs, runs.counts, axis=0).tobytes() == floats.tobytes()
         s = ser.scenario_from_json(data)
-        assert s.initial.materialize().amplitudes.tobytes() == nested.tobytes()
+        assert s.initial.materialize().amplitudes.tobytes() == amplitudes
 
 
 def test_dist_on_a_written_ghz5_file_takes_the_dense_pass(tmp_path, capsys):
