@@ -4,26 +4,52 @@
 ``__eq__``, ``__hash__``, ``__setattr__`` and ``__delattr__`` as source
 text and ``exec``s it when the class is defined, so every import of the
 package compiled them again; byte-code caching cannot keep them.  A record
-class instead writes its own ``__init__``, inherits the other five from
-``Record``, and is declared ``@dataclass(init=False, repr=False, eq=False)``:
-that registers its fields, so ``dataclasses.replace``, ``fields`` and
-``asdict`` work, and generates no code.
+class instead declares only its fields, under ``@dataclass(init=False,
+repr=False, eq=False)``: that registers them, so ``dataclasses.replace``,
+``fields`` and ``asdict`` work, and generates no code.  It inherits all six
+methods from ``Record``, and they behave as the frozen dataclass's.
 
-The inherited methods behave as the frozen dataclass's: equality and
-hashing go by the tuple of field values in declaration order (so a record
-holding an array or a dict raises where a frozen dataclass does), the repr
-is ``Name(field=value, ...)``, and any assignment or deletion raises
-``FrozenInstanceError``.  ``__init__`` stores its fields with
-``self.__dict__.update(...)``, which the guard does not see.
+``__init__`` binds positional and keyword arguments to the fields, a
+missing one to its default, and raises ``TypeError`` for a missing, unknown
+or repeated one.  It stores them in ``self.__dict__``, which the guard does
+not see, then calls ``__post_init__``, where a class checks its fields and
+writes a normalized value back to ``self.__dict__``.  Equality and hashing
+go by the tuple of field values in declaration order (so a record holding
+an array or a dict raises where a frozen dataclass does), the repr is
+``Name(field=value, ...)``, and any assignment or deletion raises
+``FrozenInstanceError``.
 """
 
 from __future__ import annotations
 
 import reprlib
-from dataclasses import FrozenInstanceError
+from dataclasses import MISSING, FrozenInstanceError
 
 
 class Record:
+    def __init__(self, *args, **kwargs):
+        fields, values = self.__dataclass_fields__, self.__dict__
+        for key, value in zip(fields, args):
+            values[key] = value
+        if kwargs or len(args) != len(fields):
+            if len(args) > len(fields):
+                raise TypeError(f"{type(self).__qualname__}() takes {len(fields)} positional "
+                                f"arguments but {len(args)} were given")
+            for key, value in kwargs.items():
+                if key not in fields or key in values:
+                    problem = "multiple values for" if key in values else "an unexpected keyword"
+                    raise TypeError(f"{type(self).__qualname__}() got {problem} argument {key!r}")
+                values[key] = value
+            for key, field in fields.items():
+                if key not in values:
+                    if field.default is MISSING:
+                        raise TypeError(f"{type(self).__qualname__}() missing required argument {key!r}")
+                    values[key] = field.default
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__dataclass_fields__])
 

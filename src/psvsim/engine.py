@@ -54,14 +54,14 @@ class InteractionEvent(Record):
     unitary: np.ndarray
     gate: dict | None = None  # structured description for serialization
 
-    def __init__(self, name: str, at: Event, targets: tuple[str, ...], unitary: np.ndarray,
-                 gate: dict | None = None):
+    def __post_init__(self):
+        name, targets = self.name, self.targets
         if not (isinstance(name, str) and name):
             raise ConfigurationError(f"interaction name must be a non-empty string, got {name!r}")
         if type(targets) is not tuple or not targets or len(set(targets)) < len(targets):
             raise ConfigurationError(f"interaction {name!r} targets must be a non-empty "
                                      f"tuple of distinct labels, got {targets!r}")
-        u = np.array(unitary, dtype=complex)
+        u = np.array(self.unitary, dtype=complex)
         if not np.isfinite(u).all():
             raise ConfigurationError(f"interaction {name!r} has a non-finite unitary entry")
         # u u^dagger = 1 within EPS_OP; an entry above 1, which could overflow it, fails first
@@ -69,7 +69,7 @@ class InteractionEvent(Record):
                 and np.abs(u @ u.conj().T - np.eye(len(u))).max(initial=0) <= hilbert.EPS_OP):
             raise ConfigurationError(f"interaction {name!r} is not unitary")
         u.flags.writeable = False
-        self.__dict__.update(name=name, at=at, targets=targets, unitary=u, gate=gate)
+        self.__dict__["unitary"] = u
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -77,11 +77,13 @@ class DetectorEvent(Record):
     """A local detector: an outcome set on the measured subsystems plus a
     pointer register.  ``pointers`` maps each outcome position to the
     register basis index recording it; index 0 is the ready state, reused
-    by null ("nothing happened") outcomes.  Labels are strings, the
-    detector's non-empty, and pointers are integers >= 0.  Absorbing
-    detectors digest the measured subsystems, resetting them to their 0
-    basis state, so each of their projectors must fix one basis
-    configuration (rank 1, diagonal)."""
+    by null ("nothing happened") outcomes.  The register is this
+    detector's alone and starts at index 0 (``validate_scenario`` holds
+    both), so it records this detector's outcome under every reduction
+    order.  Labels are strings, the detector's non-empty, and pointers
+    are integers >= 0.  Absorbing detectors digest the measured
+    subsystems, resetting them to their 0 basis state, so each of their
+    projectors must fix one basis configuration (rank 1, diagonal)."""
 
     label: str
     at: Event
@@ -90,16 +92,16 @@ class DetectorEvent(Record):
     absorbing: bool = False
     pointers: tuple[int, ...] = ()
 
-    def __init__(self, label: str, at: Event, outcomes: OutcomeSet, register: str,
-                 absorbing: bool = False, pointers: tuple[int, ...] = ()):
+    def __post_init__(self):
+        label, outcomes, pointers = self.label, self.outcomes, self.pointers
         if not (isinstance(label, str) and label):
             raise ConfigurationError(f"detector label must be a non-empty string, got {label!r}")
-        if register in outcomes.targets:
+        if self.register in outcomes.targets:
             raise ConfigurationError(
                 f"detector {label!r} register must be distinct from its targets"
             )
         if not pointers:
-            pointers = tuple(range(1, len(outcomes.outcomes) + 1))
+            pointers = self.__dict__["pointers"] = tuple(range(1, len(outcomes.outcomes) + 1))
         if len(pointers) != len(outcomes.outcomes):
             raise ConfigurationError(
                 f"detector {label!r} has {len(pointers)} pointers for "
@@ -110,7 +112,7 @@ class DetectorEvent(Record):
             raise ConfigurationError(
                 f"detector {label!r} pointers must be integers >= 0, got {pointers}"
             )
-        for outcome, p in outcomes.outcomes if absorbing else ():
+        for outcome, p in outcomes.outcomes if self.absorbing else ():
             diag = np.diag(p).real
             if (np.abs(p - np.diag(diag)).max() > hilbert.EPS_OP
                     or abs(diag.sum() - 1.0) > hilbert.EPS_OP):
@@ -118,8 +120,6 @@ class DetectorEvent(Record):
                     f"absorbing detector {label!r} requires rank-1 basis projectors "
                     f"(outcome {outcome!r} is not one)"
                 )
-        self.__dict__.update(label=label, at=at, outcomes=outcomes, register=register,
-                             absorbing=absorbing, pointers=pointers)
 
     def pointer_for(self, outcome: str) -> int:
         return self.pointers[self.outcomes.labels.index(outcome)]
@@ -141,19 +141,6 @@ class BranchState(Record):
     subsystems: tuple[SubsystemSpec, ...]
     core: StateVector
     registers: dict[str, StateVector]
-
-    def __init__(self, subsystems: tuple[SubsystemSpec, ...], core: StateVector,
-                 registers: dict[str, StateVector]):
-        self.__dict__.update(subsystems=subsystems, core=core, registers=registers)
-
-    @classmethod
-    def split(cls, state: StateVector) -> "BranchState":
-        """Factor every register out of a full state: ``from_nonzero`` of
-        its entries that are not +0+0j, so the core is a copy that owns its
-        data, not a view of the full tensor."""
-        amps = state.amplitudes
-        index = hilbert.nonzero_bits(amps)
-        return cls.from_nonzero(state.subsystems, index, amps[index])
 
     @classmethod
     def from_nonzero(cls, subsystems: tuple[SubsystemSpec, ...], index: np.ndarray,
@@ -217,7 +204,7 @@ class BranchState(Record):
 
 @dataclass(init=False, repr=False, eq=False)
 class Scenario(Record):
-    """A scenario, valid once built: ``__init__`` runs
+    """A scenario, valid once built: ``__post_init__`` runs
     ``validate_scenario``.  ``initial`` is the factored state the engine
     starts every branch from."""
 
@@ -230,13 +217,7 @@ class Scenario(Record):
     charged_modes: tuple[str, ...] = ()
     worldlines: tuple[tuple[str, tuple[Event, ...]], ...] = ()  # diagram rendering only
 
-    def __init__(self, dim: int, c: float, initial: BranchState, initial_t0: float,
-                 interactions: tuple[InteractionEvent, ...], detectors: tuple[DetectorEvent, ...],
-                 charged_modes: tuple[str, ...] = (),
-                 worldlines: tuple[tuple[str, tuple[Event, ...]], ...] = ()):
-        self.__dict__.update(dim=dim, c=c, initial=initial, initial_t0=initial_t0,
-                             interactions=interactions, detectors=detectors,
-                             charged_modes=charged_modes, worldlines=worldlines)
+    def __post_init__(self):
         validate_scenario(self)
 
     @property
@@ -281,7 +262,7 @@ class Scenario(Record):
 
 
 def _check_factors(state: BranchState) -> None:
-    """What ``BranchState.split`` guarantees, checked for a state built by
+    """What ``BranchState.from_nonzero`` guarantees, checked for a state built by
     hand: the core spans the non-register subsystems in order, and each
     register is one basis state of its own subsystem."""
     core = tuple(sub for sub in state.subsystems if sub.kind is not SubsystemKind.REGISTER)
@@ -328,7 +309,7 @@ def validate_scenario(s: Scenario) -> None:
                 raise ConfigurationError(f"interaction {ev.name!r} targets unknown subsystem {t!r}")
             if specs[t].kind is SubsystemKind.REGISTER:
                 raise ConfigurationError(f"interaction {ev.name!r} targets register {t!r}")
-    seen = set()
+    seen, writers = set(), {}
     for d in s.detectors:
         if d.label in seen:
             raise ConfigurationError(f"duplicate detector label {d.label!r}")
@@ -346,6 +327,15 @@ def validate_scenario(s: Scenario) -> None:
             raise ConfigurationError(
                 f"detector {d.label!r} pointer {max(d.pointers)} exceeds register dim {reg.dim}"
             )
+        # a shift swaps index 0 and the outcome's: it records only on a register at 0 no one else moves
+        if d.register in writers:
+            raise ConfigurationError(f"detectors {writers[d.register]!r} and {d.label!r} "
+                                     f"share register {d.register!r}")
+        writers[d.register] = d.label
+        ready = s.initial.registers[d.register].basis_index
+        if ready != 0:
+            raise ConfigurationError(f"detector {d.label!r} register {d.register!r} starts at "
+                                     f"index {ready}, not its ready index 0")
     # hilbert trusts each operator's shape; an outcome set's projectors share one
     operators = [(f"interaction {ev.name!r} unitary", ev.unitary, ev.targets) for ev in s.interactions]
     operators += [(f"detector {d.label!r} projector", d.outcomes.outcomes[0][1], d.outcomes.targets)
@@ -452,14 +442,6 @@ class StepRecord(Record):
     state_after: StateVector   # on S_k+
     interactions_applied: tuple[str, ...]
 
-    def __init__(self, detector: str, outcome: str, probability: float, reduction: bool,
-                 surface_before: Lcsh, surface_after: Lcsh, state_before: StateVector,
-                 state_after: StateVector, interactions_applied: tuple[str, ...]):
-        self.__dict__.update(detector=detector, outcome=outcome, probability=probability,
-                             reduction=reduction, surface_before=surface_before,
-                             surface_after=surface_after, state_before=state_before,
-                             state_after=state_after, interactions_applied=interactions_applied)
-
 
 @dataclass(init=False, repr=False, eq=False)
 class BranchNode(Record):
@@ -471,12 +453,6 @@ class BranchNode(Record):
     state_before: BranchState  # on S_k-, after due interactions
     probabilities: tuple[float, ...]  # in ``detector.outcomes.labels`` order
     interactions_applied: tuple[str, ...]
-
-    def __init__(self, detector: DetectorEvent, surface_after: Lcsh, state_before: BranchState,
-                 probabilities: tuple[float, ...], interactions_applied: tuple[str, ...]):
-        self.__dict__.update(detector=detector, surface_after=surface_after,
-                             state_before=state_before, probabilities=probabilities,
-                             interactions_applied=interactions_applied)
 
     @property
     def reduction(self) -> bool:
@@ -513,14 +489,9 @@ def step(s: Scenario, surface: Lcsh, state: BranchState, detector: str) -> Branc
     for ev in due:
         state = state.interact(ev)
     state = state.canonical()
-    return BranchNode(
-        detector=det,
-        surface_after=new_surface,
-        state_before=state,
-        probabilities=tuple(hilbert.born_probability(state.core, det.outcomes, l)
-                            for l in det.outcomes.labels),
-        interactions_applied=tuple(ev.name for ev in due),
-    )
+    probabilities = tuple(hilbert.born_probability(state.core, det.outcomes, l)
+                          for l in det.outcomes.labels)
+    return BranchNode(det, new_surface, state, probabilities, tuple(ev.name for ev in due))
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -532,11 +503,6 @@ class RunRecord(Record):
     steps: tuple[StepRecord, ...]
     final_state: StateVector  # at t = +inf (all remaining interactions applied)
     total_probability: float
-
-    def __init__(self, scenario: Scenario, order: tuple[str, ...], steps: tuple[StepRecord, ...],
-                 final_state: StateVector, total_probability: float):
-        self.__dict__.update(scenario=scenario, order=order, steps=steps,
-                             final_state=final_state, total_probability=total_probability)
 
     def outcomes(self) -> tuple[str, ...]:
         """Outcome labels in scenario detector declaration order."""
@@ -621,9 +587,6 @@ class JointDistribution(Record):
     detectors: tuple[str, ...]
     probabilities: dict[tuple[str, ...], float]
 
-    def __init__(self, detectors: tuple[str, ...], probabilities: dict[tuple[str, ...], float]):
-        self.__dict__.update(detectors=detectors, probabilities=probabilities)
-
     def probability(self, key: tuple[str, ...]) -> float:
         return self.probabilities.get(tuple(key), 0.0)
 
@@ -671,9 +634,6 @@ class EmpiricalDistribution(Record):
     counts: dict[tuple[str, ...], int]
     n: int
 
-    def __init__(self, detectors: tuple[str, ...], counts: dict[tuple[str, ...], int], n: int):
-        self.__dict__.update(detectors=detectors, counts=counts, n=n)
-
 
 def sample(s: Scenario, order: tuple[str, ...], n: int, seed: int = 0) -> EmpiricalDistribution:
     """n independent sampled runs, 1 <= n <= ``MAX_SAMPLES``: the exact
@@ -714,9 +674,6 @@ class UndefinedState(Record):
     they cross a reduction surface."""
 
     reason: str
-
-    def __init__(self, reason: str):
-        self.__dict__.update(reason=reason)
 
 
 def state_on_hyperplane(

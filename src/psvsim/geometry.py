@@ -54,8 +54,8 @@ class Event(Record):
     t: float
     x: tuple[float, ...]
 
-    def __init__(self, t: float, x: tuple[float, ...]):
-        self.__dict__.update(t=float(t), x=tuple(float(v) for v in x))
+    def __post_init__(self):
+        self.__dict__.update(t=float(self.t), x=tuple(float(v) for v in self.x))
         if not 1 <= len(self.x) <= 3:
             raise ConfigurationError(
                 f"spatial dimension must be 1, 2 or 3, got {len(self.x)}"
@@ -99,13 +99,12 @@ class Lcsh(Record):
     apexes: tuple[Event, ...] = ()
     c: float = 1.0
 
-    def __init__(self, t0: float = MINUS_INFINITY, apexes: tuple[Event, ...] = (), c: float = 1.0):
-        self.__dict__.update(t0=t0, apexes=apexes, c=c)
-        if not (math.isfinite(c) and c > 0):
-            raise ConfigurationError(f"speed of light must be positive and finite, got {c}")
-        if not (math.isfinite(t0) or t0 == MINUS_INFINITY):
-            raise ConfigurationError(f"surface floor t0 must be finite or -inf, got {t0}")
-        dims = {a.dim for a in apexes}
+    def __post_init__(self):
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ConfigurationError(f"speed of light must be positive and finite, got {self.c}")
+        if not (math.isfinite(self.t0) or self.t0 == MINUS_INFINITY):
+            raise ConfigurationError(f"surface floor t0 must be finite or -inf, got {self.t0}")
+        dims = {a.dim for a in self.apexes}
         if len(dims) > 1:
             raise ConfigurationError(f"apexes have mixed dimensions {sorted(dims)}")
 

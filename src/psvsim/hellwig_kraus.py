@@ -33,9 +33,6 @@ class HkRegion(Record):
 
     sides: tuple[tuple[str, SurfaceSide], ...]
 
-    def __init__(self, sides: tuple[tuple[str, SurfaceSide], ...]):
-        self.__dict__.update(sides=sides)
-
     @property
     def reduced(self) -> tuple[str, ...]:
         return tuple(l for l, s in self.sides if s is SurfaceSide.FUTURE)
@@ -126,9 +123,6 @@ class HkComparison(Record):
 
     hk_conditional: float
     psv_conditional: float
-
-    def __init__(self, hk_conditional: float, psv_conditional: float):
-        self.__dict__.update(hk_conditional=hk_conditional, psv_conditional=psv_conditional)
 
 
 def hk_copy_inconsistency(

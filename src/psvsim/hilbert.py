@@ -46,16 +46,11 @@ class SubsystemSpec(Record):
     dim: int
     kind: SubsystemKind
 
-    def __init__(self, label: str, dim: int, kind: SubsystemKind):
-        self.__dict__.update(label=label, dim=dim, kind=kind)
+    def __post_init__(self):
         if self.kind in (SubsystemKind.SPIN, SubsystemKind.MODE) and self.dim != 2:
-            raise ConfigurationError(
-                f"{self.kind.value} subsystem {self.label!r} must have dim 2"
-            )
+            raise ConfigurationError(f"{self.kind.value} subsystem {self.label!r} must have dim 2")
         if self.kind is SubsystemKind.REGISTER and self.dim < 2:
-            raise ConfigurationError(
-                f"register {self.label!r} must have dim >= 2, got {self.dim}"
-            )
+            raise ConfigurationError(f"register {self.label!r} must have dim >= 2, got {self.dim}")
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -66,10 +61,9 @@ class StateVector(Record):
     subsystems: tuple[SubsystemSpec, ...]
     amplitudes: np.ndarray  # flat complex vector of length prod(dims)
 
-    def __init__(self, subsystems: tuple[SubsystemSpec, ...], amplitudes: np.ndarray):
-        self.__dict__["subsystems"] = subsystems
-        _check_labels(subsystems)
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    def __post_init__(self):
+        _check_labels(self.subsystems)
+        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         _check_length(amps.size, self.dims)
         amps.flags.writeable = False
         self.__dict__["amplitudes"] = amps
@@ -228,9 +222,8 @@ class Axis(Record):
     theta: float
     phi: float = 0.0
 
-    def __init__(self, theta: float, phi: float = 0.0):
-        self.__dict__.update(theta=theta, phi=phi)
-        if not (math.isfinite(theta) and math.isfinite(phi)):
+    def __post_init__(self):
+        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
             raise ConfigurationError(
                 f"axis angles must be finite, got theta={self.theta}, phi={self.phi}"
             )
@@ -280,7 +273,8 @@ class OutcomeSet(Record):
     targets: tuple[str, ...]
     outcomes: tuple[tuple[str, np.ndarray], ...]
 
-    def __init__(self, targets: tuple[str, ...], outcomes: tuple[tuple[str, np.ndarray], ...]):
+    def __post_init__(self):
+        targets, outcomes = self.targets, self.outcomes
         if type(targets) is not tuple or not targets or len(set(targets)) < len(targets):
             raise ConfigurationError(f"outcome set targets must be a non-empty tuple of "
                                      f"distinct labels, got {targets!r}")
@@ -310,8 +304,7 @@ class OutcomeSet(Record):
                     )
         if np.abs(sum(projs) - np.eye(d)).max() > EPS_OP:
             raise ConfigurationError("projectors do not sum to the identity")
-        self.__dict__.update(targets=targets,
-                             outcomes=tuple((l, _frozen(p)) for l, p in zip(labels, projs)))
+        self.__dict__["outcomes"] = tuple((l, _frozen(p)) for l, p in zip(labels, projs))
 
     @property
     def labels(self) -> tuple[str, ...]:

@@ -11,11 +11,13 @@ import itertools
 import json
 import math
 import re
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from . import hilbert, scenarios
+from ._record import Record
 from .engine import (
     BranchState,
     DetectorEvent,
@@ -153,6 +155,8 @@ def _gate_unitary(gate: dict) -> np.ndarray:
 def interaction_from_dict(d: dict) -> InteractionEvent:
     gate = d.get("gate")
     if gate is not None:
+        if "unitary" in d:
+            raise ConfigurationError(f"interaction {d['name']!r} has both a gate and a unitary")
         unitary = _gate_unitary(gate)
         targets = (_typed(gate["source"], str, "copy gate source"),
                    _typed(gate["target"], str, "copy gate target"))
@@ -245,14 +249,13 @@ def scenario_from_dict(d: dict) -> Scenario:
         raise ConfigurationError(f"malformed scenario: {type(exc).__name__}: {exc}") from exc
 
 
-class _Runs:
+@dataclass(init=False, repr=False, eq=False)
+class _Runs(Record):
     """An amplitude list as runs: an (m, 2) float array of [re, im] pairs,
     and how many times in a row each pair stands in the list."""
 
-    __slots__ = ("pairs", "counts")
-
-    def __init__(self, pairs: np.ndarray, counts: np.ndarray):
-        self.pairs, self.counts = pairs, counts
+    pairs: np.ndarray
+    counts: np.ndarray
 
 
 def _initial_amplitudes(d: dict) -> tuple[tuple[SubsystemSpec, ...], np.ndarray, np.ndarray]:

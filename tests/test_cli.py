@@ -5,13 +5,17 @@ import os
 import subprocess
 import sys
 from copy import deepcopy
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from psvsim import engine, hilbert, scenarios, serialization
 from psvsim.cli import main, parse_axis
+from psvsim.engine import BranchState, DetectorEvent, Scenario
 from psvsim.errors import ConfigurationError
+from psvsim.geometry import Event
+from psvsim.hilbert import SubsystemKind, SubsystemSpec
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +218,12 @@ def _malformed_scenarios():
     copy_theta["interactions"][0]["gate"]["basis"]["theta"] = True
     copy_source = deepcopy(copies)
     copy_source["interactions"][0]["gate"]["source"] = 5
+    gate_and_unitary = deepcopy(copies)
+    gate_and_unitary["interactions"][0]["unitary"] = _pairs(np.eye(4))
+    # RA at index 2, the pointer A's "-" outcome writes
+    not_ready = deepcopy(ghz)
+    psi = np.array(ghz["initial_state"]["amplitudes"]).reshape(2, 2, 2, 3, 3, 3, 2)
+    not_ready["initial_state"]["amplitudes"] = np.roll(psi, 2, axis=3).reshape(-1, 2).tolist()
     int_outcome_label = deepcopy(ghz)
     int_outcome_label["detectors"][0]["projectors"][0]["label"] = 7
     # the top-level list disagrees with the initial state's on RA's dim or a's kind
@@ -234,6 +244,9 @@ def _malformed_scenarios():
     def detector_a(key, value):
         return lambda blob: blob["detectors"][0].__setitem__(key, value)
 
+    def detector_b(key, value):
+        return lambda blob: blob["detectors"][1].__setitem__(key, value)
+
     def projector_entry(row, col, part, value):  # of A's "+" projector
         return lambda blob: blob["detectors"][0]["projectors"][0]["matrix"][row][col].__setitem__(
             part, value)
@@ -251,6 +264,26 @@ def _malformed_scenarios():
         "detector-projector-wrong-side": (  # A's 2x2 projectors on spins a and b
             detector_a("targets", ["a", "b"]),
             "detector 'A' projector has shape (2, 2), expected (4, 4) for targets ('a', 'b')"),
+    }
+    references = {
+        "detector-label-repeated": (detector_b("label", "A"), "duplicate detector label 'A'"),
+        "interaction-on-unknown-subsystem": (interaction(["z"], np.eye(2)),
+                                             "interaction 'kick' targets unknown subsystem 'z'"),
+        "register-a-spin": (detector_a("register", "b"),
+                            "detector 'A' register 'b' is not a register"),
+        "pointer-at-register-dim": (
+            lambda blob: blob["detectors"][0]["projectors"][1].__setitem__("pointer", 3),
+            "detector 'A' pointer 3 exceeds register dim 3"),
+        "charged-mode-unknown": (lambda blob: blob.__setitem__("charged_modes", ["z"]),
+                                 "unknown subsystem label 'z'"),
+        "outcome-labels-repeated": (
+            lambda blob: blob["detectors"][0]["projectors"][1].__setitem__("label", "+"),
+            "duplicate outcome labels ['+', '+']"),
+        "projector-entry-above-1": (projector_entry(0, 0, 0, 1.5),
+                                    "projector '+' has an entry of modulus above 1"),
+        # B would shift A's pointer: RA's final index would depend on the order
+        "register-shared": (detector_b("register", "RA"),
+                            "detectors 'A' and 'B' share register 'RA'"),
     }
     interaction_targets = "interaction 'kick' targets must be a non-empty tuple of distinct labels"
     outcome_targets = "outcome set targets must be a non-empty tuple of distinct labels"
@@ -319,6 +352,7 @@ def _malformed_scenarios():
             "detector-without-projectors": (no_projectors, malformed),
             **{name: (edited(edit), message) for name, (edit, message) in shapes.items()},
             **{name: (edited(edit), message) for name, (edit, message) in targets.items()},
+            **{name: (edited(edit), message) for name, (edit, message) in references.items()},
             **{f"worldline-{case}": (edited(edit), "worldline 'a' must have points of dimension 1")
                for case, edit in worldlines.items()},
             **{name: (edited(edit), type_error + message)
@@ -358,6 +392,10 @@ def _malformed_scenarios():
                                         type_error + "axis theta must be a number, got True"),
             "copy-gate-source-not-a-string": (copy_source,
                                               type_error + "copy gate source must be a string, got 5"),
+            "interaction-gate-and-unitary": (
+                gate_and_unitary, "interaction 'AA1 copy' has both a gate and a unitary"),
+            "register-not-ready": (
+                not_ready, "detector 'A' register 'RA' starts at index 2, not its ready index 0"),
             "outcome-label-not-a-string": (int_outcome_label, "outcome labels must be strings"),
             **{f"subsystem-{case}-mismatch": (
                 blob, "initial state subsystems do not match scenario subsystems")
@@ -590,6 +628,45 @@ def test_sample_count_above_the_limit_is_a_validation_error(capsys):
     code, out, err = run_cli(capsys, "sample", "--scenario", "ghz", "--samples", str(n))
     assert (code, out) == (1, "")
     assert err == f"error (validation): {n} samples exceed limit {engine.MAX_SAMPLES}\n"
+
+
+def test_dist_over_the_branch_limit_is_a_validation_error(capsys):
+    with mock.patch.object(engine, "MAX_BRANCHES", 7):  # GHZ has 8 outcome branches
+        code, out, err = run_cli(capsys, "dist", "--scenario", "ghz")
+    assert (code, out, err) == (1, "", "error (validation): 8 outcome branches exceed limit 7\n")
+
+
+def test_orders_refuses_more_detectors_than_it_enumerates(tmp_path, capsys):
+    """Nine detectors along one spin's worldline have one valid order, but
+    ``orders`` tries every permutation only up to eight detectors."""
+    spin = SubsystemSpec("a", 2, SubsystemKind.SPIN)
+    regs = tuple(SubsystemSpec(f"R{k}", 3, SubsystemKind.REGISTER) for k in range(9))
+    s = Scenario(
+        dim=1, c=1.0,
+        initial=BranchState((spin,) + regs, hilbert.basis_state((spin,)),
+                            {r.label: hilbert.basis_state((r,)) for r in regs}),
+        initial_t0=-math.inf, interactions=(),
+        detectors=tuple(DetectorEvent(f"D{k}", Event(k + 1.0, (0.0,)),
+                                      hilbert.spin_outcome_set("a", hilbert.Z_AXIS), f"R{k}")
+                        for k in range(9)),
+    )
+    path = tmp_path / "nine.json"
+    path.write_text(json.dumps(serialization.scenario_to_dict(s)))
+    code, out, err = run_cli(capsys, "orders", "--scenario", str(path), "--json")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "validation", "message":
+                               "refusing to enumerate orders for 9 detectors (limit 8)"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("run", "--scenario", "ghz", "--outcomes", "A=+,B=+"),
+     "--outcomes missing entries for detectors ['C']"),
+    (("dist", "--scenario", "singlet", "--axes", "i=x,j"),
+     "malformed --axes entry 'j', expected key=value"),
+], ids=["outcomes-missing-an-entry", "axes-entry-without-a-value"])
+def test_an_incomplete_option_is_a_validation_error(argv, message, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error (validation): {message}\n")
 
 
 def test_outcomes_match_detector_labels_exactly(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
@@ -35,6 +36,15 @@ def test_svg_structure():
     assert ">C: c1<" in svg and ">A: hit<" in svg
 
 
+def test_svg_draws_a_finite_initial_surface():
+    s = replace(scenarios.ghz(), initial_t0=-1.0)
+    root = ET.fromstring(render_svg(run(s, s.detector_labels, seed=0)))
+    lines = [el for el in root.iter() if el.tag.endswith("}line")]
+    assert [el.get("class") for el in lines] == ["initial-surface"]
+    assert lines[0].get("y1") == lines[0].get("y2")
+    assert "S0" in {el.text for el in root.iter() if el.tag.endswith("}text")}
+
+
 def test_svg_escapes_labels():
     mark = '<&>"\''
     d = serialization.scenario_to_dict(scenarios.split_particle())
@@ -52,7 +62,8 @@ def test_svg_rejects_higher_dimensions():
     reg = SubsystemSpec("R", 3, SubsystemKind.REGISTER)
     s = Scenario(
         dim=2, c=1.0,
-        initial=BranchState.split(hilbert.basis_state((spin, reg))),
+        initial=BranchState((spin, reg), hilbert.basis_state((spin,)),
+                            {"R": hilbert.basis_state((reg,))}),
         initial_t0=-math.inf, interactions=(),
         detectors=(DetectorEvent("A", Event(1.0, (0.0, 0.0)),
                                  hilbert.spin_outcome_set("s", Z_AXIS), "R"),),

@@ -44,6 +44,12 @@ from psvsim.hilbert import (
 )
 
 
+def _factored(state: StateVector) -> BranchState:
+    """``BranchState.from_nonzero`` of a full state's entries that are not +0+0j."""
+    index = hilbert.nonzero_bits(state.amplitudes)
+    return BranchState.from_nonzero(state.subsystems, index, state.amplitudes[index])
+
+
 def two_detector_scenario(event_a, event_b):
     """Minimal two-spin scenario with detectors at configurable events."""
     spins = (SubsystemSpec("a", 2, SubsystemKind.SPIN),
@@ -53,7 +59,7 @@ def two_detector_scenario(event_a, event_b):
     initial = hilbert.tensor(scenarios.singlet_state(spins),
                              hilbert.basis_state(regs))
     return Scenario(
-        dim=1, c=1.0, initial=BranchState.split(initial),
+        dim=1, c=1.0, initial=_factored(initial),
         initial_t0=-math.inf, interactions=(),
         detectors=(
             DetectorEvent("A", event_a, hilbert.spin_outcome_set("a", Z_AXIS), "RA"),
@@ -72,7 +78,7 @@ def ghz_n(axes):
     amps[0], amps[-1] = 1 / math.sqrt(2.0), -1 / math.sqrt(2.0)
     return Scenario(
         dim=1, c=1.0,
-        initial=BranchState.split(
+        initial=_factored(
             hilbert.tensor(StateVector(spins, amps), hilbert.basis_state(regs))),
         initial_t0=-math.inf, interactions=(),
         detectors=tuple(
@@ -149,9 +155,9 @@ def _register_rule_violations():
         "detector-measures-other-register": (
             lambda: replace(s, detectors=(s.detector("A"), reads_ra)),
             "detector 'B' measures register 'RA'"),
-        "register-in-superposition": (lambda: replace(s, initial=BranchState.split(
+        "register-in-superposition": (lambda: replace(s, initial=_factored(
             hilbert.tensor(scenarios.singlet_state(spins), superposed, ready))), basis),
-        "register-entangled-with-spin": (lambda: replace(s, initial=BranchState.split(
+        "register-entangled-with-spin": (lambda: replace(s, initial=_factored(
             hilbert.tensor(StateVector(spins + regs[:1], entangled.reshape(-1)), ready))), basis),
         "register-factor-in-superposition": (lambda: with_factor("RA", superposed), basis),
         "register-factor-on-another-register": (
@@ -204,10 +210,11 @@ def _random_state(rng) -> StateVector:
     return StateVector(subsystems, amps)
 
 
-def test_split_factors_states_as_the_dense_oracle_does():
-    """``BranchState.split`` gives ``_oracles.dense_split``'s core bytes,
-    signed zeros included, and register indices, or its error, and its
-    core is a contiguous array."""
+def test_from_nonzero_factors_states_as_the_dense_oracle_does():
+    """``BranchState.from_nonzero`` of a state's entries that are not
+    +0+0j gives ``_oracles.dense_split``'s core bytes, signed zeros
+    included, and register indices, or its error, and its core is a
+    contiguous array."""
     rng = np.random.default_rng(21)
     for _ in range(2000):
         state = _random_state(rng)
@@ -215,9 +222,9 @@ def test_split_factors_states_as_the_dense_oracle_does():
             core, registers = _oracles.dense_split(state)
         except ConfigurationError as exc:
             with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
-                BranchState.split(state)
+                _factored(state)
             continue
-        split = BranchState.split(state)
+        split = _factored(state)
         assert split.core.amplitudes.tobytes() == core.tobytes()
         assert split.core.amplitudes.flags.c_contiguous
         assert {label: int(np.flatnonzero(factor.amplitudes)[0])
@@ -288,7 +295,7 @@ def test_step_takes_due_interactions_from_its_two_surfaces(build):
                 node = step(s, st.surface_before, state, st.detector)
                 assert node.interactions_applied == st.interactions_applied
                 assert states_close(node.state_before.materialize(), st.state_before)
-                state = BranchState.split(st.state_after)
+                state = _factored(st.state_after)
 
 
 @pytest.mark.parametrize("outcomes", [

@@ -220,3 +220,36 @@ def test_records_behave_as_frozen_dataclasses(cls):
     else:  # a field holds an array or a dict
         with pytest.raises(TypeError, match="unhashable"):
             hash(obj)
+
+
+@pytest.mark.parametrize("cls", _RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_records_bind_their_arguments_as_a_dataclass_init_does(cls):
+    obj = _records()[cls]
+    fields = dataclasses.fields(obj)
+    names = [f.name for f in fields]
+    values = [getattr(obj, name) for name in names]
+    for built in (cls(*values), cls(**dict(zip(names, values)))):
+        assert type(built) is cls
+        np.testing.assert_equal([getattr(built, name) for name in names], values)
+    required = [f.name for f in fields if f.default is dataclasses.MISSING]
+    if required:  # every field of ``Lcsh`` has a default
+        with pytest.raises(TypeError, match=f"missing required argument {required[0]!r}"):
+            cls(**{n: v for n, v in zip(names, values) if n != required[0]})
+    with pytest.raises(TypeError, match="unexpected keyword argument 'not_a_field'"):
+        cls(*values, not_a_field=None)
+    with pytest.raises(TypeError, match=f"multiple values for argument {names[0]!r}"):
+        cls(*values, **{names[0]: values[0]})
+    with pytest.raises(TypeError, match=f"takes {len(names)} positional arguments "
+                                        f"but {len(names) + 1} were given"):
+        cls(*values, None)
+
+
+def test_no_record_class_writes_its_own_init():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    records = set(subclasses(psvsim._record.Record))
+    assert set(_RECORD_CLASSES) <= records
+    assert [cls.__name__ for cls in records if "__init__" in vars(cls)] == []

@@ -40,8 +40,8 @@ def _ghz(n: int) -> Scenario:
     u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
     return Scenario(
         dim=1, c=1.0,
-        initial=BranchState.split(hilbert.tensor(StateVector(spins, core),
-                                                 hilbert.basis_state(regs))),
+        initial=BranchState(spins + regs, StateVector(spins, core),
+                            {r.label: hilbert.basis_state((r,)) for r in regs}),
         initial_t0=-math.inf,
         interactions=(InteractionEvent("early", Event(0.5, (0.0,)), ("s0", "s1"), u),
                       InteractionEvent("late", Event(10.0, (6.0,)), ("s1", "s2"), u)),
@@ -553,22 +553,33 @@ def test_dist_on_a_ghz6_file_checks_each_run_of_zero_records_once(tmp_path, caps
 
 # --- the loaded state against the dense register factoring -----------------
 
-def _loads_as_dense_split(path):
-    """The program's reader loads the file's initial state as
-    ``_oracles.dense_split`` factors the plain reader's dense list: the
-    same core bytes and register indices.  Returns the loaded scenario."""
-    with open(path, "rb") as fh:
-        s = cli._read_scenario(fh)
+def _dense_list(path) -> StateVector:
+    """The plain reader's dense initial state of the file."""
     with open(path, encoding="utf-8") as fh:
         state = json.load(fh)["initial_state"]
     pairs = np.array(state["amplitudes"], dtype=float)
     subsystems = tuple(SubsystemSpec(sub["label"], sub["dim"], SubsystemKind(sub["kind"]))
                        for sub in state["subsystems"])
     # re + 1j * im, the conversion every psvsim version has made, signed zeros included
-    core, registers = _oracles.dense_split(StateVector(subsystems, pairs[:, 0] + 1j * pairs[:, 1]))
-    assert s.initial.core.amplitudes.tobytes() == core.tobytes()
+    return StateVector(subsystems, pairs[:, 0] + 1j * pairs[:, 1])
+
+
+def _assert_dense_split(initial: BranchState, dense: StateVector) -> None:
+    """``initial`` has the core bytes and register indices that
+    ``_oracles.dense_split`` factors ``dense`` into."""
+    core, registers = _oracles.dense_split(dense)
+    assert initial.core.amplitudes.tobytes() == core.tobytes()
     assert {label: int(np.flatnonzero(factor.amplitudes)[0])
-            for label, factor in s.initial.registers.items()} == registers
+            for label, factor in initial.registers.items()} == registers
+
+
+def _loads_as_dense_split(path):
+    """The program's reader loads the file's initial state as
+    ``_oracles.dense_split`` factors the plain reader's dense list.
+    Returns the loaded scenario."""
+    with open(path, "rb") as fh:
+        s = cli._read_scenario(fh)
+    _assert_dense_split(s.initial, _dense_list(path))
     return s
 
 
@@ -629,7 +640,6 @@ def _uniform(n: int):
 _EDGE_CASES = {
     "-0.0 on the slice": lambda: _with_pair(_ghz4_text(), 81, "[-0.0, -0.0]"),
     "-0.0 off the slice": lambda: _with_pair(_ghz4_text(), _MID, "[-0.0, -0.0]"),
-    "a register at a nonzero index": lambda: json.dumps(_register_at(_GHZ4, "R2", 2)),
     "a uniform spin superposition": lambda: json.dumps(_uniform(7)),
 }
 
@@ -678,6 +688,21 @@ def test_a_bad_amplitude_list_is_reported_as_it_always_was(path, case):
     assert json.loads(err) == {"error": "validation", "message": message}
 
 
+def test_a_register_off_its_ready_index_is_rejected(path):
+    """A detector's register must start at its ready index 0, or its
+    pointer shift records the wrong outcome.  ``from_nonzero`` still
+    factors the list as the dense oracle does."""
+    assert _readers_agree(path, json.dumps(_register_at(_GHZ4, "R2", 2)))
+    code, out, err = _dist(path)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "validation", "message": "detector 'D2' register 'R2' "
+                               "starts at index 2, not its ready index 0"}
+    dense = _dense_list(path)
+    index = hilbert.nonzero_bits(dense.amplitudes)
+    _assert_dense_split(BranchState.from_nonzero(dense.subsystems, index, dense.amplitudes[index]),
+                        dense)
+
+
 def test_an_off_slice_amplitude_below_the_tolerance_is_accepted(path):
     assert _readers_agree(path, _with_pair(_ghz4_text(), _MID, "[1e-12, 0.0]"))
     assert _dist(path)[0] == 0
@@ -706,13 +731,14 @@ def test_loading_a_ghz7_file_holds_no_array_the_size_of_the_file(tmp_path):
     assert s.initial.core.amplitudes.size == 2**7
 
 
-def test_split_copies_the_core_out_of_a_dense_state():
-    """``BranchState.split`` gives a C-contiguous core that owns its
-    memory, shared with nothing of the dense state."""
+def test_from_nonzero_copies_the_core_out_of_a_dense_state():
+    """``BranchState.from_nonzero`` gives a C-contiguous core that owns
+    its memory, shared with nothing of the dense state."""
     spins = tuple(SubsystemSpec(f"s{k}", 2, SubsystemKind.SPIN) for k in range(3))
     regs = tuple(SubsystemSpec(f"R{k}", 3, SubsystemKind.REGISTER) for k in range(3))
     dense = hilbert.tensor(StateVector(spins, np.full(8, 8**-0.5)), hilbert.basis_state(regs))
-    amps = BranchState.split(dense).core.amplitudes
+    index = hilbert.nonzero_bits(dense.amplitudes)
+    amps = BranchState.from_nonzero(dense.subsystems, index, dense.amplitudes[index]).core.amplitudes
     owner = amps if amps.base is None else amps.base
     assert amps.flags.c_contiguous and owner.flags.owndata and owner.nbytes == amps.nbytes
     assert not np.shares_memory(amps, dense.amplitudes)

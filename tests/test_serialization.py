@@ -94,8 +94,8 @@ def _ghz5() -> Scenario:
     core[::3] = -0.0
     return Scenario(
         dim=1, c=1.0,
-        initial=BranchState.split(hilbert.tensor(StateVector(spins, core / np.linalg.norm(core)),
-                                                 hilbert.basis_state(regs))),
+        initial=BranchState(spins + regs, StateVector(spins, core / np.linalg.norm(core)),
+                            {r.label: hilbert.basis_state((r,)) for r in regs}),
         initial_t0=-math.inf, interactions=(),
         detectors=tuple(DetectorEvent(f"D{k}", Event(3.0, (6.0 * k,)),
                                       hilbert.spin_outcome_set(f"s{k}", X_AXIS), f"R{k}")
