@@ -1,13 +1,13 @@
 """The base class of psvsim's frozen records.
 
-``@dataclass(frozen=True)`` writes a class's ``__init__``, ``__repr__``,
-``__eq__``, ``__hash__``, ``__setattr__`` and ``__delattr__`` as source
-text and ``exec``s it when the class is defined, so every import of the
-package compiled them again; byte-code caching cannot keep them.  A record
-class instead declares only its fields, under ``@dataclass(init=False,
-repr=False, eq=False)``: that registers them, so ``dataclasses.replace``,
-``fields`` and ``asdict`` work, and generates no code.  It inherits all six
-methods from ``Record``, and they behave as the frozen dataclass's.
+A class becomes a record by subclassing ``Record`` and annotating its
+fields; nothing else.  ``__init_subclass__`` registers the fields with
+``dataclass(init=False, repr=False, eq=False)``, so ``dataclasses.replace``,
+``fields`` and ``asdict`` work, and no code is generated: a frozen
+dataclass writes its methods as source text and ``exec``s them at every
+import.  The class inherits ``__init__``, ``__repr__``, ``__eq__``,
+``__hash__``, ``__setattr__`` and ``__delattr__`` from ``Record``, and they
+behave as the frozen dataclass's.
 
 ``__init__`` binds positional and keyword arguments to the fields, a
 missing one to its default, and raises ``TypeError`` for a missing, unknown
@@ -23,10 +23,13 @@ an array or a dict raises where a frozen dataclass does), the repr is
 from __future__ import annotations
 
 import reprlib
-from dataclasses import MISSING, FrozenInstanceError
+from dataclasses import MISSING, FrozenInstanceError, dataclass
 
 
 class Record:
+    def __init_subclass__(cls):
+        dataclass(cls, init=False, repr=False, eq=False)
+
     def __init__(self, *args, **kwargs):
         fields, values = self.__dataclass_fields__, self.__dict__
         for key, value in zip(fields, args):

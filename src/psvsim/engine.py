@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -42,7 +41,6 @@ MAX_SAMPLES = 10**9
 SAMPLE_CHUNK = 1 << 16
 
 
-@dataclass(init=False, repr=False, eq=False)
 class InteractionEvent(Record):
     """A unitary anchored at a spacetime point, e.g. an AA copy gate.  Its
     name is a non-empty string, and ``validate_scenario`` holds it unique
@@ -72,18 +70,18 @@ class InteractionEvent(Record):
         self.__dict__["unitary"] = u
 
 
-@dataclass(init=False, repr=False, eq=False)
 class DetectorEvent(Record):
     """A local detector: an outcome set on the measured subsystems plus a
     pointer register.  ``pointers`` maps each outcome position to the
     register basis index recording it; index 0 is the ready state, reused
-    by null ("nothing happened") outcomes.  The register is this
-    detector's alone and starts at index 0 (``validate_scenario`` holds
-    both), so it records this detector's outcome under every reduction
-    order.  Labels are strings, the detector's non-empty, and pointers
-    are integers >= 0.  Absorbing detectors digest the measured
-    subsystems, resetting them to their 0 basis state, so each of their
-    projectors must fix one basis configuration (rank 1, diagonal)."""
+    by null ("nothing happened") outcomes, and any other index records one
+    outcome alone.  The register is this detector's alone and starts at
+    index 0 (``validate_scenario`` holds both), so it records this
+    detector's outcome under every reduction order.  Labels are strings,
+    the detector's non-empty, and pointers are integers >= 0.  Absorbing
+    detectors digest the measured subsystems, resetting them to their 0
+    basis state, so each of their projectors must fix one basis
+    configuration (rank 1, diagonal)."""
 
     label: str
     at: Event
@@ -112,6 +110,11 @@ class DetectorEvent(Record):
             raise ConfigurationError(
                 f"detector {label!r} pointers must be integers >= 0, got {pointers}"
             )
+        for (a, p), (b, q) in itertools.combinations(zip(outcomes.labels, pointers), 2):
+            if p == q != 0:
+                raise ConfigurationError(
+                    f"detector {label!r} outcomes {a!r} and {b!r} share pointer {p}"
+                )
         for outcome, p in outcomes.outcomes if self.absorbing else ():
             diag = np.diag(p).real
             if (np.abs(p - np.diag(diag)).max() > hilbert.EPS_OP
@@ -125,7 +128,6 @@ class DetectorEvent(Record):
         return self.pointers[self.outcomes.labels.index(outcome)]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class BranchState(Record):
     """A branch state with its pointer registers kept out of the amplitude
     tensor: ``core`` spans the non-register subsystems, and each register
@@ -202,7 +204,6 @@ class BranchState(Record):
         return StateVector(self.subsystems, psi.reshape(-1))
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Scenario(Record):
     """A scenario, valid once built: ``__post_init__`` runs
     ``validate_scenario``.  ``initial`` is the factored state the engine
@@ -427,7 +428,6 @@ def apply_detector(state: BranchState, det: DetectorEvent, outcome: str) -> Bran
     return BranchState(state.subsystems, core, registers)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class StepRecord(Record):
     """One step of a run: the outcome taken and the surfaces and full
     states on either side of the detector's reduction."""
@@ -443,7 +443,6 @@ class StepRecord(Record):
     interactions_applied: tuple[str, ...]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class BranchNode(Record):
     """One expanded node of the outcome-branch tree: the state on S_k-
     and the Born probability of each of the detector's outcomes there."""
@@ -494,7 +493,6 @@ def step(s: Scenario, surface: Lcsh, state: BranchState, detector: str) -> Branc
     return BranchNode(det, new_surface, state, probabilities, tuple(ev.name for ev in due))
 
 
-@dataclass(init=False, repr=False, eq=False)
 class RunRecord(Record):
     """One path of the branch tree, as ``run`` walked it."""
 
@@ -579,7 +577,6 @@ def run(
 
 # --- exact enumeration and sampling ----------------------------------------
 
-@dataclass(init=False, repr=False, eq=False)
 class JointDistribution(Record):
     """Exact probability map over outcome tuples, keyed in scenario
     detector declaration order."""
@@ -625,7 +622,6 @@ def joint_distribution(s: Scenario, order: tuple[str, ...]) -> JointDistribution
     return JointDistribution(declared, probs)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class EmpiricalDistribution(Record):
     """Counts of n sampled runs over outcome tuples, keyed in scenario
     detector declaration order."""
@@ -668,7 +664,6 @@ def sample(s: Scenario, order: tuple[str, ...], n: int, seed: int = 0) -> Empiri
 
 # --- transport to query surfaces -------------------------------------------
 
-@dataclass(init=False, repr=False, eq=False)
 class UndefinedState(Record):
     """Marker for query surfaces on which no state vector exists because
     they cross a reduction surface."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -46,7 +45,6 @@ class SurfaceSide(Enum):
     FUTURE = "future"
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Event(Record):
     """A spacetime point (t, x) in d spatial dimensions, d in {1, 2, 3},
     with finite coordinates."""
@@ -87,7 +85,6 @@ def classify(e0: Event, e1: Event, c: float = 1.0) -> Separation:
     return Separation.SPACELIKE if gap < 0.0 else Separation.TIMELIKE
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Lcsh(Record):
     """A light-cone spacelike hypersurface: the upper envelope of the
     backward light cones of ``apexes`` over the flat surface t = t0.

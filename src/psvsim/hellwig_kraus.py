@@ -15,7 +15,6 @@ not to this implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .geometry import Event, Lcsh, SurfaceSide
 from .hilbert import Axis, StateVector
 
 
-@dataclass(init=False, repr=False, eq=False)
 class HkRegion(Record):
     """Cone-side labelling: one Past/Future entry per considered detector."""
 
@@ -116,7 +114,6 @@ def hk_state(
     return state.canonical().materialize()
 
 
-@dataclass(init=False, repr=False, eq=False)
 class HkComparison(Record):
     """The conditional probability both prescriptions predict for the
     final detector (see ``hk_copy_inconsistency``)."""

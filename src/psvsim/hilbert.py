@@ -14,7 +14,6 @@ which only marks the array read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property, reduce
 
@@ -37,7 +36,6 @@ class SubsystemKind(Enum):
     REGISTER = "register"
 
 
-@dataclass(init=False, repr=False, eq=False)
 class SubsystemSpec(Record):
     """One tensor factor.  Spins and occupation modes are two-dimensional;
     registers hold detector pointer states (index 0 = ready)."""
@@ -53,7 +51,6 @@ class SubsystemSpec(Record):
             raise ConfigurationError(f"register {self.label!r} must have dim >= 2, got {self.dim}")
 
 
-@dataclass(init=False, repr=False, eq=False)
 class StateVector(Record):
     """A state: a read-only flat amplitude vector over the listed
     subsystems, in their order."""
@@ -62,9 +59,8 @@ class StateVector(Record):
     amplitudes: np.ndarray  # flat complex vector of length prod(dims)
 
     def __post_init__(self):
-        _check_labels(self.subsystems)
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        _check_length(amps.size, self.dims)
+        check_layout(self.subsystems, amps.size)
         amps.flags.writeable = False
         self.__dict__["amplitudes"] = amps
 
@@ -108,24 +104,16 @@ def _built(like: StateVector, amps: np.ndarray) -> StateVector:
     return new
 
 
-def _check_labels(subsystems: tuple[SubsystemSpec, ...]) -> None:
+def check_layout(subsystems: tuple[SubsystemSpec, ...], size: int) -> None:
+    """``StateVector``'s check of ``size`` amplitudes over ``subsystems``,
+    also run on a list held as its nonzero entries alone: the labels are
+    distinct, then ``size`` is the product of the dims."""
     labels = [s.label for s in subsystems]
     if len(set(labels)) != len(labels):
         raise ConfigurationError(f"duplicate subsystem labels in {labels}")
-
-
-def _check_length(size: int, dims: tuple[int, ...]) -> None:
-    expected = math.prod(dims)
+    expected = math.prod([s.dim for s in subsystems])
     if size != expected:
         raise ConfigurationError(f"amplitude length {size} != product of dims {expected}")
-
-
-def check_layout(subsystems: tuple[SubsystemSpec, ...], size: int) -> None:
-    """``StateVector``'s checks of a flat list of ``size`` amplitudes over
-    ``subsystems``, for a list held as its nonzero entries alone: the
-    labels are distinct, then ``size`` is the product of the dims."""
-    _check_labels(subsystems)
-    _check_length(size, tuple(s.dim for s in subsystems))
 
 
 def nonzero_bits(amps: np.ndarray) -> np.ndarray:
@@ -214,7 +202,6 @@ def apply_unitary(state: StateVector, matrix: np.ndarray, labels: tuple[str, ...
 
 # --- spin axes -------------------------------------------------------------
 
-@dataclass(init=False, repr=False, eq=False)
 class Axis(Record):
     """A measurement axis, stored as polar/azimuthal angles of the unit
     vector (Bloch parametrization)."""
@@ -265,7 +252,6 @@ def spin_projector(axis: Axis, sign: int) -> np.ndarray:
 
 # --- measurement -----------------------------------------------------------
 
-@dataclass(init=False, repr=False, eq=False)
 class OutcomeSet(Record):
     """A complete set of mutually orthogonal projectors on the joint space
     of the target subsystems, one per outcome label, with finite entries."""

@@ -11,7 +11,6 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -160,6 +159,9 @@ def interaction_from_dict(d: dict) -> InteractionEvent:
         unitary = _gate_unitary(gate)
         targets = (_typed(gate["source"], str, "copy gate source"),
                    _typed(gate["target"], str, "copy gate target"))
+        if "subsystems" in d and d["subsystems"] != list(targets):
+            raise ConfigurationError(f"interaction {d['name']!r} subsystems {d['subsystems']!r} "
+                                     f"are not its gate's source and target {list(targets)!r}")
     else:
         unitary = _complex(_float_pairs(d["unitary"], "unitary"))
         targets = _labels(d["subsystems"], "interaction subsystems")
@@ -249,7 +251,6 @@ def scenario_from_dict(d: dict) -> Scenario:
         raise ConfigurationError(f"malformed scenario: {type(exc).__name__}: {exc}") from exc
 
 
-@dataclass(init=False, repr=False, eq=False)
 class _Runs(Record):
     """An amplitude list as runs: an (m, 2) float array of [re, im] pairs,
     and how many times in a row each pair stands in the list."""

@@ -220,6 +220,9 @@ def _malformed_scenarios():
     copy_source["interactions"][0]["gate"]["source"] = 5
     gate_and_unitary = deepcopy(copies)
     gate_and_unitary["interactions"][0]["unitary"] = _pairs(np.eye(4))
+    # the gate copies a into c1
+    gate_subsystems = deepcopy(copies)
+    gate_subsystems["interactions"][0]["subsystems"] = ["b", "c2"]
     # RA at index 2, the pointer A's "-" outcome writes
     not_ready = deepcopy(ghz)
     psi = np.array(ghz["initial_state"]["amplitudes"]).reshape(2, 2, 2, 3, 3, 3, 2)
@@ -284,6 +287,10 @@ def _malformed_scenarios():
         # B would shift A's pointer: RA's final index would depend on the order
         "register-shared": (detector_b("register", "RA"),
                             "detectors 'A' and 'B' share register 'RA'"),
+        # RA would read 1 after either outcome
+        "detector-pointer-shared": (
+            lambda blob: blob["detectors"][0]["projectors"][1].__setitem__("pointer", 1),
+            "detector 'A' outcomes '+' and '-' share pointer 1"),
     }
     interaction_targets = "interaction 'kick' targets must be a non-empty tuple of distinct labels"
     outcome_targets = "outcome set targets must be a non-empty tuple of distinct labels"
@@ -394,6 +401,9 @@ def _malformed_scenarios():
                                               type_error + "copy gate source must be a string, got 5"),
             "interaction-gate-and-unitary": (
                 gate_and_unitary, "interaction 'AA1 copy' has both a gate and a unitary"),
+            "gate-subsystems-disagree": (
+                gate_subsystems, "interaction 'AA1 copy' subsystems ['b', 'c2'] are not "
+                                 "its gate's source and target ['a', 'c1']"),
             "register-not-ready": (
                 not_ready, "detector 'A' register 'RA' starts at index 2, not its ready index 0"),
             "outcome-label-not-a-string": (int_outcome_label, "outcome labels must be strings"),

@@ -253,3 +253,31 @@ def test_no_record_class_writes_its_own_init():
     records = set(subclasses(psvsim._record.Record))
     assert set(_RECORD_CLASSES) <= records
     assert [cls.__name__ for cls in records if "__init__" in vars(cls)] == []
+
+
+def test_subclassing_record_is_all_a_record_class_needs():
+    class Span(psvsim._record.Record):
+        lo: float
+        hi: float = 1.0
+
+        def __post_init__(self):
+            if not self.lo <= self.hi:
+                raise ConfigurationError(f"span {self.lo}..{self.hi} is empty")
+
+    assert [(f.name, f.default) for f in dataclasses.fields(Span)] == [
+        ("lo", dataclasses.MISSING), ("hi", 1.0)]
+    span = Span(0.5)
+    assert span == Span(0.5, 1.0) == Span(hi=1.0, lo=0.5) and hash(span) == hash((0.5, 1.0))
+    assert dataclasses.replace(span, hi=2.0) == Span(0.5, 2.0)
+    with pytest.raises(ConfigurationError, match=r"span 0\.5\.\.0\.0 is empty"):
+        dataclasses.replace(span, hi=0.0)
+    with pytest.raises(ConfigurationError, match=r"span 3\.0\.\.1\.0 is empty"):
+        Span(3.0)
+    assert repr(span) == f"{Span.__qualname__}(lo=0.5, hi=1.0)"
+    for name in ("lo", "not_a_field"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(span, name, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(span, name)
+    assert (span.lo, span.hi) == (0.5, 1.0)
+    assert [name for name in ("__init__", "__repr__", "__eq__") if name in vars(Span)] == []
