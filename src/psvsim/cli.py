@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import diagram, engine, hellwig_kraus, scenarios, serialization
+from . import diagram, engine, hellwig_kraus, hilbert, scenarios, serialization
 from .errors import ConfigurationError, PhysicsError
 from .hilbert import Axis, X_AXIS, Y_AXIS, Z_AXIS
 
@@ -155,12 +155,17 @@ def _outcomes(args, order) -> tuple[str, ...] | None:
     return tuple(mapping[l] for l in order)
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, text: str) -> int:  # the command's exit code, 0
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0
+
+
+def _emit_json(args, payload) -> int:
+    return _emit(args, json.dumps(payload, indent=2) + "\n")
 
 
 def cmd_run(args) -> int:
@@ -169,8 +174,7 @@ def cmd_run(args) -> int:
     record = engine.run(scenario, order, outcomes=_outcomes(args, order),
                         seed=args.seed)
     if args.json:
-        _emit(args, json.dumps(serialization.run_record_to_dict(record), indent=2) + "\n")
-        return 0
+        return _emit_json(args, serialization.run_record_to_dict(record))
     lines = [f"reduction order: {', '.join(record.order)}"]
     for k, st in enumerate(record.steps):
         kind = "reduction" if st.reduction else "no reduction"
@@ -181,55 +185,47 @@ def cmd_run(args) -> int:
         )
     lines.append(f"outcomes: {', '.join(record.outcomes())}")
     lines.append(f"total probability: {record.total_probability:.6g}")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return _emit(args, "\n".join(lines) + "\n")
 
 
 def cmd_dist(args) -> int:
     scenario = build_scenario(args)
     dist = engine.joint_distribution(scenario, _order(args, scenario))
     if args.json:
-        _emit(args, json.dumps(serialization.distribution_to_dict(dist), indent=2) + "\n")
-        return 0
+        return _emit_json(args, serialization.distribution_to_dict(dist))
     lines = ["  ".join(dist.detectors) + "  probability"]
     for key, p in sorted(dist.probabilities.items()):
         lines.append("  ".join(key) + f"  {p:.12g}")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return _emit(args, "\n".join(lines) + "\n")
 
 
 def cmd_orders(args) -> int:
     scenario = build_scenario(args)
     orders = engine.enumerate_valid_orders(scenario)
     dists = [engine.joint_distribution(scenario, o) for o in orders]
-    deviation = max(
-        (dists[0].max_deviation(d) for d in dists[1:]), default=0.0
-    )
+    deviation, worst = max(((dists[0].max_deviation(d), o) for d, o in zip(dists, orders)),
+                           key=lambda pair: pair[0])
+    if deviation > hilbert.EPS_PROB:  # the causal rule makes this an engine fault
+        raise PhysicsError(f"valid orders {','.join(orders[0])} and {','.join(worst)} give "
+                           f"distributions {deviation:.3g} apart (limit {hilbert.EPS_PROB:g})")
     if args.json:
-        _emit(args, json.dumps({
-            "orders": [list(o) for o in orders],
-            "max_deviation": deviation,
-        }, indent=2) + "\n")
-        return 0
+        return _emit_json(args, {"orders": [list(o) for o in orders], "max_deviation": deviation})
     lines = [f"{len(orders)} valid reduction orders:"]
     lines += ["  " + ", ".join(o) for o in orders]
     lines.append(f"max entrywise deviation between distributions: {deviation:.3g}")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return _emit(args, "\n".join(lines) + "\n")
 
 
 def cmd_sample(args) -> int:
     scenario = build_scenario(args)
     emp = engine.sample(scenario, _order(args, scenario), args.samples, seed=args.seed)
     if args.json:
-        _emit(args, json.dumps(serialization.empirical_to_dict(emp), indent=2) + "\n")
-        return 0
+        return _emit_json(args, serialization.empirical_to_dict(emp))
     lines = [f"n = {emp.n}, seed = {args.seed}",
              "  ".join(emp.detectors) + "  frequency"]
     for key, count in sorted(emp.counts.items()):
         lines.append("  ".join(key) + f"  {count / emp.n:.6g}")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
+    return _emit(args, "\n".join(lines) + "\n")
 
 
 def cmd_compare_hk(args) -> int:
@@ -241,8 +237,7 @@ def cmd_compare_hk(args) -> int:
         "psv": result.psv_conditional,
         "axes": {key: serialization.axis_to_dict(a) for key, a in axes.items()},
     }
-    _emit(args, json.dumps(payload, indent=2) + "\n")
-    return 0
+    return _emit_json(args, payload)
 
 
 def cmd_diagram(args) -> int:
@@ -250,8 +245,7 @@ def cmd_diagram(args) -> int:
     order = _order(args, scenario)
     record = engine.run(scenario, order, outcomes=_outcomes(args, order), seed=args.seed)
     text = diagram.render_ascii(record) if args.ascii else diagram.render_svg(record)
-    _emit(args, text)
-    return 0
+    return _emit(args, text)
 
 
 def build_parser() -> _Parser:
@@ -259,9 +253,11 @@ def build_parser() -> _Parser:
                      description="Light-cone state-vector reduction simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def scenario_command(name, help, *extra):
-        """A subcommand on a scenario, with the options in ``extra`` too."""
+    def scenario_command(name, handler, help, *extra):
+        """A subcommand on a scenario that ``handler`` runs, with the
+        options in ``extra`` too."""
         p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--scenario", default="singlet",
                        help="split | singlet | ghz | path to a scenario JSON file")
         p.add_argument("--axes", help="built-in scenarios: axis assignments, "
@@ -278,40 +274,30 @@ def build_parser() -> _Parser:
             p.add_argument("--seed", type=int, default=0)
         return p
 
-    scenario_command("run", "one run, sampled or with fixed outcomes",
+    scenario_command("run", cmd_run, "one run, sampled or with fixed outcomes",
                      "order", "outcomes", "seed")
-    scenario_command("dist", "exact joint outcome distribution", "order")
-    scenario_command("orders", "enumerate valid reduction orders and "
-                               "verify distribution equality")
-    sample = scenario_command("sample", "Monte Carlo sampling", "order", "seed")
+    scenario_command("dist", cmd_dist, "exact joint outcome distribution", "order")
+    scenario_command("orders", cmd_orders, "enumerate valid reduction orders and "
+                                           "verify distribution equality")
+    sample = scenario_command("sample", cmd_sample, "Monte Carlo sampling", "order", "seed")
     sample.add_argument("--samples", type=int, default=10_000)
     hk = sub.add_parser("compare-hk", help="Hellwig-Kraus vs engine conditional "
                                            "probability on the singlet with copies")
     hk.add_argument("--axes", help="i=<A axis>,j=<B axis>,k=<copy basis>")
     hk.add_argument("--out")
-    hk.set_defaults(json=True)
-    dg = scenario_command("diagram", "spacetime diagram of a run (SVG)",
+    hk.set_defaults(handler=cmd_compare_hk)
+    dg = scenario_command("diagram", cmd_diagram, "spacetime diagram of a run (SVG)",
                           "order", "outcomes", "seed")
     dg.add_argument("--ascii", action="store_true", help="character grid instead of SVG")
     return parser
 
 
-_COMMANDS = {
-    "run": cmd_run,
-    "dist": cmd_dist,
-    "orders": cmd_orders,
-    "sample": cmd_sample,
-    "compare-hk": cmd_compare_hk,
-    "diagram": cmd_diagram,
-}
-
-
-def _report(args, argv: list[str], kind: str, exc: Exception) -> None:
-    """Write the error to stderr, as JSON under ``--json``.  An argument
-    error leaves no ``args``, so then ``argv`` decides; ``compare-hk``
-    errors are always JSON."""
-    as_json = args.json if args is not None else "--json" in argv or argv[:1] == ["compare-hk"]
-    if as_json:
+def _report(argv: list[str], kind: str, exc: Exception) -> None:
+    """Write the error to stderr, as JSON if ``--json`` is in ``argv`` or the
+    command is ``compare-hk``.  That is ``args.json`` on every parse that
+    succeeds, since options are spelled in full and none takes ``--json``
+    as its value, and it holds for argument errors, which leave no ``args``."""
+    if "--json" in argv or argv[:1] == ["compare-hk"]:
         sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
     else:
         sys.stderr.write(f"error ({kind}): {exc}\n")
@@ -342,18 +328,17 @@ def main(argv=None) -> int:
 
 
 def _run(argv: list[str]) -> int:
-    args = None
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ConfigurationError as exc:
-        _report(args, argv, "validation", exc)
+        _report(argv, "validation", exc)
         return 1
     except PhysicsError as exc:
-        _report(args, argv, "physics", exc)
+        _report(argv, "physics", exc)
         return 2
     except OSError as exc:
-        _report(args, argv, "io", exc)
+        _report(argv, "io", exc)
         return 3
 
 

@@ -52,17 +52,17 @@ def _bounds(scenario: Scenario) -> tuple[tuple[float, float], tuple[float, float
     """The drawn x and t ranges.  Coordinates near the float limit can
     make a range or its span overflow, and then no point can be placed:
     that is a ``ConfigurationError``."""
-    (x_range,) = scenario.support_region(pad=1.5)
-    ts = [e.t for e in scenario.events]
-    ts += [p.t for _, line in scenario.worldlines for p in line]
+    points = [*scenario.events, *(p for _, line in scenario.worldlines for p in line)]
+    xs = [p.x[0] for p in points] or [0.0]
+    x_range = (min(xs) - 1.5, max(xs) + 1.5)
+    ts = [p.t for p in points]
     if math.isfinite(scenario.initial_t0):
         ts.append(scenario.initial_t0)
     if not ts:
         ts = [0.0]
     tspan = max(ts) - min(ts) or 1.0
     t_range = (min(ts) - 0.6 * tspan - 0.5, max(ts) + 0.4 * tspan + 0.5)
-    x0, x1 = (float(v) for v in x_range)  # a numpy scalar would warn on overflow
-    t0, t1 = t_range
+    (x0, x1), (t0, t1) = x_range, t_range
     if not (math.isfinite(x1 - x0) and math.isfinite(t1 - t0)):
         raise ConfigurationError(f"scenario too large to draw: x from {x0:g} to {x1:g}, "
                                  f"t from {t0:g} to {t1:g}")

@@ -244,15 +244,13 @@ class Scenario(Record):
 
     @cached_property
     def _support_box(self) -> tuple[tuple[float, float], ...]:
-        """Unpadded spatial bounding box of all anchored events, built once."""
-        pts = [e.x for e in self.events]
-        pts += [p.x for _, line in self.worldlines for p in line]
-        arr = np.array(pts) if pts else np.zeros((1, self.dim))
-        return tuple((arr[:, k].min(), arr[:, k].max()) for k in range(self.dim))
+        arr = np.array([e.x for e in self.events]) if self.events else np.zeros((1, self.dim))
+        return tuple((arr[:, k].min() - 1.0, arr[:, k].max() + 1.0) for k in range(self.dim))
 
-    def support_region(self, pad: float = 1.0) -> tuple[tuple[float, float], ...]:
-        """Spatial bounding box of all anchored events, padded."""
-        return tuple((lo - pad, hi + pad) for lo, hi in self._support_box)
+    def support_region(self) -> tuple[tuple[float, float], ...]:
+        """Spatial bounding box of all anchored events (worldlines are not
+        events), padded by 1 and built once."""
+        return self._support_box
 
     @cached_property
     def _advances(self) -> dict[tuple[Lcsh, str], tuple[DetectorEvent, Lcsh, tuple]]:
@@ -354,6 +352,20 @@ def validate_scenario(s: Scenario) -> None:
     norm = s.initial.core.norm
     if abs(norm - 1.0) > hilbert.EPS_NORM:
         raise ConfigurationError(f"initial state norm {norm} != 1")
+    # One causal history per subsystem: every two events acting on it are
+    # timelike, so each valid order applies them in one order.  A lightlike
+    # pair is ordered too where ``step`` fixes it, with an interaction
+    # first: on a detector's past cone it applies before the reduction, and
+    # interactions on one light ray apply in time order.
+    acting = [(f"interaction {ev.name!r}", ev.at, ev.targets, True) for ev in s.interactions]
+    acting += [(f"detector {d.label!r}", d.at, d.outcomes.targets, False) for d in s.detectors]
+    for pair in itertools.combinations(acting, 2):
+        (a, ea, ta, interaction_first), (b, eb, tb, _) = sorted(pair, key=lambda e: (e[1].t, not e[3]))
+        shared = [t for t in ta if t in tb]
+        sep = geometry.classify(ea, eb, s.c) if shared else Separation.TIMELIKE
+        if sep is Separation.SPACELIKE or sep is Separation.LIGHTLIKE and not interaction_first:
+            raise ConfigurationError(f"{a} at {ea} and {b} at {eb} both act on subsystem "
+                                     f"{shared[0]!r} but are {sep.value}")
 
 
 # --- reduction orders ------------------------------------------------------

@@ -13,6 +13,9 @@ comparisons are the brute-force 64^d probe-grid evaluation that
 of the package.  ``read_scenario_whole`` is the scenario-file reader the
 program's fast amplitude pass must agree with, and ``dense_split`` the
 dense-tensor register factoring its loaded states must equal.
+``causal_files`` draws scenario files that keep, or break, the rule that
+each subsystem has one causal history; ``valid_orders`` and
+``time_ordered_distribution`` are what every accepted one must give.
 """
 
 import importlib.util
@@ -24,6 +27,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+from hypothesis import strategies as st
 
 from psvsim import geometry, serialization
 from psvsim.geometry import EPS_GEOM, Region
@@ -242,3 +246,112 @@ def dense_split(state: StateVector) -> tuple[np.ndarray, dict[str, int]]:
         raise ConfigurationError(f"register {label!r} is not in a single basis state")
     registers = {sub.label: int(k) for sub, r, k in zip(state.subsystems, is_reg, peak) if r}
     return psi[index].reshape(-1), registers
+
+
+def _pairs(a) -> list:
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def _complex(pairs) -> np.ndarray:
+    a = np.asarray(pairs, dtype=float)
+    return a[..., 0] + 1j * a[..., 1]
+
+
+@st.composite
+def causal_files(draw, broken=False):
+    """A scenario file of 2-4 spins in d = 1 at c = 1: 2-4 detectors with
+    random rank-1 projectors and 0-2 random one-spin unitaries, each on a
+    drawn spin, and a random entangled initial state.  The events on each
+    spin lie on a random timelike chain, in random order, at integer
+    coordinates.  With ``broken``, the first two events share a spin and
+    one event of that spin's chain is moved: spacelike to another of it,
+    or lightlike where no convention orders the pair (two detectors, or a
+    detector before an interaction).  Then the draw is (file, the moved
+    event's name, its spin)."""
+    n = draw(st.integers(2, 4))
+    kinds = ["D"] * draw(st.integers(2, 4)) + ["U"] * draw(st.integers(0, 2))
+    spin_of = [draw(st.integers(0, n - 1)) for _ in kinds]
+    if broken:
+        spin_of[1] = spin_of[0]
+    at = {}
+    for spin in range(n):
+        t, x = draw(st.integers(0, 4)), draw(st.integers(-8, 8))
+        for k in draw(st.permutations([k for k, s in enumerate(spin_of) if s == spin])):
+            at[k] = (t, x)
+            dt = draw(st.integers(1, 3))
+            t, x = t + dt, x + draw(st.integers(1 - dt, dt - 1))
+    if broken:
+        moved, anchor = draw(st.permutations([k for k, s in enumerate(spin_of) if s == spin_of[0]]))[:2]
+        (t, x), pair = at[anchor], kinds[moved] + kinds[anchor]
+        if pair == "UU" or draw(st.booleans()):  # spacelike
+            dt = draw(st.integers(-2, 2))
+            dx = abs(dt) + draw(st.integers(1, 3))
+        else:  # lightlike, with the interaction, if any, later
+            dt = dx = draw(st.integers(1, 3))
+            dt *= {"UD": 1, "DU": -1}.get(pair) or draw(st.sampled_from((-1, 1)))
+        at[moved] = (t + dt, x + dx * draw(st.sampled_from((-1, 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gauss = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    detectors, interactions = [], []
+    for k, (kind, spin) in enumerate(zip(kinds, spin_of)):
+        where = {"t": at[k][0], "x": [at[k][1]]}
+        if kind == "U":
+            interactions.append({"name": f"U{k}", "at": where, "subsystems": [f"s{spin}"],
+                                 "unitary": _pairs(np.linalg.qr(gauss(2, 2))[0])})
+            continue
+        v = gauss(2)
+        plus = np.outer(v, v.conj()) / np.vdot(v, v).real
+        detectors.append({"label": f"D{k}", "at": where, "register": f"R{k}", "absorbing": False,
+                          "targets": [f"s{spin}"], "projectors": [
+                              {"label": "+", "matrix": _pairs(plus), "pointer": 1},
+                              {"label": "-", "matrix": _pairs(np.eye(2) - plus), "pointer": 2}]})
+    subsystems = ([{"label": f"s{k}", "dim": 2, "kind": "spin"} for k in range(n)]
+                  + [{"label": d["register"], "dim": 3, "kind": "register"} for d in detectors])
+    psi = gauss(2**n)
+    ready = np.zeros(3 ** len(detectors))
+    ready[0] = 1.0
+    blob = {"dim": 1, "c": 1.0, "subsystems": subsystems,
+            "initial_state": {"subsystems": subsystems,
+                              "amplitudes": _pairs(np.kron(psi / np.linalg.norm(psi), ready))},
+            "initial_surface": {"t0": "minus_infinity"},
+            "interactions": interactions, "detectors": detectors}
+    if broken:
+        return blob, f"{kinds[moved]}{moved}", f"s{spin_of[0]}"
+    return blob
+
+
+def valid_orders(blob) -> list[tuple[str, ...]]:
+    """The detector orders of a ``causal_files`` file that reduce every
+    timelike pair in time order, in ``itertools.permutations`` order."""
+    def ordered(a, b):
+        dt, dx = b["at"]["t"] - a["at"]["t"], b["at"]["x"][0] - a["at"]["x"][0]
+        return dt * dt <= dx * dx or dt > 0
+    return [tuple(d["label"] for d in p) for p in itertools.permutations(blob["detectors"])
+            if all(ordered(a, b) for a, b in itertools.combinations(p, 2))]
+
+
+def time_ordered_distribution(blob) -> dict[tuple[str, ...], float]:
+    """The joint outcome distribution of a ``causal_files`` file, keyed in
+    detector order, on the spins alone: each branch applies every event in
+    time order (a spin's events lie on a timelike chain, and events on
+    other spins commute with them) as a full-space matrix on the spins."""
+    spins = [sub["label"] for sub in blob["subsystems"] if sub["kind"] == "spin"]
+    dims = [2] * len(spins)
+    psi = _complex(blob["initial_state"]["amplitudes"]).reshape(2 ** len(spins), -1)[:, 0]
+    events = sorted(blob["interactions"] + blob["detectors"], key=lambda ev: ev["at"]["t"])
+    labels = [d["label"] for d in blob["detectors"]]
+    out = {}
+    for key in itertools.product(*[[p["label"] for p in d["projectors"]] for d in blob["detectors"]]):
+        chosen = dict(zip(labels, key))
+        v = psi
+        for ev in events:
+            if "unitary" in ev:
+                op, target = _complex(ev["unitary"]), ev["subsystems"][0]
+            else:
+                op = next(_complex(p["matrix"]) for p in ev["projectors"]
+                          if p["label"] == chosen[ev["label"]])
+                target = ev["targets"][0]
+            v = embed(op, [spins.index(target)], dims) @ v
+        out[key] = float(np.vdot(v, v).real)
+    return out

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from psvsim import engine, hilbert, scenarios, serialization
+from psvsim import cli, engine, hilbert, scenarios, serialization
 from psvsim.cli import main, parse_axis
 from psvsim.engine import BranchState, DetectorEvent, Scenario
 from psvsim.errors import ConfigurationError
@@ -62,6 +62,32 @@ def test_orders_reports_deviation(capsys):
     assert len(blob["orders"]) == 6
     assert ["C", "B", "A"] in blob["orders"]
     assert blob["max_deviation"] < 1e-10
+
+
+@pytest.mark.parametrize("skew, code", [(2e-12, 2), (5e-13, 0)], ids=["above-limit", "within-limit"])
+def test_orders_exits_2_when_valid_orders_disagree(skew, code, capsys):
+    """Under the causal rule, valid orders that give distributions more than
+    1e-12 apart are an engine fault; here C,B,A's first entry is skewed."""
+    joint = engine.joint_distribution
+
+    def skewed(s, order):
+        dist = joint(s, order)
+        if order != ("C", "B", "A"):
+            return dist
+        key = sorted(dist.probabilities)[0]
+        return engine.JointDistribution(dist.detectors,
+                                        {**dist.probabilities, key: dist.probabilities[key] + skew})
+
+    with mock.patch.object(cli.engine, "joint_distribution", skewed):
+        results = [run_cli(capsys, "orders", "--scenario", "split", *json_flag)
+                   for json_flag in ((), ("--json",))]
+    message = "valid orders A,B,C and C,B,A give distributions 2e-12 apart (limit 1e-12)"
+    if code:
+        assert results == [(2, "", f"error (physics): {message}\n"),
+                           (2, "", json.dumps({"error": "physics", "message": message}) + "\n")]
+    else:
+        assert [r[0] for r in results] == [0, 0]
+        assert json.loads(results[1][1])["max_deviation"] == pytest.approx(skew, rel=1e-3)
 
 
 def test_sample_seed_reproducible(capsys):
@@ -137,6 +163,11 @@ def _pairs(a) -> list:
 def _malformed_scenarios():
     """name -> (scenario JSON, start of the expected error message)."""
     ghz = serialization.scenario_to_dict(scenarios.ghz())
+    # two histories of one subsystem: B also measures a, spacelike to A and to a's copy
+    b_measures_a = serialization.scenario_to_dict(scenarios.split_particle())
+    b_measures_a["detectors"][1]["targets"] = ["a"]
+    half_light_speed = serialization.scenario_to_dict(scenarios.split_particle())
+    half_light_speed["c"] = 0.5  # a's copy gate leaves A's past cone
     # an axis where a detector's targets and projectors belong
     no_projectors = deepcopy(ghz)
     no_projectors["detectors"][0] = {"label": "A", "at": {"t": 3, "x": [-4]},
@@ -365,6 +396,13 @@ def _malformed_scenarios():
             **{name: (edited(edit), type_error + message)
                for name, (edit, message) in field_types.items()},
             "top-level-list": ([1, 2], malformed),
+            "split-b-measures-a": (
+                b_measures_a, "interaction 'AA1 copy' at Event(t=1.0, x=(-2.0,)) and detector 'B' "
+                              "at Event(t=3.0, x=(4.0,)) both act on subsystem 'a' but are spacelike"),
+            "split-at-half-light-speed": (
+                half_light_speed, "interaction 'AA1 copy' at Event(t=1.0, x=(-2.0,)) and detector "
+                                  "'A' at Event(t=3.0, x=(-4.0,)) both act on subsystem 'a' but are "
+                                  "spacelike"),
             "bogus-kind": (bogus_kind, malformed),
             "interaction-on-register": (kicks_register, "interaction 'kick' targets register"),
             "detector-measures-other-register": (reads_register, "detector 'B' measures register"),

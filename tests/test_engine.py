@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import _oracles
 from _oracles import states_close
-from psvsim import engine, geometry, hilbert, scenarios, serialization
+from psvsim import diagram, engine, geometry, hilbert, scenarios, serialization
 from psvsim.engine import (
     BranchState,
     DetectorEvent,
@@ -128,6 +128,73 @@ def test_validate_scenario_errors():
         replace(s, charged_modes=("a",))  # spin is not a mode
     with pytest.raises(ConfigurationError, match="is not in the future of the initial surface"):
         replace(s, initial_t0=10.0)  # events below initial surface
+
+
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+#: A rotation by pi/8 about y, which does not commute with the Hadamard.
+_TURN = np.array([[math.cos(math.pi / 8), -math.sin(math.pi / 8)],
+                  [math.sin(math.pi / 8), math.cos(math.pi / 8)]], dtype=complex)
+
+
+def _history(*events) -> Scenario:
+    """Spins a and b at |00> with a register per detector.  Each event is
+    (name, t, x, spin, what): a 2x2 unitary on the spin, or the axis a
+    detector measures it along."""
+    spins = (SubsystemSpec("a", 2, SubsystemKind.SPIN), SubsystemSpec("b", 2, SubsystemKind.SPIN))
+    detectors = [ev for ev in events if isinstance(ev[4], Axis)]
+    regs = tuple(SubsystemSpec(f"R{name}", 3, SubsystemKind.REGISTER) for name, *_ in detectors)
+    return Scenario(
+        dim=1, c=1.0,
+        initial=BranchState(spins + regs, hilbert.basis_state(spins),
+                            {r.label: hilbert.basis_state((r,)) for r in regs}),
+        initial_t0=-math.inf,
+        interactions=tuple(InteractionEvent(name, Event(t, (x,)), (spin,), u)
+                           for name, t, x, spin, u in events if not isinstance(u, Axis)),
+        detectors=tuple(DetectorEvent(name, Event(t, (x,)), hilbert.spin_outcome_set(spin, axis),
+                                      f"R{name}") for name, t, x, spin, axis in detectors),
+    )
+
+
+@pytest.mark.parametrize("events, message", [
+    ((("DA", 0, 0, "a", Z_AXIS), ("U", 1, 1, "a", _HADAMARD), ("DB", 2, 2, "b", Z_AXIS)),
+     "detector 'DA' at Event(t=0.0, x=(0.0,)) and interaction 'U' at Event(t=1.0, x=(1.0,)) "
+     "both act on subsystem 'a' but are lightlike"),
+    ((("DZ", 0, 0, "a", Z_AXIS), ("DX", 1, 1, "a", X_AXIS)),
+     "detector 'DZ' at Event(t=0.0, x=(0.0,)) and detector 'DX' at Event(t=1.0, x=(1.0,)) "
+     "both act on subsystem 'a' but are lightlike"),
+    ((("DZ", 0, 0, "a", Z_AXIS), ("DX", 0, 1, "a", X_AXIS)),
+     "detector 'DZ' at Event(t=0.0, x=(0.0,)) and detector 'DX' at Event(t=0.0, x=(1.0,)) "
+     "both act on subsystem 'a' but are spacelike"),
+], ids=["detector-then-interaction-lightlike", "two-detectors-lightlike", "two-detectors-spacelike"])
+def test_events_on_one_subsystem_that_nothing_orders_are_a_configuration_error(events, message):
+    """Without the rule, each of these pairs gives two distributions under
+    the two valid orders.  An interaction on a detector's future cone
+    applies after it, unless a detector on that cone (DB) reduces first:
+    its step applies the interaction, before DA."""
+    with mock.patch.object(engine, "validate_scenario"):
+        s = _history(*events)
+    first, second = (joint_distribution(s, order) for order in enumerate_valid_orders(s))
+    assert first.max_deviation(second) >= 0.25
+    with pytest.raises(ConfigurationError) as err:
+        _history(*events)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("events, p_plus", [
+    ((("U", 0, 0, "a", _HADAMARD), ("DA", 1, 1, "a", Z_AXIS), ("DB", 2, 2, "b", Z_AXIS)), 0.5),
+    ((("U1", 0, 0, "a", _HADAMARD), ("U2", 1, 1, "a", _TURN), ("DA", 3, 1, "a", Z_AXIS),
+      ("DB", 2, 2, "b", Z_AXIS)), (1 - math.sin(math.pi / 4)) / 2),
+], ids=["interaction-then-detector-lightlike", "two-interactions-lightlike"])
+def test_lightlike_pairs_that_step_orders_are_accepted(events, p_plus):
+    """An interaction on a detector's past cone applies before it, and two
+    interactions on one light ray apply in time order (U1 then U2; U2 then
+    U1 would give (1 + sin(pi/4))/2), under both valid orders, also when
+    DB's cone, which holds them, reduces first."""
+    s = _history(*events)
+    orders = enumerate_valid_orders(s)
+    assert len(orders) == 2
+    for order in orders:
+        assert joint_distribution(s, order).probability(("+", "+")) == pytest.approx(p_plus, abs=1e-12)
 
 
 def _register_rule_violations():
@@ -860,6 +927,32 @@ def test_state_on_hyperplane_is_region_local():
     assert states_close(out, s.initial.materialize(), tol=1e-12)
 
 
+def test_worldlines_do_not_widen_the_query_box():
+    """The box is the events' alone: a worldline at x = 200 leaves t = -100
+    below every reduction surface inside it.  The diagram still draws it."""
+    s = scenarios.split_particle()
+    far = replace(s, worldlines=s.worldlines + (("far", (Event(0.0, (200.0,)),)),))
+    assert far.support_region() == s.support_region() == ((-5.0, 5.0),)
+    assert diagram._bounds(far)[0] == (-5.5, 201.5)
+    for scenario in (s, far):
+        rec = run(scenario, ("A", "B", "C"), outcomes=("hit", "none", "c1"))
+        out = state_on_hyperplane(rec, -100.0)
+        assert not isinstance(out, UndefinedState)
+        assert states_close(out, s.initial.materialize(), tol=1e-12)
+
+
+def test_a_query_applies_an_interaction_that_no_step_applied():
+    """An interaction after the last detector: ``run`` applies it on the
+    way to t = +inf, and a query does once it lies in the query's past."""
+    s = scenarios.singlet(Z_AXIS, X_AXIS, with_copies=True)
+    late = InteractionEvent("late", Event(10.0, (0.0,)), ("c1",), _HADAMARD)
+    rec = run(replace(s, interactions=s.interactions + (late,)), ("A", "B", "C"), seed=1)
+    assert not any("late" in st_.interactions_applied for st_ in rec.steps)
+    assert states_close(state_on_hyperplane(rec, 20.0), rec.final_state, tol=1e-12)
+    assert states_close(state_on_hyperplane(rec, 5.0), rec.steps[-1].state_after, tol=1e-12)
+    assert not states_close(rec.final_state, rec.steps[-1].state_after)
+
+
 def test_state_on_hyperplane_rejects_foreign_queries():
     s = scenarios.split_particle()
     rec = run(s, ("C", "B", "A"), outcomes=("c1", "none", "hit"))
@@ -873,14 +966,16 @@ def test_state_on_hyperplane_rejects_foreign_queries():
     assert not isinstance(state_on_hyperplane(rec, Lcsh(t0=20.0, c=2.0)), UndefinedState)
 
 
-def _lift(ev: Event, d: int) -> Event:
-    return Event(ev.t, ev.x + (0.0,) * (d - 1))
+def _lift(ev: Event, d: int, c: float = 1.0) -> Event:
+    """``ev`` in d dimensions with x scaled by c: its causal relations at c
+    are those at c = 1."""
+    return Event(ev.t, tuple(c * v for v in ev.x) + (0.0,) * (d - 1))
 
 
 @st.composite
 def surface_queries(draw):
     """A record of GHZ-3 (random events) or of split (interactions and
-    non-reductions), lifted to d = 1, 2 or 3 with c = 0.5, 1 or 3 and a
+    non-reductions, x scaled by c), lifted to d = 1, 2 or 3 with c = 0.5, 1 or 3 and a
     finite or -inf initial floor, and a query: a flat time, a step
     surface, random cones over a finite or -inf floor, or the cones of the
     detectors raised by the same time over a -inf floor.  The last two
@@ -899,8 +994,8 @@ def surface_queries(draw):
     else:
         s = scenarios.split_particle()
         fields = {"worldlines": (),
-                  "detectors": tuple(replace(det, at=_lift(det.at, d)) for det in s.detectors),
-                  "interactions": tuple(replace(ev, at=_lift(ev.at, d)) for ev in s.interactions)}
+                  "detectors": tuple(replace(det, at=_lift(det.at, d, c)) for det in s.detectors),
+                  "interactions": tuple(replace(ev, at=_lift(ev.at, d, c)) for ev in s.interactions)}
         order = draw(st.sampled_from(("ABC", "ACB", "BAC", "BCA", "CAB", "CBA")))
     s = replace(s, dim=d, c=c, initial_t0=draw(st.sampled_from((-math.inf, -2.0))), **fields)
     dist = joint_distribution(s, tuple(order))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from _oracles import reference
 from psvsim import hellwig_kraus as hk
 from psvsim import hilbert, scenarios
+from psvsim.engine import InteractionEvent
 from psvsim.errors import AmbiguousRegionError, ConfigurationError, PhysicsError
 from psvsim.geometry import Event, SurfaceSide
 from psvsim.hilbert import Axis, X_AXIS, Y_AXIS, Z_AXIS
@@ -77,6 +79,17 @@ def test_hk_state_requires_outcomes_for_reduced_detectors():
     s = scenarios.singlet(Z_AXIS, X_AXIS)
     with pytest.raises(ConfigurationError):
         hk.hk_state(s, {}, ABOVE_A_ONLY)
+
+
+def test_hk_state_applies_an_interaction_that_is_no_copy_as_it_is():
+    """A flip of b in the region above A's cone only: b, left at the -1
+    eigenstate of A's axis by A's +, ends at the +1 one."""
+    flip = InteractionEvent("flip", Event(0.5, (4.0,)), ("b",), np.array([[0, 1], [1, 0]]))
+    s = replace(scenarios.singlet(Z_AXIS, X_AXIS), interactions=(flip,))
+    assert hk.hk_region_of(flip.at, s, ("A", "B")) == ABOVE_A_ONLY
+    spinor = hk._pure_spinor(hk.hk_state(s, {"A": "+"}, ABOVE_A_ONLY), "b")
+    expected = hilbert.axis_eigenstate(Z_AXIS, +1)
+    assert abs(abs(np.vdot(expected, spinor)) - 1.0) < 1e-12
 
 
 def test_pure_spinor_rejects_entangled_subsystem():

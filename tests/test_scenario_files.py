@@ -5,14 +5,17 @@ a warning (pytest turns warnings into errors) or another exit code."""
 
 import functools
 import gc
+import importlib.util
 import io
 import itertools
 import json
 import math
 import re
+import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from copy import deepcopy
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles
-from psvsim import cli, hilbert, scenarios, serialization
+from psvsim import cli, engine, hilbert, scenarios, serialization
 from psvsim.engine import BranchState, DetectorEvent, InteractionEvent, Scenario
 from psvsim.geometry import Event
 from psvsim.hilbert import Axis, StateVector, SubsystemKind, SubsystemSpec, X_AXIS, Z_AXIS
@@ -30,8 +33,9 @@ from psvsim.hilbert import Axis, StateVector, SubsystemKind, SubsystemSpec, X_AX
 def _ghz(n: int) -> Scenario:
     """GHZ-n as a generated file holds it (spins s0.., one register each,
     detectors 6 apart), plus one interaction given as an explicit unitary
-    before the detectors and one after them, so matrix mutations reach a
-    unitary the engine applies and one it never does."""
+    before the detectors, in the past of both it acts on, and one after
+    them, so matrix mutations reach a unitary the engine applies and one
+    it never does."""
     spins = tuple(SubsystemSpec(f"s{k}", 2, SubsystemKind.SPIN) for k in range(n))
     regs = tuple(SubsystemSpec(f"R{k}", 3, SubsystemKind.REGISTER) for k in range(n))
     core = np.zeros(2**n, dtype=complex)
@@ -43,7 +47,7 @@ def _ghz(n: int) -> Scenario:
         initial=BranchState(spins + regs, StateVector(spins, core),
                             {r.label: hilbert.basis_state((r,)) for r in regs}),
         initial_t0=-math.inf,
-        interactions=(InteractionEvent("early", Event(0.5, (0.0,)), ("s0", "s1"), u),
+        interactions=(InteractionEvent("early", Event(-5.0, (3.0,)), ("s0", "s1"), u),
                       InteractionEvent("late", Event(10.0, (6.0,)), ("s1", "s2"), u)),
         detectors=tuple(DetectorEvent(f"D{k}", Event(3.0, (6.0 * k,)),
                                       hilbert.spin_outcome_set(f"s{k}", Axis(0.4 * k, 0.3)),
@@ -178,6 +182,69 @@ def test_a_mutated_scenario_file_gives_a_distribution_or_one_json_error(path, wh
         assert code == 0 and err.getvalue() == ""
         total = math.fsum(e["probability"] for e in json.loads(out.getvalue())["entries"])
         assert abs(total - 1.0) <= 1e-12
+
+
+def _cli(path, *argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([*argv, "--scenario", str(path), "--json"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(blob=_oracles.causal_files())
+def test_every_valid_order_of_an_accepted_file_gives_one_distribution(path, blob):
+    """The paper's theorem on files the causal rule accepts: each valid
+    order gives the time-ordered distribution within 1e-12, and a run with
+    fixed outcomes one final state; ``orders`` exits 0."""
+    s = serialization.scenario_from_dict(blob)
+    orders = _oracles.valid_orders(blob)
+    assert engine.enumerate_valid_orders(s) == orders
+    expected = _oracles.time_ordered_distribution(blob)
+    by_det = dict(zip(s.detector_labels, max(expected, key=expected.get)))
+    finals = []
+    for order in orders:
+        dist = engine.joint_distribution(s, order)
+        assert set(dist.probabilities) <= set(expected)
+        assert max(abs(dist.probability(k) - p) for k, p in expected.items()) <= 1e-12
+        finals.append(engine.run(s, order, outcomes=tuple(by_det[l] for l in order)).final_state)
+    assert all(_oracles.states_close(finals[0], f, tol=1e-12) for f in finals)
+    path.write_text(json.dumps(blob))
+    code, out, err = _cli(path, "orders")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["orders"] == [list(o) for o in orders]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_oracles.causal_files(broken=True))
+def test_a_file_with_an_event_moved_off_its_causal_chain_is_a_validation_error(path, case):
+    blob, moved, spin = case
+    path.write_text(json.dumps(blob))
+    for command in ("dist", "orders"):
+        code, out, err = _cli(path, command)
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "validation"
+        assert f"{moved!r} at " in error["message"]
+        assert re.search(f" both act on subsystem {spin!r} but are "
+                         "(spacelike|lightlike)$", error["message"])
+
+
+def test_every_built_in_and_benchmark_ghz_layout_keeps_the_causal_rule():
+    """Each builds: split's copy gate lies on detector A's past cone, every
+    other pair of events on one subsystem of a built-in is timelike, and a
+    benchmark GHZ file has one event per spin."""
+    scenarios.split_particle(), scenarios.singlet(Z_AXIS, X_AXIS), scenarios.ghz()
+    scenarios.singlet(Z_AXIS, X_AXIS, with_copies=True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(_oracles.__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {"reference": _oracles.reference, spec.name: inputs}):
+        spec.loader.exec_module(inputs)
+    for seed, n, dim in itertools.product(range(3), (2, 3, 4), (1, 2, 3)):
+        rng = np.random.default_rng(seed)
+        axes = [inputs._axis(rng) for _ in range(n)]
+        serialization.scenario_from_dict(inputs.ghz_scenario(axes, inputs.ghz_events(rng, n, dim)))
 
 
 def _number_paths(node, path=()):
